@@ -64,6 +64,14 @@ class LintConfig:
     service_modules: Tuple[str, ...] = ("service/",)
     #: callables that execute a function argument under the session lock
     lock_entrypoints: Tuple[str, ...] = ("run_command",)
+    #: settings classes whose every field must be read somewhere outside
+    #: the class itself (the dead-knob rule)
+    config_classes: Tuple[str, ...] = (
+        "AvmemConfig",
+        "AnycastConfig",
+        "GossipConfig",
+        "SimulationSettings",
+    )
 
     def in_scope(self, rel: str, prefixes: Sequence[str]) -> bool:
         for prefix in prefixes:

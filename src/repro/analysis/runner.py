@@ -22,6 +22,7 @@ from repro.analysis.base import (
     RuleRegistry,
 )
 from repro.analysis.baseline import Baseline, BaselineComparison
+from repro.analysis.deadknobs import DeadKnobRule
 from repro.analysis.determinism import (
     NpRandomRule,
     RandomModuleRule,
@@ -51,6 +52,7 @@ def build_registry() -> RuleRegistry:
     registry.register(HotLoopRule())
     registry.register(LockDisciplineRule())
     registry.register(JournalCoverageRule())
+    registry.register(DeadKnobRule())
     return registry
 
 

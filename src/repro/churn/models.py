@@ -20,6 +20,9 @@ from repro.util.validation import check_positive, check_probability
 
 __all__ = ["MarkovChurnModel", "DiurnalProfile", "sample_epoch_matrix", "scaled_session_epochs"]
 
+#: uniforms :func:`sample_epoch_matrix` holds at once (32 MiB of float64)
+_UNIFORM_BUDGET = 1 << 22
+
 
 @dataclass(frozen=True)
 class DiurnalProfile:
@@ -159,20 +162,63 @@ def sample_epoch_matrix(
     stable hosts stay up for long stretches, so the instantaneous
     probability that a high-availability host is online matches its
     long-run availability even over day-scale windows.
+
+    Every node is the chain :class:`MarkovChurnModel` describes, stepped
+    for all nodes at once: one ``(nodes, epochs)`` uniform draw — the
+    same values, in the same generator order, as one
+    :meth:`MarkovChurnModel.sample_presence` call per node (degenerate
+    0/1 availabilities draw nothing) — then one vector step per epoch.
+    The matrix and the generator's final state are bit-identical to that
+    per-node loop (``tests/reference/churn_models.py``).
     """
     check_probability(diurnal_fraction, "diurnal_fraction")
-    n = len(availabilities)
+    if epochs <= 0:
+        raise ValueError(f"epochs must be positive, got {epochs}")
+    avs = np.asarray(availabilities, dtype=float)
+    n = avs.size
+    if not ((avs >= 0.0) & (avs <= 1.0)).all():
+        raise ValueError("availabilities must be in [0, 1]")
+    check_positive(mean_online_epochs, "mean_online_epochs")
     matrix = np.zeros((epochs, n), dtype=bool)
     diurnal_mask = rng.random(n) < diurnal_fraction if diurnal is not None else np.zeros(n, dtype=bool)
-    cap = max(float(epochs) / 3.0, mean_online_epochs)
-    for i, availability in enumerate(availabilities):
-        if session_scaling:
-            mean_epochs = scaled_session_epochs(availability, mean_online_epochs, cap)
-        else:
-            mean_epochs = mean_online_epochs
-        model = MarkovChurnModel(availability, mean_online_epochs=mean_epochs)
-        profile = diurnal if diurnal_mask[i] else None
-        matrix[:, i] = model.sample_presence(
-            epochs, rng, epoch_seconds=epoch_seconds, diurnal=profile
+    if session_scaling:
+        # scaled_session_epochs, elementwise (same IEEE operations).
+        cap = max(float(epochs) / 3.0, mean_online_epochs)
+        scaled = mean_online_epochs / np.maximum(1.0 - avs, 1e-6)
+        mean_epochs = np.minimum(np.maximum(scaled, mean_online_epochs), cap)
+        mean_epochs[avs >= 1.0] = cap
+    else:
+        mean_epochs = np.full(n, float(mean_online_epochs))
+    if (mean_epochs < 1.0).any():
+        raise ValueError(
+            f"mean_online_epochs must be >= 1 epoch, got {float(mean_epochs.min())!r}"
         )
+    matrix[:, avs == 1.0] = True
+    live = np.flatnonzero((avs > 0.0) & (avs < 1.0))
+    # Consecutive node chunks draw consecutive stretches of the stream,
+    # so chunking bounds the uniform block without changing any value.
+    chunk = max(1, _UNIFORM_BUDGET // epochs)
+    for start in range(0, live.size, chunk):
+        cols = live[start : start + chunk]
+        a = avs[cols]
+        p_leave = 1.0 / mean_epochs[cols]
+        p_join = np.minimum(1.0, a * p_leave / (1.0 - a))
+        follows_diurnal = diurnal_mask[cols]
+        any_diurnal = bool(follows_diurnal.any())
+        uniforms = rng.random((cols.size, epochs))
+        online = uniforms[:, 0] < a  # stationary initial state
+        matrix[0, cols] = online
+        leave, join = p_leave, p_join
+        for e in range(1, epochs):
+            if any_diurnal:
+                # The multiplier stays a scalar per epoch (math.cos), as
+                # in DiurnalProfile; non-diurnal nodes get exactly 1.0.
+                mult = np.where(follows_diurnal, diurnal.multiplier(e * epoch_seconds), 1.0)
+                # Day-time boost lowers the chance of leaving; the clamps
+                # keep both probabilities in [0, 1].
+                leave = np.minimum(1.0, np.maximum(0.0, p_leave / mult))
+                join = np.minimum(1.0, np.maximum(0.0, p_join * mult))
+            u = uniforms[:, e]
+            online = np.where(online, u >= leave, u < join)
+            matrix[e, cols] = online
     return matrix

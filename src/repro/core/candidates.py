@@ -66,6 +66,12 @@ _ABS_SLACK = 4096.0
 #: scaled thresholds at or above this enumerate the whole bucket (the
 #: value is exactly representable and safely below 2^64).
 _FULL_CUTOFF = _U64_SCALE - 2.0**13
+#: (source, bucket) range entries searched at once, and over-approximate
+#: candidates expanded + filtered at once.  Both bound transient arrays
+#: to a few MiB whatever N is: large one-shot allocations are what a
+#: small population's peak RSS would otherwise pay for the fast path.
+_RANGE_BUDGET = 1 << 16
+_CANDIDATE_BUDGET = 1 << 16
 
 
 def supports_candidates(predicate) -> bool:
@@ -129,6 +135,7 @@ class CandidateIndex:
             (avs * self.n_buckets).astype(np.int64), 0, self.n_buckets - 1
         )
         self.keys = predicate.hash_fn.key_array(self.digests)
+        self.shifts = predicate.hash_fn.shift_array(self.digests)
         order = np.lexsort((self.keys, bucket_of))
         self.rows_sorted = order.astype(np.int64)
         self.keys_sorted = self.keys[order]
@@ -160,13 +167,91 @@ class CandidateIndex:
         horizontal = predicate.horizontal
         self.h_kind = horizontal.CANDIDATE_BOUND
         self.h_const = 0.0
+        self.h_values = None
         if self.h_kind == "const":
             self.h_const = float(horizontal.threshold(0.0, 0.0, pdf))
-        elif self.h_kind != "src":
+        elif self.h_kind == "src":
+            self.h_values = horizontal.candidate_values(avs, pdf)
+        else:
             raise ValueError(
                 f"horizontal rule {horizontal!r} declares unsupported bound "
                 f"kind {self.h_kind!r} (horizontal rules must be 'const' or 'src')"
             )
+
+
+def _bucket_ranges(index, s0: int, s1: int, cushion: float):
+    """Candidate position ranges of sources ``s0:s1`` in every non-empty
+    bucket: ``(starts, stops)``, both ``(2·buckets, s1 − s0)`` int64 —
+    rows ``2j`` / ``2j + 1`` hold bucket ``j``'s first / wrapped-around
+    range as positions into ``index.rows_sorted``."""
+    eps = index.predicate.epsilon
+    av_x = index.availabilities[s0:s1]
+    shifts = index.shifts[s0:s1]
+    with np.errstate(over="ignore"):
+        lo_key = (np.uint64(0) - shifts).astype(np.uint64)
+    if index.h_kind == "src":
+        t_h = index.h_values[s0:s1]
+    else:
+        t_h = np.full(av_x.shape[0], index.h_const)
+    starts = np.zeros((2 * index.nonempty.size, av_x.shape[0]), dtype=np.int64)
+    stops = np.zeros_like(starts)
+    for j, b in enumerate(index.nonempty):
+        b_start = index.offsets[b]
+        b_stop = index.offsets[b + 1]
+        lo_av = index.av_min[j]
+        hi_av = index.av_max[j]
+        # Band classification of the whole bucket per source, from
+        # actual member min/max (float subtraction is monotone, so
+        # these are exactly the extreme per-pair distances).
+        in_all = (av_x - lo_av < eps) & (hi_av - av_x < eps)
+        out_all = (lo_av - av_x >= eps) | (av_x - hi_av >= eps)
+        if index.v_kind == "const":
+            t_v = np.full(av_x.shape[0], index.v_const)
+        elif index.v_kind == "dst":
+            t_v = np.full(av_x.shape[0], index.v_bucket_max[j])
+        else:  # "dst-distance"
+            dist_min = np.maximum(np.maximum(lo_av - av_x, av_x - hi_av), 0.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t_v = np.where(
+                    dist_min > 0.0, index.v_bucket_max[j] / dist_min, np.inf
+                )
+            t_v = np.minimum(t_v, 1.0)
+        bound = np.where(in_all, t_h, np.where(out_all, t_v, np.maximum(t_h, t_v)))
+        if cushion:
+            bound = np.minimum(1.0, bound + cushion)
+        scaled = bound * _U64_SCALE * _REL_SLACK + _ABS_SLACK
+        full = scaled >= _FULL_CUTOFF
+        # Full buckets bypass the interval search entirely; clip so the
+        # cast stays in uint64 range for them too.
+        t_int = np.minimum(scaled, _FULL_CUTOFF).astype(np.uint64)
+        bucket_keys = index.keys_sorted[b_start:b_stop]
+        with np.errstate(over="ignore"):
+            hi_key = (t_int - shifts).astype(np.uint64)
+        a = np.searchsorted(bucket_keys, lo_key, side="left") + b_start
+        c = np.searchsorted(bucket_keys, hi_key, side="right") + b_start
+        wrapped = (lo_key > hi_key) & ~full
+        # Range 1: [0, c) when wrapped, the whole bucket when full, else
+        # [a, c).  Range 2: [a, m) when wrapped (disjoint from range 1).
+        starts[2 * j] = np.where(wrapped | full, b_start, a)
+        stops[2 * j] = np.where(full, b_stop, c)
+        starts[2 * j + 1] = np.where(wrapped, a, 0)
+        stops[2 * j + 1] = np.where(wrapped, b_stop, 0)
+    return starts, stops
+
+
+def _budget_cuts(counts: np.ndarray, budget: int) -> list:
+    """Boundaries splitting ``counts`` into consecutive runs that each
+    sum to at most ``budget`` (a single over-budget element is its own
+    run)."""
+    cumulative = np.cumsum(counts)
+    cuts = [0]
+    spent = 0
+    while cuts[-1] < counts.size:
+        stop = int(np.searchsorted(cumulative, spent + budget, side="right"))
+        stop = max(stop, cuts[-1] + 1)
+        cuts.append(stop)
+        spent = int(cumulative[stop - 1])
+    return cuts
 
 
 def evaluate_all_candidates(
@@ -174,142 +259,76 @@ def evaluate_all_candidates(
     digests: np.ndarray,
     availabilities: np.ndarray,
     cushion: float = 0.0,
-    block_rows: int = 2048,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact ``evaluate_all`` via candidate generation.
 
     Returns the same ``(src_indices, dst_indices, horizontal)`` CSR
     triple as the exhaustive sweep, bit-identical (property-tested in
-    ``tests/test_candidates_parity.py`` and asserted per benchmark run).
+    ``tests/test_population_and_candidates.py`` and asserted per
+    benchmark run).  Sources are processed in runs sized by how many
+    candidates they enumerate (:data:`_CANDIDATE_BUDGET`), not by a row
+    count, so the transient working set is the same few MiB at every N.
     """
-    with current_telemetry().span("overlay.candidates.index"):
+    telemetry = current_telemetry()
+    with telemetry.span("overlay.candidates.index"):
         index = CandidateIndex(predicate, digests, availabilities)
     avs = index.availabilities
-    digests = index.digests
     n = avs.shape[0]
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return empty, empty.copy(), np.empty(0, dtype=bool)
-    if block_rows <= 0:
-        raise ValueError(f"block_rows must be positive, got {block_rows}")
     eps = predicate.epsilon
     pdf = predicate.pdf
-    hash_fn = predicate.hash_fn
-    horizontal = predicate.horizontal
     vertical = predicate.vertical
     src_chunks = []
     dst_chunks = []
     horizontal_chunks = []
-    zero = np.uint64(0)
+    block_rows = max(1, _RANGE_BUDGET // max(1, 2 * index.nonempty.size))
     for s0 in range(0, n, block_rows):
         s1 = min(s0 + block_rows, n)
-        av_x = avs[s0:s1]
-        with np.errstate(over="ignore"):
-            shifts = hash_fn.shift_array(digests[s0:s1])
-        if index.h_kind == "src":
-            t_h = horizontal.candidate_values(av_x, pdf)
-        else:
-            t_h = np.full(av_x.shape[0], index.h_const)
-        pos_parts = []
-        src_parts = []
-        with current_telemetry().span("overlay.candidates.enumerate"):
-            for j, b in enumerate(index.nonempty):
-                b_start = index.offsets[b]
-                b_stop = index.offsets[b + 1]
-                m = int(b_stop - b_start)
-                lo_av = index.av_min[j]
-                hi_av = index.av_max[j]
-                # Band classification of the whole bucket per source,
-                # from actual member min/max (float subtraction is
-                # monotone, so these are exactly the extreme per-pair
-                # distances).
-                in_all = (av_x - lo_av < eps) & (hi_av - av_x < eps)
-                out_all = (lo_av - av_x >= eps) | (av_x - hi_av >= eps)
-                if index.v_kind == "const":
-                    t_v = np.full(av_x.shape[0], index.v_const)
-                elif index.v_kind == "dst":
-                    t_v = np.full(av_x.shape[0], index.v_bucket_max[j])
-                else:  # "dst-distance"
-                    dist_min = np.maximum(np.maximum(lo_av - av_x, av_x - hi_av), 0.0)
-                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                        t_v = np.where(
-                            dist_min > 0.0, index.v_bucket_max[j] / dist_min, np.inf
-                        )
-                    t_v = np.minimum(t_v, 1.0)
-                bound = np.where(in_all, t_h, np.where(out_all, t_v, np.maximum(t_h, t_v)))
-                if cushion:
-                    bound = np.minimum(1.0, bound + cushion)
-                scaled = bound * _U64_SCALE * _REL_SLACK + _ABS_SLACK
-                full = scaled >= _FULL_CUTOFF
-                # Full buckets bypass the interval search entirely; clip
-                # so the cast stays in uint64 range for them too.
-                t_int = np.minimum(scaled, _FULL_CUTOFF).astype(np.uint64)
-                bucket_keys = index.keys_sorted[b_start:b_stop]
-                with np.errstate(over="ignore"):
-                    lo_key = (zero - shifts).astype(np.uint64)
-                    hi_key = (t_int - shifts).astype(np.uint64)
-                a = np.searchsorted(bucket_keys, lo_key, side="left")
-                c = np.searchsorted(bucket_keys, hi_key, side="right")
-                wrapped = lo_key > hi_key
-                # Range 1: [0, c) when wrapped or full-bucket, else [a, c).
-                start1 = np.where(wrapped | full, 0, a)
-                stop1 = np.where(full, m, c)
-                # Range 2: [a, m) when wrapped (disjoint from range 1).
-                start2 = np.where(wrapped & ~full, a, 0)
-                stop2 = np.where(wrapped & ~full, m, 0)
-                owners = np.arange(av_x.shape[0], dtype=np.int64)
-                p1, o1 = _expand_ranges(start1.astype(np.int64), stop1.astype(np.int64), owners)
-                p2, o2 = _expand_ranges(start2.astype(np.int64), stop2.astype(np.int64), owners)
-                if p1.size:
-                    pos_parts.append(p1 + int(b_start))
-                    src_parts.append(o1)
-                if p2.size:
-                    pos_parts.append(p2 + int(b_start))
-                    src_parts.append(o2)
-        telemetry = current_telemetry()
+        with telemetry.span("overlay.candidates.enumerate"):
+            starts, stops = _bucket_ranges(index, s0, s1, cushion)
+            cuts = _budget_cuts((stops - starts).sum(axis=0), _CANDIDATE_BUDGET)
         if telemetry.enabled:
             telemetry.poke_progress(context="overlay.candidates")
-        if not pos_parts:
-            continue
-        with current_telemetry().span("overlay.candidates.filter"):
-            pos = np.concatenate(pos_parts)
-            src_local = np.concatenate(src_parts)
-            dst_rows = index.rows_sorted[pos]
-            not_self = dst_rows != (src_local + s0)
-            dst_rows = dst_rows[not_self]
-            src_local = src_local[not_self]
-            if dst_rows.size == 0:
-                continue
-            # Exact filter: identical float comparisons to the exhaustive
-            # block sweep (same per-pair thresholds, same |Δav| < ε
-            # classification, same cushion clamp).
-            with np.errstate(over="ignore"):
-                wrapped_sum = (shifts[src_local] + index.keys[dst_rows]).astype(np.uint64)
-            hashes = wrapped_sum.astype(np.float64) / _U64_SCALE
-            deltas = np.abs(av_x[src_local] - avs[dst_rows])
-            h_mask = deltas < eps
-            if index.h_kind == "src":
-                h_t = t_h[src_local]
-            else:
-                h_t = index.h_const
-            if index.v_kind == "const":
-                v_t = index.v_const
-            elif index.v_kind == "dst":
-                v_t = index.v_values[dst_rows]
-            else:
-                v_t = vertical.pair_threshold_values(av_x[src_local], avs[dst_rows], pdf)
-            thresholds = np.where(h_mask, h_t, v_t)
-            if cushion:
-                thresholds = np.minimum(1.0, thresholds + cushion)
-            member = hashes <= thresholds
-            src_local = src_local[member]
-            dst_rows = dst_rows[member]
-            h_mask = h_mask[member]
-            order = np.lexsort((dst_rows, src_local))
-            src_chunks.append((src_local[order] + s0).astype(np.int64))
-            dst_chunks.append(dst_rows[order].astype(np.int64))
-            horizontal_chunks.append(h_mask[order])
+        for c0, c1 in zip(cuts[:-1], cuts[1:]):
+            with telemetry.span("overlay.candidates.filter"):
+                owners = np.tile(np.arange(s0 + c0, s0 + c1, dtype=np.int64), starts.shape[0])
+                pos, src = _expand_ranges(
+                    starts[:, c0:c1].ravel(), stops[:, c0:c1].ravel(), owners
+                )
+                dst = index.rows_sorted[pos]
+                not_self = dst != src
+                dst = dst[not_self]
+                src = src[not_self]
+                if dst.size == 0:
+                    continue
+                # Exact filter: identical float comparisons to the
+                # exhaustive block sweep (same per-pair thresholds, same
+                # |Δav| < ε classification, same cushion clamp).
+                with np.errstate(over="ignore"):
+                    wrapped_sum = (index.shifts[src] + index.keys[dst]).astype(np.uint64)
+                hashes = wrapped_sum.astype(np.float64) / _U64_SCALE
+                h_mask = np.abs(avs[src] - avs[dst]) < eps
+                if index.h_kind == "src":
+                    h_t = index.h_values[src]
+                else:
+                    h_t = index.h_const
+                if index.v_kind == "const":
+                    v_t = index.v_const
+                elif index.v_kind == "dst":
+                    v_t = index.v_values[dst]
+                else:
+                    v_t = vertical.pair_threshold_values(avs[src], avs[dst], pdf)
+                thresholds = np.where(h_mask, h_t, v_t)
+                if cushion:
+                    thresholds = np.minimum(1.0, thresholds + cushion)
+                member = hashes <= thresholds
+                src = src[member]
+                dst = dst[member]
+                order = np.lexsort((dst, src))
+                src_chunks.append(src[order])
+                dst_chunks.append(dst[order])
+                horizontal_chunks.append(h_mask[member][order])
     if not src_chunks:
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), np.empty(0, dtype=bool)
     return (
         np.concatenate(src_chunks),

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
+from repro.core.hashing import HASH_NAMES
 from repro.util.validation import (
     check_non_negative,
     check_positive,
@@ -93,7 +94,12 @@ class AvmemConfig:
     pdf_bins:
         Discretization of the availability PDF.
     hash_name:
-        Pairwise hash registry name ("mix64", "sha1", "md5", "blake2b").
+        Registry name of the membership hash ``H``
+        (:data:`repro.core.hashing.HASH_NAMES`).  The default
+        ``"affine64"`` is interval-searchable, which the default
+        ``overlay_method="candidates"`` bootstrap requires; ``"mix64"``,
+        ``"sha1"``, ``"md5"`` and ``"blake2b"`` need
+        ``overlay_method="exhaustive"``.
     availability_window:
         None for raw (from trace start) availability; otherwise the
         trailing-window length in seconds ("aged" availability).
@@ -107,7 +113,7 @@ class AvmemConfig:
     refresh_period: float = 1200.0
     coarse_view_size: Optional[int] = None
     pdf_bins: int = 20
-    hash_name: str = "mix64"
+    hash_name: str = "affine64"
     availability_window: Optional[float] = None
     #: refresh probes each neighbor and evicts unresponsive (offline)
     #: ones; they are re-discovered once back online.  Between refreshes
@@ -136,6 +142,10 @@ class AvmemConfig:
             )
         if self.pdf_bins <= 0:
             raise ValueError(f"pdf_bins must be positive, got {self.pdf_bins}")
+        if self.hash_name not in HASH_NAMES:
+            raise ValueError(
+                f"unknown hash_name {self.hash_name!r}; pick from {HASH_NAMES}"
+            )
         if self.availability_window is not None:
             check_positive(self.availability_window, "availability_window")
 

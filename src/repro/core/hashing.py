@@ -13,8 +13,11 @@ Interchangeable implementations:
   over the concatenated endpoint strings.
 * :class:`Mix64PairHash` — a splitmix64-style bijective mixer over the
   ids' 64-bit digests.  Statistically uniform, an order of magnitude
-  faster, and vectorizable with NumPy — the default for large sweeps.
-* :class:`Affine64PairHash` — a *shift-structured* consistent hash,
+  faster than the digests, and vectorizable with NumPy.  Salted, it is
+  AVMON's monitor-selection hash; as the membership hash it is an
+  explicit ``hash_name="mix64", overlay_method="exhaustive"`` choice.
+* :class:`Affine64PairHash` — the **default** membership hash: a
+  *shift-structured* consistent hash,
   ``H(x, y) = ((A·mix64(dx) + B·mix64(dy)) mod 2^64) / 2^64``.  Still
   consistent, directed, and per-pair uniform, but for a fixed source the
   membership condition ``H(x, y) <= t`` becomes a single wrapped
@@ -24,8 +27,8 @@ Interchangeable implementations:
   destinations by binary search instead of evaluating all N pairs.
   The output-mixed hashes (mix64, the digest hashes) are PRF-like:
   every ordered pair's bit is independent, so *no* sub-quadratic exact
-  enumeration exists for them and overlay construction must fall back
-  to the block-tiled N×N sweep.
+  enumeration exists for them and overlay construction with them must
+  request the block-tiled N×N sweep explicitly.
 
 All of them are **asymmetric**: ``H(x, y) != H(y, x)`` in general, because
 membership ``M(x, y)`` is a directed relation.
@@ -291,7 +294,7 @@ _REGISTRY: Dict[str, object] = {
 HASH_NAMES = tuple(sorted(_REGISTRY))
 
 
-def make_hash(name: str = "mix64") -> PairwiseHash:
+def make_hash(name: str = "affine64") -> PairwiseHash:
     """Instantiate a registered pairwise hash by name."""
     factory = _REGISTRY.get(name)
     if factory is None:

@@ -28,7 +28,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.availability import AvailabilityPdf
-from repro.core.hashing import Mix64PairHash, PairwiseHash
+from repro.core.candidates import evaluate_all_candidates, supports_candidates
+from repro.core.hashing import Affine64PairHash, PairwiseHash
 from repro.core.ids import NodeId, digest_array
 from repro.core.slivers import (
     HorizontalSliverRule,
@@ -36,7 +37,6 @@ from repro.core.slivers import (
     LogarithmicVertical,
     RandomUniformRule,
     VerticalSliverRule,
-    has_candidate_bound,
     has_matrix_threshold,
 )
 from repro.util.validation import check_positive, check_probability, check_unit_interval
@@ -70,6 +70,7 @@ class AvmemPredicate:
 
     The canonical paper configuration is
     ``AvmemPredicate(LogarithmicConstantHorizontal(), LogarithmicVertical(), pdf)``.
+    ``hash_fn`` defaults to the interval-searchable ``affine64``.
     """
 
     def __init__(
@@ -88,7 +89,7 @@ class AvmemPredicate:
         self.vertical = vertical
         self.pdf = pdf
         self.epsilon = check_positive(epsilon, "epsilon")
-        self.hash_fn = hash_fn if hash_fn is not None else Mix64PairHash()
+        self.hash_fn = hash_fn if hash_fn is not None else Affine64PairHash()
 
     # ------------------------------------------------------------------
     # Scalar evaluation
@@ -146,9 +147,9 @@ class AvmemPredicate:
         """Evaluate ``M(x, y_i)`` for many candidates at once.
 
         Returns ``(member_mask, horizontal_mask)`` — boolean arrays over
-        the candidates.  Requires a vectorizable hash (mix64); falls back
-        to a scalar loop otherwise.  Any candidate equal to ``x`` itself
-        is excluded.  ``digests`` optionally supplies the candidates'
+        the candidates.  Uses the hash's vectorized form when it has one
+        (affine64, mix64) and a scalar loop otherwise.  Any candidate
+        equal to ``x`` itself is excluded.  ``digests`` optionally supplies the candidates'
         precomputed ``uint64`` endpoint digests (e.g. from a membership
         table's columnar storage), skipping the per-candidate digest
         gather and the per-candidate self-exclusion scan.
@@ -198,26 +199,21 @@ class AvmemPredicate:
         path: an interval-structured hash (e.g. ``affine64``) plus
         bucket-boundable sliver rules (every paper rule; not
         application :class:`~repro.core.slivers.FunctionRule`\\ s)."""
-        return (
-            getattr(self.hash_fn, "supports_interval", False)
-            and has_candidate_bound(self.horizontal)
-            and has_candidate_bound(self.vertical)
-        )
+        return supports_candidates(self)
 
-    def _resolve_method(self, method: str) -> str:
-        if method == "auto":
-            return "candidates" if self.supports_candidate_generation else "exhaustive"
+    def check_overlay_method(self, method: str) -> None:
+        """Raise unless ``method`` names a construction engine this
+        predicate can run — there is no fallback between the two."""
         if method not in ("exhaustive", "candidates"):
             raise ValueError(
-                f"method must be 'exhaustive', 'candidates', or 'auto', got {method!r}"
+                f"method must be 'exhaustive' or 'candidates', got {method!r}"
             )
         if method == "candidates" and not self.supports_candidate_generation:
             raise ValueError(
                 f"predicate {self!r} does not support candidate generation: "
                 "it needs an interval-structured hash (affine64) and sliver "
-                "rules with bucket bounds"
+                "rules with bucket bounds; pass method='exhaustive' explicitly"
             )
-        return method
 
     def evaluate_all(
         self,
@@ -232,14 +228,14 @@ class AvmemPredicate:
         ``method`` selects the engine: ``"exhaustive"`` computes the
         full N×N hash/threshold comparison in numpy blocks of
         ``block_rows`` source rows (tiling bounds peak memory at
-        ``O(block_rows · N)``); ``"candidates"`` enumerates only the
-        O(k) plausible neighbors per source through the inverted index
-        in :mod:`repro.core.candidates` (requires an
-        interval-structured hash — see
-        :attr:`supports_candidate_generation`) and is exact-parity with
-        the sweep; ``"auto"`` picks candidates whenever supported.
-        Because the predicate is consistent this is the whole overlay in
-        one call — the engine behind the array-backed
+        ``O(block_rows · N)``) and works for every hash;
+        ``"candidates"`` enumerates only the O(k) plausible neighbors
+        per source through the inverted index in
+        :mod:`repro.core.candidates`, is exact-parity with the sweep,
+        and raises for a predicate without
+        :attr:`supports_candidate_generation`.  Because the predicate is
+        consistent this is the whole overlay in one call — the engine
+        behind the array-backed
         :class:`~repro.overlays.graphs.OverlayGraph`.
 
         Returns ``(src_indices, dst_indices, horizontal)``: parallel
@@ -249,23 +245,11 @@ class AvmemPredicate:
         must be unique.  Falls back to a scalar hash loop per row for
         non-vectorizable hashes.
         """
-        check_probability(cushion, "cushion")
-        availabilities = np.asarray(availabilities, dtype=float)
-        n = len(ids)
-        if availabilities.size != n:
-            raise ValueError(
-                f"{n} ids but {availabilities.size} availabilities"
-            )
-        if len(set(ids)) != n:
+        if len(set(ids)) != len(ids):
             raise ValueError("ids must be unique")
-        if block_rows <= 0:
-            raise ValueError(f"block_rows must be positive, got {block_rows}")
-        digests = digest_array(ids)
-        if self._resolve_method(method) == "candidates":
-            from repro.core.candidates import evaluate_all_candidates
-
-            return evaluate_all_candidates(self, digests, availabilities, cushion)
-        return self._exhaustive_blocks(digests, availabilities, cushion, block_rows, ids)
+        return self._evaluate_all(
+            digest_array(ids), availabilities, cushion, block_rows, method, ids
+        )
 
     def evaluate_all_rows(
         self,
@@ -273,37 +257,42 @@ class AvmemPredicate:
         availabilities: np.ndarray,
         cushion: float = 0.0,
         block_rows: int = 256,
-        method: str = "auto",
+        method: str = "candidates",
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row-space :meth:`evaluate_all`: operate directly on a
         population's ``uint64`` digest array without materializing any
         :class:`NodeId` objects — the entry point for
         :class:`~repro.core.population.Population`-backed overlay
-        construction at large N.  The exhaustive engine requires a
+        construction and for direct bootstrap, hence the
+        ``"candidates"`` default.  The exhaustive engine requires a
         matrix-capable hash here (string hashes need the id objects);
         output is identical to :meth:`evaluate_all` on the ids with the
         same digests.
         """
-        check_probability(cushion, "cushion")
         digests = np.asarray(digests, dtype=np.uint64)
-        availabilities = np.asarray(availabilities, dtype=float)
-        n = digests.shape[0]
-        if availabilities.size != n:
-            raise ValueError(f"{n} digests but {availabilities.size} availabilities")
-        if np.unique(digests).size != n:
+        if np.unique(digests).size != digests.shape[0]:
             raise ValueError("digests must be unique")
-        if block_rows <= 0:
-            raise ValueError(f"block_rows must be positive, got {block_rows}")
-        if self._resolve_method(method) == "candidates":
-            from repro.core.candidates import evaluate_all_candidates
-
-            return evaluate_all_candidates(self, digests, availabilities, cushion)
-        if not self.hash_fn.supports_matrix:
+        if method == "exhaustive" and not self.hash_fn.supports_matrix:
             raise ValueError(
                 f"hash {self.hash_fn.name!r} cannot evaluate in row space "
                 "(no matrix form); pass the ids to evaluate_all instead"
             )
-        return self._exhaustive_blocks(digests, availabilities, cushion, block_rows, None)
+        return self._evaluate_all(
+            digests, availabilities, cushion, block_rows, method, None
+        )
+
+    def _evaluate_all(self, digests, availabilities, cushion, block_rows, method, ids):
+        check_probability(cushion, "cushion")
+        availabilities = np.asarray(availabilities, dtype=float)
+        n = digests.shape[0]
+        if availabilities.size != n:
+            raise ValueError(f"{n} ids but {availabilities.size} availabilities")
+        if block_rows <= 0:
+            raise ValueError(f"block_rows must be positive, got {block_rows}")
+        self.check_overlay_method(method)
+        if method == "candidates":
+            return evaluate_all_candidates(self, digests, availabilities, cushion)
+        return self._exhaustive_blocks(digests, availabilities, cushion, block_rows, ids)
 
     def _exhaustive_blocks(
         self,

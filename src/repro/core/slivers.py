@@ -325,9 +325,13 @@ class LogarithmicConstantHorizontal(HorizontalSliverRule):
     """[II.B] ``min(c2·log(N*_av(x)) / N*min_av(x), 1)``.
 
     The threshold depends only on ``av(x)`` (plus the global ε baked into
-    the surrounding predicate's band test), so it is cached per ``av_x``
-    — important because the discovery loop evaluates it for every coarse
-    view entry.
+    the surrounding predicate's band test).  It is evaluated on a 1e-3
+    availability grid — ``av(x)`` rounded to the nearest grid point, far
+    below bin resolution for a piecewise-linear function — which keeps
+    it a pure function of ``av(x)`` (every party computes the same
+    value, whatever it evaluated before) while giving the discovery loop
+    near-perfect cache reuse and the batched forms at most 1001 scalar
+    evaluations per PDF.
     """
 
     CANDIDATE_BOUND = "src"
@@ -338,19 +342,24 @@ class LogarithmicConstantHorizontal(HorizontalSliverRule):
         self._cache: dict = {}
 
     def candidate_values(self, avs, pdf):
-        # Per-*source* scalars: identical floats to the threshold_matrix
-        # column (same cached scalar lookups).
-        return np.array([self.threshold(float(ax), 0.0, pdf) for ax in avs])
+        # Per-*source* thresholds, float-identical to per-source
+        # ``threshold`` calls: np.rint and round() both round the same
+        # product half-to-even, so both land on the same grid point.
+        grid = np.rint(np.asarray(avs, dtype=float) * 1000.0)
+        points, inverse = np.unique(grid, return_inverse=True)
+        values = np.array(
+            [self.threshold(point / 1000.0, 0.0, pdf) for point in points.tolist()]
+        )
+        return values[inverse]
 
     def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        # Quantize the cache key: the threshold is piecewise-linear in
-        # av_x, so 1e-3 granularity is far below bin resolution while
-        # giving the discovery loop near-perfect cache reuse.
-        key = (id(pdf), round(av_x, 3))
+        point = round(av_x * 1000.0)
+        key = (id(pdf), point)
         cached = self._cache.get(key)
         if cached is None:
-            n_av = pdf.n_star_av(av_x, self.epsilon)
-            n_min = pdf.n_star_min_av(av_x, self.epsilon)
+            at = point / 1000.0
+            n_av = pdf.n_star_av(at, self.epsilon)
+            n_min = pdf.n_star_min_av(at, self.epsilon)
             if n_min <= 0.0:
                 cached = 1.0
             else:
@@ -365,9 +374,8 @@ class LogarithmicConstantHorizontal(HorizontalSliverRule):
 
     def threshold_matrix(self, av_xs, av_ys, pdf):
         # Depends only on av(x): one column vector broadcast over
-        # candidates.  Each scalar lookup hits the per-av_x cache.
-        column = np.array([self.threshold(float(ax), 0.0, pdf) for ax in av_xs])
-        return column[:, None]
+        # candidates.
+        return self.candidate_values(av_xs, pdf)[:, None]
 
     def __repr__(self) -> str:
         return f"LogarithmicConstantHorizontal(c2={self.c2}, epsilon={self.epsilon})"

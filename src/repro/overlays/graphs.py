@@ -148,15 +148,17 @@ class OverlayGraph:
         predicate: AvmemPredicate,
         cushion: float = 0.0,
         block_rows: int = 256,
-        method: str = "auto",
+        method: str = "candidates",
         storage: Optional[str] = None,
     ) -> "OverlayGraph":
         """Materialize the overlay directly over a
         :class:`~repro.core.population.Population` — no :class:`NodeId`
         objects are touched, which is what keeps 100k–1M-row builds
-        memory-bounded.  ``method="auto"`` uses candidate generation
-        whenever the predicate supports it; ``storage`` spills the edge
-        CSR to ``.npy`` memmaps in that directory."""
+        memory-bounded.  ``method`` is forwarded to
+        :meth:`~repro.core.predicates.AvmemPredicate.evaluate_all_rows`
+        (candidate generation unless ``"exhaustive"`` is requested);
+        ``storage`` spills the edge CSR to ``.npy`` memmaps in that
+        directory."""
         with current_telemetry().span("overlay.build"):
             src, dst, horizontal = predicate.evaluate_all_rows(
                 population.digests,

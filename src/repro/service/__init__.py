@@ -24,13 +24,16 @@ seeded build.  Because every random draw comes from named, independent
 :class:`~repro.util.randomness.RandomRouter` streams, replay consumes
 randomness exactly as the original run did — a restored session's
 subsequent records are bit-identical to an uninterrupted one (asserted
-in ``tests/test_service.py``).
+in ``tests/test_service.py``).  That holds within one **stream epoch**
+(:data:`repro.util.randomness.STREAM_EPOCH`): the manifest records the
+epoch it was written under, and restore refuses any other.
 """
 
 from repro.service.errors import (
     ServiceError,
     SessionBusyError,
     SessionExistsError,
+    StreamEpochError,
     UnknownSessionError,
 )
 from repro.service.orchestrator import SessionOrchestrator
@@ -42,6 +45,7 @@ __all__ = [
     "ServiceError",
     "SessionBusyError",
     "SessionExistsError",
+    "StreamEpochError",
     "UnknownSessionError",
     "SessionOrchestrator",
     "SimulationSession",

@@ -7,6 +7,7 @@ __all__ = [
     "UnknownSessionError",
     "SessionExistsError",
     "SessionBusyError",
+    "StreamEpochError",
 ]
 
 
@@ -44,4 +45,26 @@ class SessionBusyError(ServiceError):
 
     def __init__(self, session_id: str):
         super().__init__(f"session {session_id!r} is executing a command")
+        self.session_id = session_id
+
+
+class StreamEpochError(ServiceError):
+    """A checkpoint was written under another stream epoch (HTTP 409).
+
+    Its journal recorded commands against that epoch's overlay; replayed
+    here it would build a different overlay from the same seed and
+    silently diverge, so restore refuses.
+    """
+
+    http_status = 409
+
+    def __init__(self, session_id: str, found: object, current: int):
+        if found is None:
+            written = "no stream epoch (written before epochs were recorded)"
+        else:
+            written = f"stream epoch {found!r}"
+        super().__init__(
+            f"session {session_id!r} was checkpointed under {written}; this "
+            f"build runs stream epoch {current} and cannot replay its journal"
+        )
         self.session_id = session_id

@@ -3,7 +3,7 @@
 One checkpoint is a directory::
 
     <state_dir>/<session_id>/
-        manifest.json        avmem-session-v1: spec + journal digest info
+        manifest.json        avmem-session-v1: spec, stream epoch, counts
         journal.json         the ordered command journal
         logs/plan-0000.json  one OperationLog per executed plan
         telemetry.json       TelemetrySnapshot at checkpoint time
@@ -26,8 +26,9 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.ops.log import OperationLog
-from repro.service.errors import UnknownSessionError
+from repro.service.errors import StreamEpochError, UnknownSessionError
 from repro.service.spec import SessionSpec
+from repro.util.randomness import STREAM_EPOCH
 
 __all__ = ["SessionStore", "MANIFEST_FORMAT"]
 
@@ -106,6 +107,7 @@ class SessionStore:
                 "format": MANIFEST_FORMAT,
                 "id": session.id,
                 "spec": session.spec.as_dict(),
+                "stream_epoch": STREAM_EPOCH,
                 "created_at": session.created_at,
                 "checkpointed_at": time.time(),
                 "commands": len(session.journal),
@@ -132,8 +134,14 @@ class SessionStore:
         return manifest
 
     def load(self, session_id: str) -> Tuple[SessionSpec, List[dict], Dict[str, object]]:
-        """The restore inputs: (spec, journal entries, manifest)."""
+        """The restore inputs: (spec, journal entries, manifest).
+
+        Raises :class:`StreamEpochError` for a checkpoint written under
+        a different (or no) stream epoch: the same seed builds another
+        overlay now, so its journal must not be replayed."""
         manifest = self.load_manifest(session_id)
+        if manifest.get("stream_epoch") != STREAM_EPOCH:
+            raise StreamEpochError(session_id, manifest.get("stream_epoch"), STREAM_EPOCH)
         spec = SessionSpec.from_dict(manifest["spec"])
         journal_path = os.path.join(self.session_dir(session_id), "journal.json")
         try:
@@ -173,6 +181,7 @@ class SessionStore:
             "created_at": manifest.get("created_at"),
             "checkpointed_at": manifest.get("checkpointed_at"),
             "now": manifest.get("now"),
+            "stream_epoch": manifest.get("stream_epoch"),
             "commands": manifest.get("commands"),
             "plans": manifest.get("plans"),
         }

@@ -12,12 +12,12 @@ Two bootstrap modes (docs/architecture.md, "Bootstrap modes"):
 * ``"protocol"`` — nodes start with empty lists and run the discovery/
   refresh protocols through the warm-up period (the paper's 24 hours).
   Faithful but expensive; use for small populations and protocol tests.
-* ``"direct"`` — the warm-up clock is advanced, then each node's lists
-  are computed by evaluating the consistent predicate against the full
-  candidate set, after which the periodic refresh keeps them current.
-  Because the predicate is consistent, this is the graph discovery
-  converges to; it makes full-scale (1442-host) figure regeneration
-  cheap.
+* ``"direct"`` — the warm-up clock is advanced, then every node's lists
+  are enumerated from the consistent predicate in one O(N·k) candidate
+  pass (``overlay_method``), after which the periodic refresh keeps them
+  current.  Because the predicate is consistent, this is the graph
+  discovery converges to; it makes full-scale (1442-host) figure
+  regeneration cheap and N = 20k construction a matter of seconds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.churn.overnet import OvernetTraceConfig, generate_overnet_trace
 from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
+from repro.core.hashing import make_hash
 from repro.core.ids import NodeId, make_node_ids
 from repro.core.node import AvmemNode
 from repro.core.population import Population
@@ -108,13 +109,12 @@ class SimulationSettings:
     #: batched eligibility snapshots; "per-hop" preserves the seed's
     #: one-event-per-message path (the parity/benchmark baseline)
     dispatch: str = "batch"
-    #: how direct bootstrap enumerates the overlay: "exhaustive" (block-
-    #: tiled N x N), "candidates" (O(N*k) interval enumeration; requires
-    #: an interval-searchable hash, e.g. affine64), or "auto" (candidates
-    #: whenever the predicate supports them, else exhaustive).  Both
-    #: paths produce the identical overlay; this only selects the
-    #: construction algorithm.
-    overlay_method: str = "auto"
+    #: how direct bootstrap enumerates the overlay: "candidates" (O(N*k)
+    #: interval enumeration; construction raises unless config.hash_name
+    #: is interval-searchable, e.g. affine64) or "exhaustive" (block-
+    #: tiled N x N — the explicit choice for mix64).  Both produce the
+    #: identical overlay for a given hash; there is no fallback.
+    overlay_method: str = "candidates"
     #: diurnal churn parameters forwarded to the trace generator
     diurnal_amplitude: float = 0.3
     diurnal_fraction: float = 0.4
@@ -144,9 +144,9 @@ class SimulationSettings:
             raise ValueError(
                 f"dispatch must be 'batch' or 'per-hop', got {self.dispatch!r}"
             )
-        if self.overlay_method not in ("exhaustive", "candidates", "auto"):
+        if self.overlay_method not in ("exhaustive", "candidates"):
             raise ValueError(
-                f"overlay_method must be 'exhaustive', 'candidates' or 'auto', "
+                f"overlay_method must be 'exhaustive' or 'candidates', "
                 f"got {self.overlay_method!r}"
             )
 
@@ -277,15 +277,15 @@ class AvmemSimulation:
             seed=s.seed,
         )
         # The "crawler's" offline PDF: lifetime availabilities of all hosts.
-        lifetime = [self.trace.lifetime_availability(n) for n in self.node_ids]
+        lifetime = self.trace.timeline.lifetime_availability_array()
         # Struct-of-arrays identity core: digests/availabilities as flat
         # columns, row index == trace/node_ids order.  Nodes and their
         # membership tables hang off rows of this population.
-        self.population = Population.from_ids(
-            tuple(self.node_ids), np.asarray(lifetime, dtype=float)
-        )
+        self.population = Population.from_ids(tuple(self.node_ids), lifetime)
         self.pdf = AvailabilityPdf.from_samples(lifetime, bins=s.config.pdf_bins)
         self.predicate = self._make_predicate(lifetime)
+        if s.bootstrap == "direct":
+            self.predicate.check_overlay_method(s.overlay_method)
         view_size = s.config.view_size_for(self.pdf.n_star)
         if s.coarse_view_kind == "global":
             self.coarse_view = GlobalSampleView(
@@ -333,12 +333,18 @@ class AvmemSimulation:
             ),
         )
 
-    def _make_predicate(self, lifetime: Sequence[float]) -> AvmemPredicate:
-        s = self.settings
+    def _make_predicate(self, lifetime: np.ndarray) -> AvmemPredicate:
+        """The configured predicate over ``config.hash_name`` (the
+        random baseline inherits the paper predicate's hash)."""
+        config = self.settings.config
         base = paper_predicate(
-            self.pdf, epsilon=s.config.epsilon, c1=s.config.c1, c2=s.config.c2
+            self.pdf,
+            epsilon=config.epsilon,
+            c1=config.c1,
+            c2=config.c2,
+            hash_fn=make_hash(config.hash_name),
         )
-        if s.predicate_kind == "paper":
+        if self.settings.predicate_kind == "paper":
             return base
         descriptors = [
             NodeDescriptor(node, av) for node, av in zip(self.node_ids, lifetime)
@@ -465,9 +471,9 @@ class AvmemSimulation:
         Because the oracle answers deterministically within a time
         bucket, the whole bootstrap is one consistent-predicate overlay:
         a single batched row-space ``evaluate_all_rows`` over the
-        population (``settings.overlay_method`` selects exhaustive vs
-        candidate-generated construction — both produce the identical
-        overlay), with edges to offline candidates masked out,
+        population (candidate-generated unless ``overlay_method`` asks
+        for the exhaustive sweep, which yields the identical overlay),
+        with edges to offline candidates masked out,
         materialized as an :class:`~repro.overlays.graphs.OverlayGraph`
         whose CSR rows feed each node's row-keyed
         :meth:`~repro.core.membership.MembershipTable.upsert_rows`
@@ -475,7 +481,7 @@ class AvmemSimulation:
         on the install path.
         """
         pop = self.population.with_availabilities(
-            np.array([self.oracle.query(node) for node in self.node_ids], dtype=float)
+            self.oracle.query_array(self.node_ids)
         )
         avs = pop.availabilities
         with self.telemetry.span("overlay.build"):

@@ -21,7 +21,18 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-__all__ = ["RandomRouter", "derive_seed", "fallback_rng", "stream"]
+__all__ = ["STREAM_EPOCH", "RandomRouter", "derive_seed", "fallback_rng", "stream"]
+
+#: Generation counter of everything a root seed determines.  A change
+#: that must alter seeded results (overlays, operation logs) bumps it
+#: once, by name, in CHANGES.md; service manifests record it so a
+#: journal written under one epoch is never replayed under another.
+#:
+#: * 1 — ``mix64`` membership hash, exhaustive N x N direct bootstrap.
+#: * 2 — ``affine64`` membership hash, candidate-enumerated bootstrap,
+#:   II.B threshold evaluated on its 1e-3 availability grid (same churn
+#:   trace, different overlay for the same seed).
+STREAM_EPOCH = 2
 
 
 def derive_seed(root_seed: int, name: str) -> int:

@@ -44,6 +44,13 @@ SVC_CONFIG = LintConfig(
     hot_modules=(),
     service_modules=("svc/",),
 )
+KNOB_CONFIG = LintConfig(
+    randomness_modules=(),
+    engine_scope=(),
+    hot_modules=(),
+    service_modules=(),
+    config_classes=("FixtureConfig",),
+)
 SUPP_CONFIG = LintConfig(
     randomness_modules=(),
     engine_scope=(),
@@ -163,6 +170,48 @@ def test_journal_coverage_follows_intra_class_helpers():
     assert all(f.path != "svc/journal_ok.py" for f in findings)
 
 
+# -- dead-knob --------------------------------------------------------
+
+
+def test_dead_knob_flags_fields_nothing_consumes():
+    findings = lint_fixture("deadknobs", KNOB_CONFIG, ["dead-knob"])
+    assert [(f.path, f.symbol) for f in findings] == [
+        ("settings.py", "FixtureConfig"),
+        ("settings.py", "FixtureConfig"),
+    ]
+    # fanout is read by consumer.py; hash_name is only validated and
+    # only ever *written* (replace(..., hash_name=...)); legacy_mode is
+    # mentioned nowhere.  Unlisted is not a configured settings class.
+    assert [f.snippet for f in findings] == [
+        'hash_name: str = "mix64"',
+        "legacy_mode: bool = False",
+    ]
+    assert all("dead knob" in f.message for f in findings)
+
+
+def test_dead_knob_would_have_caught_the_unread_hash_name(tmp_path):
+    """Regression for the five-PR dead knob: strip the one consumer of
+    ``AvmemConfig.hash_name`` from a copy of the two modules involved
+    and the rule must start naming exactly that field."""
+
+    def dead_fields(tree, strip):
+        for rel in ("core/config.py", "simulation.py"):
+            target = tree / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            source = (REPO_ROOT / "src" / "repro" / rel).read_text()
+            if strip:
+                assert rel != "simulation.py" or "make_hash(config.hash_name)" in source
+                source = source.replace("make_hash(config.hash_name)", "None")
+            target.write_text(source)
+        findings = run_lint([str(tree)], rules=["dead-knob"])
+        return {f.snippet.split(":")[0] for f in findings if f.symbol == "AvmemConfig"}
+
+    wired = dead_fields(tmp_path / "wired", strip=False)
+    stripped = dead_fields(tmp_path / "stripped", strip=True)
+    assert stripped - wired == {"hash_name"}
+    assert run_lint([str(REPO_ROOT / "src" / "repro")], rules=["dead-knob"]) == []
+
+
 # -- suppression hygiene ----------------------------------------------
 
 
@@ -266,6 +315,7 @@ def test_cli_list_rules(capsys):
         "hot-loop",
         "lock-discipline",
         "journal-coverage",
+        "dead-knob",
     ):
         assert rule_id in out
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.churn.models as churn_models
 from repro.churn.models import (
     DiurnalProfile,
     MarkovChurnModel,
@@ -16,6 +19,8 @@ from repro.churn.overnet import (
     sample_availabilities,
 )
 from repro.churn.stats import summarize_trace
+
+from reference.churn_models import sample_epoch_matrix_scalar
 
 
 class TestMarkovChurnModel:
@@ -108,8 +113,79 @@ class TestEpochMatrix:
         with pytest.raises(ValueError):
             sample_epoch_matrix([0.5], 10, rng, diurnal_fraction=1.5)
 
+    def test_inputs_validated_like_the_per_node_chain(self, rng):
+        with pytest.raises(ValueError):
+            sample_epoch_matrix([0.5, 1.2], 10, rng)
+        with pytest.raises(ValueError):
+            sample_epoch_matrix([0.5], 0, rng)
+        with pytest.raises(ValueError):
+            sample_epoch_matrix([0.5], 10, rng, mean_online_epochs=0.5, session_scaling=False)
+
+    @given(
+        availabilities=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 1.0 - 1e-4)),
+            min_size=0,
+            max_size=40,
+        ),
+        epochs=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.sampled_from([None, 0.0, 0.3, 0.9]),
+        diurnal_fraction=st.sampled_from([0.0, 0.4, 1.0]),
+        session_scaling=st.booleans(),
+        mean_online_epochs=st.sampled_from([1.0, 3.0, 7.5]),
+        budget=st.sampled_from([1, 64, 1 << 22]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_scalar_reference(
+        self, availabilities, epochs, seed, amplitude, diurnal_fraction,
+        session_scaling, mean_online_epochs, budget,
+    ):
+        """Same matrix *and* same generator state as the per-node scalar
+        loop, across degenerate 0/1 availabilities, diurnal on/off and
+        every chunking of the uniform block."""
+        diurnal = None if amplitude is None else DiurnalProfile(amplitude=amplitude)
+        kwargs = dict(
+            mean_online_epochs=mean_online_epochs,
+            epoch_seconds=1200.0,
+            diurnal=diurnal,
+            diurnal_fraction=diurnal_fraction,
+            session_scaling=session_scaling,
+        )
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        original = churn_models._UNIFORM_BUDGET
+        churn_models._UNIFORM_BUDGET = budget
+        try:
+            fast = sample_epoch_matrix(availabilities, epochs, fast_rng, **kwargs)
+        finally:
+            churn_models._UNIFORM_BUDGET = original
+        slow = sample_epoch_matrix_scalar(availabilities, epochs, slow_rng, **kwargs)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert (fast == slow).all()
+        assert fast_rng.random() == slow_rng.random()
+
 
 class TestOvernetGenerator:
+    @pytest.mark.parametrize("hosts", [1442, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trace_unchanged_by_the_vectorization(self, monkeypatch, hosts, seed):
+        """The churn trace a seed generates — sessions, lifetime
+        availabilities, and where the stream stands afterwards — is the
+        one the scalar per-node loop generated, bit for bit."""
+        config = OvernetTraceConfig(hosts=hosts, epochs=96)
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = generate_overnet_trace(config=config, rng=fast_rng)
+        monkeypatch.setattr(
+            "repro.churn.overnet.sample_epoch_matrix", sample_epoch_matrix_scalar
+        )
+        slow = generate_overnet_trace(config=config, rng=slow_rng)
+        for column in ("starts", "ends", "node_index", "offsets"):
+            np.testing.assert_array_equal(
+                getattr(fast.timeline, column), getattr(slow.timeline, column)
+            )
+        lifetime = fast.timeline.lifetime_availability_array()
+        assert lifetime.tolist() == [slow.lifetime_availability(k) for k in slow.nodes]
+        assert fast_rng.random() == slow_rng.random()
+
     def test_mixture_half_below_030(self, rng):
         samples = sample_availabilities(6000, rng)
         frac = (samples < 0.30).mean()

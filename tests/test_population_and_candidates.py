@@ -137,12 +137,15 @@ def test_candidates_rejected_for_non_interval_hash():
     predicate = paper_predicate(_pdf(avs), hash_fn=Mix64PairHash())
     assert not predicate.supports_candidate_generation
     pop = Population.synthetic(avs)
+    # Candidates are the row-space default; there is no fallback to the
+    # sweep, and the old "auto" mode is gone.
+    for kwargs in ({}, {"method": "candidates"}, {"method": "auto"}):
+        with pytest.raises(ValueError):
+            predicate.evaluate_all_rows(pop.digests, avs, **kwargs)
     with pytest.raises(ValueError):
-        predicate.evaluate_all_rows(pop.digests, avs, method="candidates")
-    # "auto" silently falls back to the exhaustive sweep.
-    src, dst, horizontal = predicate.evaluate_all_rows(pop.digests, avs, method="auto")
-    want = predicate.evaluate_all_rows(pop.digests, avs, method="exhaustive")
-    assert (src == want[0]).all() and (dst == want[1]).all()
+        OverlayGraph.build_rows(pop, predicate)
+    src, _, _ = predicate.evaluate_all_rows(pop.digests, avs, method="exhaustive")
+    assert src.size
 
 
 def test_build_rows_matches_build(small_population):

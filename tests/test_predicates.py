@@ -259,6 +259,23 @@ class TestSliverRuleUnits:
         rule = LogarithmicConstantHorizontal(c2=1.0, epsilon=0.1)
         assert rule.threshold(0.5, 0.42, pdf) == rule.threshold(0.5, 0.58, pdf)
 
+    def test_horizontal_rule_is_a_pure_grid_function(self, pdf, rng):
+        """II.B is evaluated on a 1e-3 availability grid: the batched
+        form is float-identical to scalar calls (including half-way
+        points, where round() and np.rint must agree), and the value
+        does not depend on what the rule evaluated before."""
+        avs = np.concatenate(
+            [rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 0.0025, 0.0625, 0.4995, 0.5005]]
+        )
+        rule = LogarithmicConstantHorizontal(c2=1.0, epsilon=0.1)
+        batched = rule.candidate_values(avs, pdf)
+        assert batched.tolist() == [rule.threshold(float(a), 0.0, pdf) for a in avs]
+        assert rule.threshold_matrix(avs, avs[:3], pdf)[:, 0].tolist() == batched.tolist()
+        fresh = LogarithmicConstantHorizontal(c2=1.0, epsilon=0.1)
+        backwards = [fresh.threshold(float(a), 0.0, pdf) for a in avs[::-1]][::-1]
+        assert backwards == batched.tolist()
+        assert rule.threshold(0.50049, 0.0, pdf) == rule.threshold(0.5, 0.0, pdf)
+
     def test_vectorized_rules_match_scalar(self, pdf, rng):
         av_ys = rng.uniform(0.0, 1.0, 60)
         for rule in (

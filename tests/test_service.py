@@ -23,9 +23,11 @@ from repro.service import (
     SessionSpec,
     SessionStore,
     SimulationSession,
+    StreamEpochError,
     UnknownSessionError,
 )
 from repro.service.store import validate_session_id
+from repro.util.randomness import STREAM_EPOCH
 
 # Tiny but non-trivial: enough hosts/epochs for churn and deliveries,
 # small enough that a session builds in well under a second.
@@ -240,6 +242,33 @@ class TestDurability:
         manifest = store.load_manifest("x")
         assert manifest["format"] == "avmem-session-v1"
         assert manifest["plans"] == 1
+        assert manifest["stream_epoch"] == STREAM_EPOCH
+
+    @pytest.mark.parametrize("written", [STREAM_EPOCH - 1, None])
+    def test_restore_refuses_another_stream_epoch(self, tmp_path, written):
+        """A journal recorded against another epoch's overlay (or a
+        manifest from before epochs were recorded) is never replayed."""
+        store = SessionStore(str(tmp_path))
+        session = SimulationSession.build("x", tiny_spec())
+        session.run_plan(make_plan())
+        store.checkpoint(session)
+        path = store.manifest_path("x")
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if written is None:
+            del manifest["stream_epoch"]
+        else:
+            manifest["stream_epoch"] = written
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(StreamEpochError) as err:
+            store.load("x")
+        message = str(err.value)
+        assert f"stream epoch {STREAM_EPOCH}" in message
+        assert ("no stream epoch" if written is None else f"stream epoch {written}") in message
+        # The checkpoint stays listable and deletable.
+        assert store.describe("x")["stream_epoch"] == written
+        assert store.delete("x")
 
 
 class TestSessionStore:

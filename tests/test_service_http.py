@@ -23,6 +23,7 @@ from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.http import make_server, scrub_json
 from repro.service.orchestrator import SessionOrchestrator
 from repro.service.store import SessionStore
+from repro.util.randomness import STREAM_EPOCH
 
 TINY_SETTINGS = {"hosts": 80, "epochs": 12, "seed": 3}
 TINY = {"settings": TINY_SETTINGS, "warmup": 4000.0, "settle": 600.0}
@@ -154,6 +155,27 @@ class TestRoutes:
         with pytest.raises(ServiceClientError) as err:
             client.create_session(id="dup", **TINY)
         assert err.value.status == 409
+
+    def test_restore_of_another_stream_epoch_409(self, service):
+        """Over HTTP the epoch guard is a 4xx naming both epochs, never
+        a replay into a different overlay (and never a 500)."""
+        client, orchestrator = service
+        client.create_session(id="old", **TINY)
+        client.run_plan("old", PLAN)
+        client.evict("old")
+        path = orchestrator.store.manifest_path("old")
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["stream_epoch"] = STREAM_EPOCH - 1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        for call in (lambda: client.log("old"), lambda: client.run_plan("old", PLAN)):
+            with pytest.raises(ServiceClientError) as err:
+                call()
+            assert err.value.status == 409
+            assert f"stream epoch {STREAM_EPOCH - 1}" in err.value.message
+            assert f"stream epoch {STREAM_EPOCH}" in err.value.message
+        assert client.healthz()
 
     def test_unknown_route_404(self, service):
         client, __ = service
