@@ -13,7 +13,7 @@ from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
 from repro.core.predicates import NodeDescriptor, paper_predicate
 from repro.experiments.report import format_table
-from repro.overlays.graphs import band_connectivity, build_overlay_graph, sliver_sizes
+from repro.overlays.graphs import band_connectivity, build_overlay, sliver_sizes
 
 POPULATION = 600
 EPSILONS = (0.02, 0.05, 0.1, 0.2, 0.3)
@@ -28,7 +28,7 @@ def run_sweep():
     rows = []
     for epsilon in EPSILONS:
         predicate = paper_predicate(pdf, epsilon=epsilon)
-        graph = build_overlay_graph(descriptors, predicate)
+        graph = build_overlay(descriptors, predicate)
         sizes = sliver_sizes(graph)
         hs_mean = float(np.mean([v[0] for v in sizes.values()]))
         vs_mean = float(np.mean([v[1] for v in sizes.values()]))

@@ -22,7 +22,7 @@ from repro.core.slivers import (
     LogarithmicVertical,
 )
 from repro.experiments.report import format_table
-from repro.overlays.graphs import band_connectivity, build_overlay_graph, sliver_sizes
+from repro.overlays.graphs import band_connectivity, build_overlay, sliver_sizes
 
 POPULATION = 600
 
@@ -38,7 +38,7 @@ def _population(seed=0):
 
 def _evaluate(descriptors, pdf, vertical, horizontal):
     predicate = AvmemPredicate(horizontal, vertical, pdf, epsilon=0.1)
-    graph = build_overlay_graph(descriptors, predicate)
+    graph = build_overlay(descriptors, predicate)
     sizes = sliver_sizes(graph)
     hs = [v[0] for v in sizes.values()]
     vs = [v[1] for v in sizes.values()]

@@ -1,17 +1,12 @@
-"""Overlay + membership scaling sweep: scalar seed paths vs the array
-backends (:class:`~repro.overlays.graphs.OverlayGraph` construction and
+"""Overlay + membership scaling sweep over the array backends
+(:class:`~repro.overlays.graphs.OverlayGraph` construction and
 :class:`~repro.core.membership.MembershipTable` bootstrap/refresh).
 
 Sweeps N ∈ {1k, 5k, 20k} (override with ``--sizes``) over the same
-descriptor population and reports two families of timings:
+descriptor population and reports absolute timings:
 
-**Overlay construction** — three strategies:
-
-* ``legacy``  — the seed implementation: one ``evaluate_many`` call per
-  source row, per-edge inserts into a ``networkx.DiGraph``;
-* ``array``   — ``OverlayGraph.build`` (block-tiled ``evaluate_all``);
-* ``adapter`` — ``OverlayGraph.build(...).to_networkx()``, what the
-  compatibility wrapper :func:`build_overlay_graph` now does.
+**Overlay construction** — ``OverlayGraph.build`` (block-tiled
+``evaluate_all`` over descriptors).
 
 **Candidate-generated construction** — ``OverlayGraph.build_rows`` over a
 struct-of-arrays :class:`~repro.core.population.Population` with the
@@ -22,44 +17,42 @@ with per-size peak-RSS reporting and exact CSR parity asserted at
 N ≤ 5k.
 
 **Membership tables** — the two hot paths ``bootstrap="direct"`` and the
-refresh sub-protocol exercise, each timed scalar vs batched:
+refresh sub-protocol exercise:
 
 * ``install`` — populate every node's membership table from its
-  OverlayGraph CSR row: per-edge ``upsert`` loop vs one columnar
-  ``upsert_many`` per node;
+  OverlayGraph CSR row, one columnar ``upsert_many`` per node;
 * ``refresh`` — one full refresh round (re-evaluate the predicate for
   every neighbor against perturbed availabilities, evict non-members,
-  re-cache the rest): per-entry ``evaluate_kind`` + ``upsert``/``remove``
-  vs ``evaluate_many`` + one masked ``refresh_round`` pass per node.
+  re-cache the rest): ``evaluate_many`` + one masked ``refresh_round``
+  pass per node.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_overlay_scale.py
     PYTHONPATH=src python benchmarks/bench_overlay_scale.py --sizes 1000 5000
 
-Acceptance bars: ≥ 5× array-over-legacy construction speedup and ≥ 3×
-batched-over-scalar refresh speedup, both at N = 20k.  Parity checks
-(edge/kind parity for construction, entry-for-entry table parity for
-install + refresh) run at the smallest size on every invocation.
-Results are also written to
-``benchmarks/results/BENCH_overlay_scale.json`` (:mod:`bench_util`).
+The seed per-edge networkx build and dict-of-dataclasses membership
+lists this sweep used to race were retired in PR 13 (their last ratios
+are recorded in CHANGES.md); table parity against a scalar model is
+property-tested in ``tests/test_membership_table.py``.  Results are
+also written to ``benchmarks/results/BENCH_overlay_scale.json``
+(:mod:`bench_util`).
 """
 
 from __future__ import annotations
 
 import argparse
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-import networkx as nx
 import numpy as np
 
 from repro.core.availability import AvailabilityPdf
 from repro.core.hashing import Affine64PairHash
 from repro.core.ids import NodeId, make_node_ids
-from repro.core.membership import MemberEntry, MembershipLists
+from repro.core.membership import MembershipTable
 from repro.core.population import Population
-from repro.core.predicates import AvmemPredicate, NodeDescriptor, SliverKind
+from repro.core.predicates import AvmemPredicate, NodeDescriptor
 from repro.overlays.graphs import OverlayGraph
 
 from bench_util import emit_bench_json, peak_rss_mb
@@ -74,26 +67,6 @@ DEFAULT_CANDIDATE_SIZES = (1_000, 5_000, 20_000, 100_000)
 #: where the two paths are asserted CSR-identical every invocation)
 EXHAUSTIVE_CUTOFF = 20_000
 PARITY_CUTOFF = 5_000
-
-
-def legacy_build(
-    descriptors: Sequence[NodeDescriptor],
-    predicate: AvmemPredicate,
-    cushion: float = 0.0,
-) -> nx.DiGraph:
-    """The seed ``build_overlay_graph``: vectorized per source row, with
-    per-edge Python inserts into networkx."""
-    ids: List[NodeId] = [d.node for d in descriptors]
-    avs = np.array([d.availability for d in descriptors], dtype=float)
-    graph = nx.DiGraph()
-    for descriptor in descriptors:
-        graph.add_node(descriptor.node, availability=descriptor.availability)
-    for source in descriptors:
-        member, horizontal = predicate.evaluate_many(source, ids, avs, cushion=cushion)
-        for j in np.flatnonzero(member):
-            kind = SliverKind.HORIZONTAL if horizontal[j] else SliverKind.VERTICAL
-            graph.add_edge(source.node, ids[j], kind=kind)
-    return graph
 
 
 def make_population(n: int, seed: int = 0):
@@ -136,67 +109,13 @@ def make_row_population(n: int, seed: int = 0):
 # ----------------------------------------------------------------------
 # Membership-table paths (bootstrap install + refresh round)
 # ----------------------------------------------------------------------
-class SeedMembershipLists:
-    """The seed dict-of-dataclasses membership implementation, preserved
-    verbatim as the benchmark baseline so the install/refresh speedups
-    are measured against the code the columnar ``MembershipTable``
-    replaced (not against scalar calls on the new backend)."""
-
-    def __init__(self, owner: NodeId):
-        self.owner = owner
-        self._horizontal: Dict[NodeId, "MemberEntry"] = {}
-        self._vertical: Dict[NodeId, "MemberEntry"] = {}
-
-    def upsert(self, node, availability, kind, now):
-        existing = self._horizontal.pop(node, None) or self._vertical.pop(node, None)
-        if existing is None:
-            entry = MemberEntry(
-                node=node, availability=availability, kind=kind,
-                added_at=now, checked_at=now,
-            )
-        else:
-            entry = existing.refreshed(availability, kind, now)
-        table = self._horizontal if kind is SliverKind.HORIZONTAL else self._vertical
-        table[node] = entry
-        return entry
-
-    def remove(self, node) -> bool:
-        return (
-            self._horizontal.pop(node, None) is not None
-            or self._vertical.pop(node, None) is not None
-        )
-
-    def all_entries(self):
-        yield from self._horizontal.values()
-        yield from self._vertical.values()
-
-    def entries(self) -> List["MemberEntry"]:
-        return list(self._horizontal.values()) + list(self._vertical.values())
-
-
-def scalar_install(overlay: OverlayGraph) -> Dict[NodeId, SeedMembershipLists]:
-    """The seed bootstrap sink: one scalar ``upsert`` per edge into the
-    dict-backed lists."""
-    tables: Dict[NodeId, SeedMembershipLists] = {}
-    avs = overlay.availabilities
-    ids = overlay.ids
-    for i, owner in enumerate(ids):
-        table = SeedMembershipLists(owner)
-        dsts, horizontal = overlay.row(i)
-        for j, is_horizontal in zip(dsts.tolist(), horizontal.tolist()):
-            kind = SliverKind.HORIZONTAL if is_horizontal else SliverKind.VERTICAL
-            table.upsert(ids[j], float(avs[j]), kind, now=0.0)
-        tables[owner] = table
-    return tables
-
-
-def batched_install(overlay: OverlayGraph) -> Dict[NodeId, MembershipLists]:
+def batched_install(overlay: OverlayGraph) -> Dict[NodeId, MembershipTable]:
     """The columnar bootstrap sink: one ``upsert_many`` per CSR row."""
-    tables: Dict[NodeId, MembershipLists] = {}
+    tables: Dict[NodeId, MembershipTable] = {}
     avs = overlay.availabilities
     id_arr, digests = overlay.id_array, overlay.digest64_array
     for i, owner in enumerate(overlay.ids):
-        table = MembershipLists(owner)
+        table = MembershipTable(owner)
         dsts, horizontal = overlay.row(i)
         table.upsert_many(
             id_arr[dsts], avs[dsts], horizontal, now=0.0, digests=digests[dsts]
@@ -216,34 +135,8 @@ def perturbed_availabilities(
     )
 
 
-def scalar_refresh(
-    tables: Dict[NodeId, SeedMembershipLists],
-    overlay: OverlayGraph,
-    new_avs: np.ndarray,
-    predicate: AvmemPredicate,
-    now: float = 1200.0,
-) -> int:
-    """The seed refresh round: per-entry ``evaluate_kind`` + ``upsert``/
-    ``remove`` on the dict-backed lists (the loop
-    ``AvmemNode.refresh_step`` used to run)."""
-    index_of = {node: i for i, node in enumerate(overlay.ids)}
-    evicted = 0
-    for i, owner in enumerate(overlay.ids):
-        table = tables[owner]
-        me = NodeDescriptor(owner, float(new_avs[i]))
-        for entry in list(table.all_entries()):
-            av = float(new_avs[index_of[entry.node]])
-            kind = predicate.evaluate_kind(me, NodeDescriptor(entry.node, av))
-            if kind is None:
-                table.remove(entry.node)
-                evicted += 1
-            else:
-                table.upsert(entry.node, av, kind, now)
-    return evicted
-
-
 def batched_refresh(
-    tables: Dict[NodeId, MembershipLists],
+    tables: Dict[NodeId, MembershipTable],
     overlay: OverlayGraph,
     new_avs: np.ndarray,
     predicate: AvmemPredicate,
@@ -251,7 +144,7 @@ def batched_refresh(
 ) -> int:
     """The columnar refresh round: ``evaluate_many`` + one masked
     ``refresh_round`` pass per node (what ``AvmemNode.refresh_step``
-    runs now)."""
+    runs)."""
     pop_digests = overlay.digest64_array
     order = np.argsort(pop_digests)
     sorted_digests = pop_digests[order]
@@ -275,81 +168,14 @@ def batched_refresh(
     return evicted
 
 
-def check_membership_parity(
-    scalar_tables: Dict[NodeId, SeedMembershipLists],
-    batched_tables: Dict[NodeId, MembershipLists],
-    stage: str,
-) -> None:
-    assert scalar_tables.keys() == batched_tables.keys()
-    for owner, scalar_table in scalar_tables.items():
-        scalar_entries = scalar_table.entries()
-        batched_entries = batched_tables[owner].entries()
-        assert scalar_entries == batched_entries, (
-            f"membership {stage} parity violated at owner {owner}"
-        )
-
-
-def check_parity(descriptors, predicate) -> None:
-    graph, _ = timed(legacy_build, descriptors, predicate)
-    overlay, _ = timed(OverlayGraph.build, descriptors, predicate)
-    adapted = overlay.to_networkx()
-    assert set(adapted.edges) == set(graph.edges), "edge-set parity violated"
-    for src, dst in graph.edges:
-        assert adapted.edges[src, dst]["kind"] is graph.edges[src, dst]["kind"], (
-            "edge-kind parity violated"
-        )
-    print(
-        f"parity OK at N={len(descriptors)}: "
-        f"{graph.number_of_edges()} identical edges/kinds"
-    )
-
-
-def check_install_refresh_parity(descriptors, predicate, seed: int) -> None:
-    """Entry-for-entry scalar/batched table parity after install and
-    after one refresh round (the benchmark-level mirror of the
-    hypothesis property test in tests/test_membership_table.py)."""
-    overlay = OverlayGraph.build(descriptors, predicate)
-    scalar_tables = scalar_install(overlay)
-    batched_tables = batched_install(overlay)
-    check_membership_parity(scalar_tables, batched_tables, "install")
-    new_avs = perturbed_availabilities(overlay, seed)
-    scalar_evicted = scalar_refresh(scalar_tables, overlay, new_avs, predicate)
-    batched_evicted = batched_refresh(batched_tables, overlay, new_avs, predicate)
-    assert scalar_evicted == batched_evicted, "refresh eviction-count parity violated"
-    check_membership_parity(scalar_tables, batched_tables, "refresh")
-    print(
-        f"membership parity OK at N={len(descriptors)}: identical tables after "
-        f"install + refresh ({scalar_evicted} evictions)"
-    )
-
-
 def run_construction_sweep(args) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
-    print(f"{'N':>8} {'legacy_s':>10} {'array_s':>10} {'adapter_s':>10} "
-          f"{'speedup':>8} {'edges':>10}")
+    print(f"{'N':>8} {'array_s':>10} {'edges':>10}")
     for n in args.sizes:
         descriptors, predicate = make_population(n, seed=args.seed)
         overlay, array_s = timed(OverlayGraph.build, descriptors, predicate)
-        _, adapter_s = timed(lambda: overlay.to_networkx())
-        row: Dict[str, object] = {
-            "n": n,
-            "array_s": array_s,
-            "adapter_s": adapter_s,
-            "edges": overlay.number_of_edges,
-        }
-        if n <= args.skip_legacy_above:
-            _, legacy_s = timed(legacy_build, descriptors, predicate)
-            row["legacy_s"] = legacy_s
-            row["speedup"] = legacy_s / array_s
-            speedup = f"{legacy_s / array_s:7.1f}x"
-            legacy_repr = f"{legacy_s:10.3f}"
-        else:
-            speedup, legacy_repr = "      —", "         —"
-        rows.append(row)
-        print(
-            f"{n:>8} {legacy_repr} {array_s:10.3f} {adapter_s:10.3f} "
-            f"{speedup:>8} {overlay.number_of_edges:>10}"
-        )
+        rows.append({"n": n, "array_s": array_s, "edges": overlay.number_of_edges})
+        print(f"{n:>8} {array_s:10.3f} {overlay.number_of_edges:>10}")
     return rows
 
 
@@ -401,32 +227,22 @@ def run_candidate_sweep(args) -> List[Dict[str, object]]:
 
 def run_membership_sweep(args) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
-    print(f"\n{'N':>8} {'inst_scalar':>12} {'inst_batch':>11} {'inst_x':>7} "
-          f"{'refr_scalar':>12} {'refr_batch':>11} {'refr_x':>7} {'edges':>10}")
+    print(f"\n{'N':>8} {'install_s':>10} {'refresh_s':>10} {'evicted':>8} {'edges':>10}")
     for n in args.sizes:
         descriptors, predicate = make_population(n, seed=args.seed)
         overlay = OverlayGraph.build(descriptors, predicate)
-        seed_tables, inst_scalar_s = timed(scalar_install, overlay)
-        tables, inst_batch_s = timed(batched_install, overlay)
+        tables, install_s = timed(batched_install, overlay)
         new_avs = perturbed_availabilities(overlay, args.seed)
-        _, refr_scalar_s = timed(
-            scalar_refresh, seed_tables, overlay, new_avs, predicate
-        )
-        _, refr_batch_s = timed(batched_refresh, tables, overlay, new_avs, predicate)
+        evicted, refresh_s = timed(batched_refresh, tables, overlay, new_avs, predicate)
         rows.append({
             "n": n,
-            "install_scalar_s": inst_scalar_s,
-            "install_batch_s": inst_batch_s,
-            "install_speedup": inst_scalar_s / inst_batch_s,
-            "refresh_scalar_s": refr_scalar_s,
-            "refresh_batch_s": refr_batch_s,
-            "refresh_speedup": refr_scalar_s / refr_batch_s,
+            "install_batch_s": install_s,
+            "refresh_batch_s": refresh_s,
+            "refresh_evicted": evicted,
             "edges": overlay.number_of_edges,
         })
         print(
-            f"{n:>8} {inst_scalar_s:12.3f} {inst_batch_s:11.3f} "
-            f"{inst_scalar_s / inst_batch_s:6.1f}x {refr_scalar_s:12.3f} "
-            f"{refr_batch_s:11.3f} {refr_scalar_s / refr_batch_s:6.1f}x "
+            f"{n:>8} {install_s:10.3f} {refresh_s:10.3f} {evicted:>8} "
             f"{overlay.number_of_edges:>10}"
         )
     return rows
@@ -446,18 +262,11 @@ def main(argv=None) -> None:
              "sweep (candidate-only above the exhaustive cutoff; try 1000000)",
     )
     parser.add_argument(
-        "--skip-legacy-above", type=int, default=50_000,
-        help="skip the O(N^2)-with-Python-constants legacy path above this N",
-    )
-    parser.add_argument(
         "--json-out", default=None,
         help="result path (default: benchmarks/results/BENCH_overlay_scale.json)",
     )
     args = parser.parse_args(argv)
 
-    smallest = make_population(min(args.sizes), seed=args.seed)
-    check_parity(*smallest)
-    check_install_refresh_parity(*smallest, seed=args.seed)
     construction = run_construction_sweep(args)
     candidates = run_candidate_sweep(args)
     membership = run_membership_sweep(args)

@@ -13,6 +13,7 @@ Run:  python examples/range_fingerprint.py
 import numpy as np
 
 from repro import AvmemSimulation, SimulationSettings
+from repro.ops import OperationItem, OperationPlan, TargetSpec
 from repro.util.randomness import stream
 
 BANDS = ((0.1, 0.3), (0.4, 0.6), (0.75, 0.95))
@@ -28,7 +29,10 @@ def synthetic_bandwidth(simulation, node):
 
 
 def survey_band(simulation, band):
-    record = simulation.run_multicast(band, initiator_band="mid", mode="flood")
+    item = OperationItem(
+        kind="multicast", target=TargetSpec.range(*band), band="mid", mode="flood"
+    )
+    (record,) = simulation.ops.execute(OperationPlan.single(item)).launched
     responses = [
         synthetic_bandwidth(simulation, node) for node in record.deliveries
     ]

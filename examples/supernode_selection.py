@@ -13,6 +13,7 @@ Run:  python examples/supernode_selection.py
 from collections import Counter
 
 from repro import AvmemSimulation, SimulationSettings
+from repro.ops import OperationItem, OperationPlan, OperationTiming, TargetSpec
 
 SUPERNODE_THRESHOLD = 0.90
 ELECTIONS = 20
@@ -23,15 +24,18 @@ def main() -> None:
     simulation.setup(warmup=24600.0, settle=2400.0)
 
     print(f"electing supernodes with availability > {SUPERNODE_THRESHOLD}")
+    election = OperationItem(
+        kind="anycast",
+        target=TargetSpec.threshold(SUPERNODE_THRESHOLD),
+        count=ELECTIONS,
+        band="low",  # flaky nodes asking for stable ones
+        policy="retry-greedy",
+        timing=OperationTiming(mode="interval", spacing=10.0),
+    )
+    execution = simulation.ops.execute(OperationPlan.single(election, settle=10.0))
     chosen = Counter()
-    failures = 0
-    for _ in range(ELECTIONS):
-        record = simulation.run_anycast(
-            SUPERNODE_THRESHOLD,
-            initiator_band="low",  # flaky nodes asking for stable ones
-            policy="retry-greedy",
-            settle=10.0,
-        )
+    failures = ELECTIONS - len(execution.launched)  # no low-band node online
+    for record in execution.launched:
         if record.delivered:
             chosen[record.delivery_node] += 1
         else:

@@ -10,11 +10,13 @@ under Overnet-style churn on a discrete-event simulator.
 Quickstart
 ----------
 >>> from repro import AvmemSimulation, SimulationSettings
+>>> from repro.ops import OperationItem, OperationPlan, TargetSpec
 >>> sim = AvmemSimulation(SimulationSettings(hosts=200, seed=7))
 >>> sim.setup(warmup=3600.0)
->>> result = sim.run_anycast(initiator_band="mid", target=(0.85, 0.95))
->>> result.delivered
-True
+>>> item = OperationItem(kind="anycast", target=TargetSpec.range(0.85, 0.95))
+>>> log = sim.ops.run(OperationPlan.single(item))
+>>> len(log)
+1
 
 See README.md for the full tour and docs/architecture.md for the
 layer-by-layer architecture.
@@ -26,7 +28,6 @@ from repro.core import (
     AvmemNode,
     AvmemPredicate,
     MemberEntry,
-    MembershipLists,
     MembershipTable,
     NodeDescriptor,
     NodeId,
@@ -53,7 +54,6 @@ __all__ = [
     "SliverSelector",
     "MemberEntry",
     "MembershipTable",
-    "MembershipLists",
     "AvmemConfig",
     "AvmemNode",
     "AvmemSimulation",

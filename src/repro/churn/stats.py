@@ -21,9 +21,7 @@ __all__ = [
     "availability_samples",
     "online_availability_samples",
     "online_population_series",
-    "online_population_series_scalar",
     "churn_events_per_epoch",
-    "churn_events_per_epoch_scalar",
 ]
 
 NodeKey = Hashable
@@ -78,8 +76,8 @@ def online_population_series(
     Answers through the columnar timeline's
     :meth:`~repro.churn.timeline.ChurnTimeline.online_count_series` —
     two ``searchsorted`` passes for the whole series instead of one
-    population stab per sample.  :func:`online_population_series_scalar`
-    is the per-sample fallback it is parity-tested against.
+    population stab per sample (``tests/reference/churn_stats.py`` holds
+    the per-sample form it is parity-tested against).
     """
     if sample_seconds <= 0:
         raise ValueError(f"sample_seconds must be positive, got {sample_seconds}")
@@ -88,51 +86,19 @@ def online_population_series(
     return times, counts
 
 
-def online_population_series_scalar(
-    trace: ChurnTrace, sample_seconds: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample fallback for :func:`online_population_series` (kept for
-    parity testing and for presence oracles without a timeline)."""
-    if sample_seconds <= 0:
-        raise ValueError(f"sample_seconds must be positive, got {sample_seconds}")
-    times = np.arange(0.0, trace.horizon + 1e-9, sample_seconds)
-    counts = np.array([trace.online_count(t) for t in times], dtype=float)
-    return times, counts
-
-
 def churn_events_per_epoch(trace: ChurnTrace, epoch_seconds: float) -> np.ndarray:
     """Number of presence flips (joins + leaves) in each epoch.
 
     Presence is sampled at epoch midpoints through the timeline's
     vectorized :meth:`~repro.churn.timeline.ChurnTimeline.online_mask_matrix`
-    batch path; :func:`churn_events_per_epoch_scalar` is the per-node
-    fallback it is parity-tested against.
+    batch path (parity-tested against the per-node form in
+    ``tests/reference/churn_stats.py``).
     """
     matrix, _ = trace.to_matrix(epoch_seconds)
     if matrix.shape[0] < 2:
         return np.zeros(0, dtype=int)
     flips = matrix[1:] != matrix[:-1]
     return flips.sum(axis=1)
-
-
-def churn_events_per_epoch_scalar(
-    trace: ChurnTrace, epoch_seconds: float
-) -> np.ndarray:
-    """Per-node scalar fallback for :func:`churn_events_per_epoch`."""
-    if epoch_seconds <= 0:
-        raise ValueError(f"epoch_seconds must be positive, got {epoch_seconds}")
-    epochs = int(round(trace.horizon / epoch_seconds))
-    if epochs < 2:
-        return np.zeros(0, dtype=int)
-    midpoints = (np.arange(epochs) + 0.5) * epoch_seconds
-    flips = np.zeros(epochs - 1, dtype=np.int64)
-    for node in trace.nodes:
-        schedule = trace.schedule(node)
-        presence = np.array(
-            [schedule.is_online(t) for t in midpoints], dtype=bool
-        )
-        flips += presence[1:] != presence[:-1]
-    return flips
 
 
 def summarize_trace(trace: ChurnTrace, population_samples: int = 64) -> TraceSummary:

@@ -18,7 +18,6 @@ from repro.core.hashing import (
 from repro.core.ids import NodeId, digest_array, make_node_ids
 from repro.core.membership import (
     MemberEntry,
-    MembershipLists,
     MembershipTable,
     NeighborView,
     SliverSelector,
@@ -76,7 +75,6 @@ __all__ = [
     "RandomUniformRule",
     "FunctionRule",
     "MembershipTable",
-    "MembershipLists",
     "MemberEntry",
     "NeighborView",
     "SliverSelector",

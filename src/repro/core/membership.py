@@ -32,10 +32,6 @@ Bulk operations key neighbors by their precomputed 64-bit endpoint
 digests (``NodeId.digest64``); SHA-1-prefix collisions between distinct
 endpoints are assumed absent (the synthetic-host space is ≤ 2^24, so the
 birthday bound is ~2^-17 across the whole population).
-
-:class:`MembershipLists` — the historical name used throughout the node,
-ops, and experiment layers — is preserved as a thin view over
-:class:`MembershipTable`; existing callers keep working unchanged.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from repro.telemetry import current as current_telemetry
 __all__ = [
     "MemberEntry",
     "MembershipTable",
-    "MembershipLists",
     "NeighborView",
     "SliverSelector",
 ]
@@ -261,7 +256,7 @@ class MembershipTable:
         return out
 
     # ------------------------------------------------------------------
-    # Scalar mutation (historical MembershipLists API)
+    # Scalar mutation
     # ------------------------------------------------------------------
     def upsert(
         self, node: NodeId, availability: float, kind: SliverKind, now: float
@@ -618,12 +613,3 @@ class MembershipTable:
             f"{type(self).__name__}(owner={self.owner}, hs={self.horizontal_count}, "
             f"vs={self.vertical_count})"
         )
-
-
-class MembershipLists(MembershipTable):
-    """The HS/VS neighbor tables of one node.
-
-    Historical name for :class:`MembershipTable` — a thin view kept so
-    the node, ops, monitor, and experiment layers (and downstream code)
-    keep working unchanged against the columnar backend.
-    """

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.config import AvmemConfig
 from repro.core.ids import NodeId
-from repro.core.membership import MembershipLists
+from repro.core.membership import MembershipTable
 from repro.core.population import Population
 from repro.core.predicates import AvmemPredicate, NodeDescriptor
 from repro.core.verification import InboundVerifier
@@ -96,7 +96,7 @@ class AvmemNode:
         self.rng = rng if rng is not None else fallback_rng()
         self.population = population
         self.row = int(row) if row is not None else None
-        self.lists = MembershipLists(node_id, population=population)
+        self.lists = MembershipTable(node_id, population=population)
         self.verifier = InboundVerifier(
             node_id, predicate, availability_view, cushion=config.cushion
         )

@@ -14,8 +14,7 @@ are finalized once at plan end, so an operation still pending at its
 own run's settle boundary that delivers during a *later* run now counts
 DELIVERED instead of being frozen LOST.  An operation that delivers,
 delivered; only multi-run straggler classification can differ from the
-seed drivers (single-batch plans are record-identical — see the shim
-equivalence tests).
+seed drivers.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Anycasts from HIGH initiators to [0.15, 0.25] with retried-greedy
 forwarding (HS+VS), sweeping retry ∈ {2, 4, 8, 16}.  Reports the
 delivered / TTL-expired / retry-expired fractions and the mean delivery
-latency (per-hop latency U[20, 80] ms).  Paper: retry = 8 reaches the
+latency (each hop takes U[20, 80] ms).  Paper: retry = 8 reaches the
 plateau — 60 % delivery at an average 739 ms.
 
 Two list-maintenance configurations are reported:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Sequence, Set
+from typing import List
 
 import numpy as np
 
 from repro.core.ids import NodeId
-from repro.core.membership import MemberEntry
 from repro.ops.spec import TargetSpec
 
 __all__ = [
@@ -53,16 +52,6 @@ class ForwardingPolicy(abc.ABC):
     @abc.abstractmethod
     def order_candidates(
         self,
-        entries: Sequence[MemberEntry],
-        target: TargetSpec,
-        ttl_remaining: int,
-        rng: np.random.Generator,
-        exclude: Set[NodeId],
-    ) -> List[NodeId]:
-        """Candidate next-hops, best first; excluded nodes are omitted."""
-
-    def order_candidates_arrays(
-        self,
         nodes: np.ndarray,
         availabilities: np.ndarray,
         target: TargetSpec,
@@ -71,47 +60,20 @@ class ForwardingPolicy(abc.ABC):
         exclude_digests: np.ndarray,
         digests: np.ndarray,
     ) -> List[NodeId]:
-        """Columnar :meth:`order_candidates` over parallel neighbor arrays.
+        """Candidate next-hops, best first; excluded nodes are omitted.
 
         ``nodes``/``availabilities``/``digests`` are parallel slices of a
-        :class:`~repro.core.membership.NeighborView` in listing order (the
-        ``entries()`` order), with exclusion expressed as a ``uint64``
-        digest array.  Consumes the rng stream *identically* to the
-        per-entry path — shuffles and tie-break draws land in the same
-        order — so wavefront and per-hop dispatch stay record-identical
-        (property-tested in ``tests/test_dispatch.py``).
+        :class:`~repro.core.membership.NeighborView` in listing order,
+        with exclusion expressed as a ``uint64`` digest array.  The rng
+        consumption is part of the contract: one shuffle of the in-range
+        candidates, one ``rng.random(k)`` tie-break vector over the ``k``
+        out-of-range ones, in listing order (the entry-by-entry oracle
+        in ``tests/reference/anycast_order.py`` pins list and stream
+        position).
         """
-        ordered, _ = _greedy_order_arrays(
-            nodes, availabilities, digests, target, rng, exclude_digests
-        )
-        return ordered
 
 
 def _greedy_order(
-    entries: Sequence[MemberEntry],
-    target: TargetSpec,
-    rng: np.random.Generator,
-    exclude: Set[NodeId],
-) -> List[NodeId]:
-    """In-range candidates first (shuffled), then by distance to the range."""
-    in_range: List[NodeId] = []
-    outside: List[tuple] = []
-    for entry in entries:
-        if entry.node in exclude:
-            continue
-        distance = target.distance(entry.availability)
-        if distance == 0.0:
-            in_range.append(entry.node)
-        else:
-            outside.append((distance, entry.node))
-    rng.shuffle(in_range)
-    # Random tiebreak for equal distances, then sort by distance.
-    keyed = [(d, float(rng.random()), node) for d, node in outside]
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    return in_range + [node for _, _, node in keyed]
-
-
-def _greedy_order_arrays(
     nodes: np.ndarray,
     availabilities: np.ndarray,
     digests: np.ndarray,
@@ -119,19 +81,13 @@ def _greedy_order_arrays(
     rng: np.random.Generator,
     exclude_digests: np.ndarray,
 ) -> tuple:
-    """Columnar :func:`_greedy_order`; returns ``(ordered, first_delta)``.
+    """In-range candidates first (shuffled), then by distance to the
+    range with a random tie-break; returns ``(ordered, first_delta)``.
 
     ``first_delta`` is the greedy best's distance to the range (0.0 when
     an in-range candidate exists, or when there are no candidates) — the
-    annealing temperature input, computed here so the policy needn't
-    re-derive it from entry objects.
-
-    RNG parity with the scalar path holds draw for draw: shuffling a
-    list of the in-range candidates consumes exactly what shuffling the
-    scalar path's list does (equal length), and one ``rng.random(k)``
-    vector draw consumes exactly like ``k`` scalar ``rng.random()``
-    calls in listing order.  The outside sort is a stable lexsort on
-    (distance, tiebreak), matching the scalar stable tuple sort.
+    annealing temperature input.  The outside sort is a stable lexsort
+    on (distance, tiebreak).
     """
     if exclude_digests.size:
         keep = ~np.isin(digests, exclude_digests)
@@ -159,18 +115,20 @@ class GreedyPolicy(ForwardingPolicy):
     name = "greedy"
     wants_ack = False
 
-    def order_candidates(self, entries, target, ttl_remaining, rng, exclude):
-        return _greedy_order(entries, target, rng, exclude)
+    def order_candidates(
+        self, nodes, availabilities, target, ttl_remaining, rng, exclude_digests, digests
+    ):
+        ordered, _ = _greedy_order(
+            nodes, availabilities, digests, target, rng, exclude_digests
+        )
+        return ordered
 
 
-class RetriedGreedyPolicy(ForwardingPolicy):
+class RetriedGreedyPolicy(GreedyPolicy):
     """Greedy ordering with ack/timeout retries down the candidate list."""
 
     name = "retry-greedy"
     wants_ack = True
-
-    def order_candidates(self, entries, target, ttl_remaining, rng, exclude):
-        return _greedy_order(entries, target, rng, exclude)
 
 
 class AnnealingPolicy(ForwardingPolicy):
@@ -196,32 +154,16 @@ class AnnealingPolicy(ForwardingPolicy):
             return 0.0
         return math.exp(-delta / ttl_remaining)
 
-    def order_candidates(self, entries, target, ttl_remaining, rng, exclude):
-        ordered = _greedy_order(entries, target, rng, exclude)
-        if len(ordered) < 2:
-            return ordered
-        by_node = {e.node: e for e in entries}
-        delta = target.distance(by_node[ordered[0]].availability)
-        if delta == 0.0:
-            return ordered  # greedy best already in range: deliver
-        if rng.random() < self.acceptance_probability(delta, ttl_remaining):
-            pick = 1 + int(rng.integers(len(ordered) - 1))
-            ordered[0], ordered[pick] = ordered[pick], ordered[0]
-        return ordered
-
-    def order_candidates_arrays(
+    def order_candidates(
         self, nodes, availabilities, target, ttl_remaining, rng, exclude_digests, digests
     ):
-        ordered, delta = _greedy_order_arrays(
+        ordered, delta = _greedy_order(
             nodes, availabilities, digests, target, rng, exclude_digests
         )
-        # Same decision sequence (and rng draws) as the entry-list path:
-        # the length guard and the in-range short-circuit both precede
-        # any randomness, so the acceptance draw happens iff it would
-        # have scalar-side.
-        if len(ordered) < 2:
-            return ordered
-        if delta == 0.0:
+        # The length guard and the in-range short-circuit both precede
+        # any randomness: the acceptance draw happens only when there is
+        # a choice to make.
+        if len(ordered) < 2 or delta == 0.0:
             return ordered
         if rng.random() < self.acceptance_probability(delta, ttl_remaining):
             pick = 1 + int(rng.integers(len(ordered) - 1))

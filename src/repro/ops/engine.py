@@ -18,7 +18,7 @@ while all protocol decisions use the nodes' cached beliefs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -66,18 +66,18 @@ class _GossipState:
     the candidate list is recomputed every round, so an index would point
     at an arbitrary neighbor and could permanently skip some.
 
-    Batched dispatch keeps the same cursor in digest space
-    (``resume_digest``/``sent_digests``) so each round is one rotated
-    mask over the columnar candidate arrays instead of a Python re-scan;
-    digests name neighbors 1:1, so both cursors resume at the same
-    position.
+    The columnar walk keeps the same cursor in digest space
+    (``resume_digest``/``sent_digests``) so a round over a large table is
+    one rotated mask over the candidate arrays instead of a Python
+    re-scan; digests name neighbors 1:1, so both cursors resume at the
+    same position.
     """
 
     rounds_left: int
-    sent_to: Set[NodeId]
+    sent_to: Set[NodeId] = field(default_factory=set)
     resume_after: Optional[NodeId] = None
     resume_digest: Optional[int] = None
-    sent_digests: Optional[Set[int]] = None
+    sent_digests: Set[int] = field(default_factory=set)
 
 
 class OperationEngine:
@@ -107,10 +107,11 @@ class OperationEngine:
         self.nodes = nodes
         self.config = config
         self.truth_availability = truth_availability
-        #: optional batched eligibility snapshot — "which online nodes are
+        #: optional vectorized eligibility snapshot — "which online nodes are
         #: truly in this target right now" answered in one vectorized pass
         #: (the simulation answers straight from its churn timeline);
-        #: None falls back to the scalar O(N) loop over truth_availability
+        #: None (an engine built without a timeline) falls back to the
+        #: scalar O(N) loop over truth_availability
         self.truth_eligible = truth_eligible
         self.rng = rng if rng is not None else fallback_rng()
         self.verify_inbound = verify_inbound
@@ -126,10 +127,10 @@ class OperationEngine:
         self._pending: Dict[int, _PendingAttempt] = {}  # attempt -> state
         self._mcast_seen: Dict[int, Set[NodeId]] = {}  # op -> nodes that processed
         self._gossip: Dict[Tuple[int, NodeId], _GossipState] = {}
-        # Wavefront dispatch state (batched networks only): same-instant
-        # anycast forwards and flood cohorts accumulate here while a hold
-        # is in effect and flush as one ordered pass — see
-        # docs/architecture.md §"Anycast wavefront".
+        # Wavefront dispatch state: same-instant anycast forwards and
+        # flood cohorts accumulate here while a hold is in effect and
+        # flush as one ordered pass — see docs/architecture.md §"Anycast
+        # wavefront".
         self._wavefront: List[tuple] = []
         self._hold_depth = 0
         network.cohort_hooks = (self.hold_wavefront, self.release_wavefront)
@@ -244,9 +245,9 @@ class OperationEngine:
 
         With a ``truth_eligible`` snapshot function the whole question is
         answered in a few vectorized passes over the ground-truth
-        timeline; the scalar loop is kept as the fallback (and the
-        per-hop parity baseline) and produces the same set — truth is
-        only consulted for online nodes on both paths.
+        timeline; the scalar loop serves engines built without one and
+        produces the same set — truth is only consulted for online nodes
+        either way.
         """
         if self.truth_eligible is not None:
             return set(self.truth_eligible(target))
@@ -300,16 +301,12 @@ class OperationEngine:
             if record.status == AnycastStatus.PENDING:
                 record.status = AnycastStatus.TTL_EXPIRED
             return
-        if self.network.batched:
-            # Wavefront path: the forward joins the current same-instant
-            # cohort.  Without an active hold the cohort is just this
-            # message and flushes synchronously — behaviourally the
-            # scalar _forward_anycast, with columnar candidate ordering.
-            self._wavefront.append(("fwd", node, message))
-            if self._hold_depth == 0:
-                self._flush_wavefront()
-        else:
-            self._forward_anycast(node, message)
+        # The forward joins the current same-instant cohort.  Without an
+        # active hold the cohort is just this message and flushes
+        # synchronously.
+        self._wavefront.append(("fwd", node, message))
+        if self._hold_depth == 0:
+            self._flush_wavefront()
 
     # -- wavefront dispatch ---------------------------------------------
     def hold_wavefront(self) -> None:
@@ -334,12 +331,10 @@ class OperationEngine:
         :meth:`~repro.sim.network.Network.send_many` (one vectorized
         latency draw / presence query for the whole segment); a queued
         flood cohort is a segment boundary, so the ``"latency"`` stream
-        is consumed in exactly the order the per-hop path would have —
-        per-entry candidate ordering is replaced by the columnar policy
-        path, which consumes the ``"ops"`` stream draw for draw like the
-        scalar ordering (property-tested in ``tests/test_dispatch.py``).
+        is consumed in arrival order — the order one send per message
+        would draw in, which is what ``tests/data/golden/`` records.
         Ack timeouts are armed per segment, in operation order, so
-        equal-deadline timeouts keep their per-hop tie-break order.
+        equal-deadline timeouts tie-break in that order too.
         """
         actions = self._wavefront
         if not actions:
@@ -362,7 +357,7 @@ class OperationEngine:
                 if not wired[item_idx]:
                     # Holder offline at send time: nothing hit the wire,
                     # so no ack timeout — the same dead-hop outcome as
-                    # the scalar _try_next_candidate send failure.
+                    # a failed _try_next_candidate send.
                     continue
                 self._pending[attempt] = state
                 state.timeout = self.sim.schedule(
@@ -380,7 +375,7 @@ class OperationEngine:
             _, node, message = action
             record = self.anycasts[message.op_id]
             policy = self._policies[message.op_id]
-            candidates = self._order_candidates_columnar(node, message, record, policy)
+            candidates = self._order_candidates(node, message, record, policy)
             if not candidates:
                 if record.status == AnycastStatus.PENDING:
                     record.status = AnycastStatus.NO_NEIGHBOR
@@ -408,7 +403,7 @@ class OperationEngine:
                 items.append((node.id, next_hop, forwarded))
         flush_forwards()
 
-    def _order_candidates_columnar(
+    def _order_candidates(
         self,
         node: AvmemNode,
         message: AnycastMessage,
@@ -420,8 +415,7 @@ class OperationEngine:
         Selector masking over the :class:`~repro.core.membership.NeighborView`
         preserves the listing order ``entries(selector)`` yields, and the
         path exclusion compares precomputed ``digest64`` values instead
-        of building a NodeId set — same candidates, same order, same rng
-        consumption as :meth:`_forward_anycast`'s entry-list path.
+        of building a NodeId set.
         """
         view = node.lists.neighbor_arrays()
         nodes = view.nodes
@@ -438,7 +432,7 @@ class OperationEngine:
             dtype=np.uint64,
             count=len(message.path),
         )
-        return policy.order_candidates_arrays(
+        return policy.order_candidates(
             nodes, avail, message.target, message.ttl, self.rng, exclude, digests
         )
 
@@ -463,33 +457,6 @@ class OperationEngine:
             mcast = self.multicasts.get(message.op_id)
             if mcast is not None:
                 self._start_stage2(mcast, node.id)
-
-    def _forward_anycast(self, node: AvmemNode, message: AnycastMessage) -> None:
-        record = self.anycasts[message.op_id]
-        policy = self._policies[message.op_id]
-        entries = node.lists.entries(record.selector)
-        exclude = set(message.path)
-        candidates = policy.order_candidates(
-            entries, message.target, message.ttl, self.rng, exclude
-        )
-        if not candidates:
-            if record.status == AnycastStatus.PENDING:
-                record.status = AnycastStatus.NO_NEIGHBOR
-            return
-        if policy.wants_ack:
-            state = _PendingAttempt(
-                record=record,
-                holder=node.id,
-                base_message=message,
-                candidates=candidates,
-                next_index=0,
-                retry_remaining=message.retry,
-            )
-            self._try_next_candidate(state)
-        else:
-            next_hop = candidates[0]
-            forwarded = message.hop(node.id, next_hop, self._new_attempt())
-            self.network.send(node.id, next_hop, forwarded)
 
     # -- retried-greedy machinery --------------------------------------
     def _try_next_candidate(self, state: _PendingAttempt) -> None:
@@ -597,18 +564,10 @@ class OperationEngine:
         """Neighbors whose *cached* availability lies in the target —
         stale caches here are exactly what produces spam (Fig 12).
 
-        Under batched dispatch this runs on the columnar membership
-        snapshot (one mask over the availability column) instead of
-        materializing ``MemberEntry`` objects per reception; the
-        ``NeighborView`` listing order is the ``entries()`` order, so
-        both paths yield the identical list.
+        One mask over the columnar membership snapshot's availability
+        column, in ``NeighborView`` listing order (the ``entries()``
+        order).
         """
-        if not self.network.batched:
-            return [
-                entry.node
-                for entry in node.lists.entries(record.selector)
-                if record.target.contains(entry.availability)
-            ]
         view = node.lists.neighbor_arrays()
         mask = record.target.contains_array(view.availabilities)
         if record.selector == SliverSelector.HS_ONLY:
@@ -628,11 +587,11 @@ class OperationEngine:
         ]
         if not targets:
             return
-        if self._hold_depth > 0 and self.network.batched:
+        if self._hold_depth > 0:
             # Mid-wavefront flood (a launch-instant stage-2 start, or a
             # reception inside a delivery cohort): queue it so its
             # latency draws land between the forwards queued before and
-            # after it, exactly where the per-hop path drew them.
+            # after it, in arrival order.
             self._wavefront.append(("flood", node.id, targets, forwarded, record))
         else:
             self._dispatch_mcast_cohort(node.id, targets, forwarded, record)
@@ -644,9 +603,8 @@ class OperationEngine:
         payload: MulticastMessage,
         record: MulticastRecord,
     ) -> None:
-        """One batched dispatch for a fan-out cohort; the message tally
-        counts transmission attempts, exactly as the per-send increment
-        did.  Destinations already in the operation's seen-set are
+        """One dispatch for a fan-out cohort; the message tally counts
+        transmission attempts.  Destinations already in the operation's seen-set are
         suppressed at the dispatch layer — the seen-set only grows, so a
         duplicate identified at send time is certainly one at arrival;
         the network credits it delivered without scheduling an event and
@@ -655,11 +613,7 @@ class OperationEngine:
         verification (a verifier could reject the duplicate, which must
         keep counting as a rejection, not a reception).
         """
-        if (
-            self.network.batched
-            and not self.verify_inbound
-            and len(targets) >= self.network.batch_threshold
-        ):
+        if not self.verify_inbound and len(targets) >= self.network.batch_threshold:
             # Build the mask only for cohorts the network will actually
             # vectorize; sub-threshold cohorts take the scalar loop
             # where the receiver-side seen-set counts duplicates — same
@@ -685,9 +639,7 @@ class OperationEngine:
         key = (record.op_id, node.id)
         if key in self._gossip:
             return
-        state = _GossipState(
-            rounds_left=self.config.gossip.rounds, sent_to=set(), sent_digests=set()
-        )
+        state = _GossipState(rounds_left=self.config.gossip.rounds)
         self._gossip[key] = state
         # First gossip round fires one period after reception.
         self.sim.schedule(
@@ -716,14 +668,10 @@ class OperationEngine:
             # evicted in the meantime, iteration restarts from the front
             # (the sent-set suppresses duplicates).  The selection
             # consumes no randomness, so the cohort's latency draws land
-            # in the same stream order as the per-send loop's.  Batched
-            # networks run the walk as one rotated mask over the
-            # columnar candidate arrays; the per-hop baseline keeps the
-            # scalar re-scan.
-            if (
-                self.network.batched
-                and node.lists.total_count >= self.GOSSIP_COLUMNAR_MIN
-            ):
+            # in the same stream order as a per-send loop's.  Large
+            # tables run the walk as one rotated mask over the columnar
+            # candidate arrays; small ones keep the early-exit scan.
+            if node.lists.total_count >= self.GOSSIP_COLUMNAR_MIN:
                 targets = self._gossip_targets_columnar(node, record, state)
             else:
                 targets = self._gossip_targets_scan(node, record, state, node_id)
@@ -742,7 +690,8 @@ class OperationEngine:
         state: _GossipState,
         node_id: NodeId,
     ) -> List[NodeId]:
-        """The scalar resume-cursor walk (per-hop parity baseline)."""
+        """The scalar resume-cursor walk (tables under
+        :attr:`GOSSIP_COLUMNAR_MIN`)."""
         candidates = self._in_range_neighbors(node, record)
         index = 0
         if state.resume_after is not None:
@@ -764,7 +713,7 @@ class OperationEngine:
         # Mirror the digest-space cursor so later rounds can switch to
         # the columnar walk (table grown past GOSSIP_COLUMNAR_MIN)
         # without losing their place.
-        if targets and state.sent_digests is not None:
+        if targets:
             state.sent_digests.update(t.digest64 for t in targets)
             state.resume_digest = targets[-1].digest64
         return targets
@@ -812,8 +761,8 @@ class OperationEngine:
         state.sent_digests.update(int(d) for d in pick_digests)
         targets = list(view.nodes[idx[picks]])
         # Mirror the identity-space cursor too: the picks are already
-        # materialized, and introspection (tests, reports) reads the
-        # same fields whichever dispatch mode ran.
+        # materialized, introspection (tests, reports) reads these
+        # fields, and a table that shrinks switches back to the scan.
         state.sent_to.update(targets)
         state.resume_after = targets[-1]
         return targets

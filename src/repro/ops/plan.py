@@ -14,8 +14,7 @@ Timing modes:
 
 * ``"batch"``    — all ``count`` launches at the item's phase offset;
 * ``"interval"`` — launches ``spacing`` seconds apart (the seed batch
-  drivers' shape; the schedule horizon includes one trailing spacing,
-  matching the historical ``run_*_batch`` behaviour exactly);
+  drivers' shape; the schedule horizon includes one trailing spacing);
 * ``"poisson"``  — exponential inter-arrival gaps at ``rate`` arrivals
   per second (mixed anycast+multicast Poisson streams interleave by
   launch time).

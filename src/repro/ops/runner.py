@@ -2,9 +2,8 @@
 
 :class:`OperationRunner` is the single entry point through which every
 management-operation workload flows — the figure drivers, the scenario
-harness, the ``repro ops run`` CLI, and the legacy
-``AvmemSimulation.run_*`` shims all compile down to an
-:class:`~repro.ops.plan.OperationPlan` executed here.
+harness, the service and the ``repro ops run`` CLI all compile down to
+an :class:`~repro.ops.plan.OperationPlan` executed here.
 
 Execution walks the compiled launch schedule in time order: advance the
 simulator to each launch offset, resolve the initiator (explicit node,
@@ -20,10 +19,9 @@ presence + availability pass — and every same-offset slot draws its
 initiator from the shared list, consuming the ``"initiators"`` stream
 exactly as the per-slot recomputation did.
 
-Deterministic plans consume randomness from exactly the same streams in
-exactly the same order as the historical scalar batch loops, so a seeded
-shim call and its explicit-plan equivalent produce identical records
-(property-tested in ``tests/test_ops_plan.py``).
+Plans consume randomness from named streams (``"ops-plan-timing"``,
+``"initiators"``, ``"ops"``, ``"latency"``) in launch order; the
+seeded records this produces are pinned by ``tests/data/golden/``.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ class PlanExecution:
     ``log`` is the columnar outcome table (one row per launch slot,
     including skipped slots); ``records`` the live per-operation records
     in launch order (``None`` where a slot was skipped) for callers that
-    still need record-level access (the deprecation shims, equivalence
-    tests).
+    need record-level access (examples, tests).
     """
 
     plan: OperationPlan

@@ -6,7 +6,6 @@ from repro.overlays.graphs import (
     band_connectivity,
     band_subgraph,
     build_overlay,
-    build_overlay_graph,
     incoming_counts_by_kind,
     mean_out_degree,
     sliver_sizes,
@@ -21,7 +20,6 @@ from repro.overlays.scamp import ScampMembership
 __all__ = [
     "OverlayGraph",
     "build_overlay",
-    "build_overlay_graph",
     "sliver_sizes",
     "incoming_counts_by_kind",
     "band_subgraph",

@@ -2,27 +2,16 @@
 
 Because the AVMEM predicate is consistent, the overlay it spans at any
 instant is a pure function of the node set and their availabilities.
-This module materializes that graph two ways:
-
-* :class:`OverlayGraph` — the **array backend**: a CSR-style structure
-  (``src_indices`` / ``dst_indices`` / ``horizontal`` numpy arrays plus
-  per-node ``offsets``) built by one fully-batched
-  :meth:`~repro.core.predicates.AvmemPredicate.evaluate_all` call, which
-  computes the entire N×N hash/threshold comparison in block-tiled numpy
-  operations.  Construction is O(N²) arithmetic but free of per-edge
-  Python, which makes it usable at N = 20k+ (see
-  ``benchmarks/bench_overlay_scale.py`` for the N ∈ {1k, 5k, 20k} sweep
-  against the legacy per-row networkx path — ≥ 5× at 20k, growing with
-  N).  All analytics (:func:`sliver_sizes`,
-  :func:`incoming_counts_by_kind`, :func:`band_subgraph` /
-  :func:`band_connectivity`, :func:`mean_out_degree`) run as array
-  operations on this backend.
-* :meth:`OverlayGraph.to_networkx` — a compatibility adapter producing
-  the seed's :class:`networkx.DiGraph` (node attribute ``availability``,
-  edge attribute ``kind``), so figure code and tests that want a general
-  graph library keep working.  :func:`build_overlay_graph` retains its
-  original signature and return type by building the array backend and
-  adapting it.
+This module materializes that graph as :class:`OverlayGraph`: a
+CSR-style structure (``src_indices`` / ``dst_indices`` / ``horizontal``
+numpy arrays plus per-node ``offsets``) built by one fully-batched
+predicate evaluation — O(N·k) candidate enumeration over a population
+(:meth:`OverlayGraph.build_rows`) or the block-tiled N×N sweep over
+descriptors (:meth:`OverlayGraph.build`) — free of per-edge Python (see
+``benchmarks/bench_overlay_scale.py``).  All analytics
+(:func:`sliver_sizes`, :func:`incoming_counts_by_kind`,
+:func:`band_subgraph` / :func:`band_connectivity`,
+:func:`mean_out_degree`) run as array operations on it.
 
 Graph direction: membership is directed — ``x → y`` means "y is in x's
 membership list" (``M(x, y) = 1``).
@@ -30,9 +19,8 @@ membership list" (``M(x, y) = 1``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.ids import NodeId
@@ -44,15 +32,12 @@ from repro.util.memmaps import spill
 __all__ = [
     "OverlayGraph",
     "build_overlay",
-    "build_overlay_graph",
     "sliver_sizes",
     "incoming_counts_by_kind",
     "band_subgraph",
     "band_connectivity",
     "mean_out_degree",
 ]
-
-GraphLike = Union["OverlayGraph", nx.DiGraph]
 
 
 class OverlayGraph:
@@ -278,36 +263,6 @@ class OverlayGraph:
                 break
         return np.unique(labels[members]).size == 1
 
-    # ------------------------------------------------------------------
-    # Compatibility adapter
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """The equivalent :class:`networkx.DiGraph` (node attribute
-        ``availability``, edge attribute ``kind``) — the seed
-        representation, kept so figure code and tests that want a general
-        graph library keep working."""
-        graph = nx.DiGraph()
-        for node, av in zip(self.ids, self.availabilities):
-            graph.add_node(node, availability=float(av))
-        # Two bulk add_edges_from calls over the CSR arrays — one per
-        # sliver kind — instead of building a per-edge attribute dict in
-        # Python (networkx copies the keyword attrs into each edge's own
-        # dict, so sharing the kind value is safe).
-        ids_arr = self.id_array
-        horizontal = np.asarray(self.horizontal)
-        src_ids = ids_arr[self.src_indices]
-        dst_ids = ids_arr[self.dst_indices]
-        graph.add_edges_from(
-            zip(src_ids[horizontal].tolist(), dst_ids[horizontal].tolist()),
-            kind=SliverKind.HORIZONTAL,
-        )
-        vertical = ~horizontal
-        graph.add_edges_from(
-            zip(src_ids[vertical].tolist(), dst_ids[vertical].tolist()),
-            kind=SliverKind.VERTICAL,
-        )
-        return graph
-
     def subgraph(self, node_mask: np.ndarray) -> "OverlayGraph":
         """Induced OverlayGraph over the nodes selected by ``node_mask``."""
         members = np.flatnonzero(node_mask)
@@ -341,85 +296,32 @@ def build_overlay(
     )
 
 
-def build_overlay_graph(
-    descriptors: Sequence[NodeDescriptor],
-    predicate: AvmemPredicate,
-    cushion: float = 0.0,
-) -> nx.DiGraph:
-    """The directed membership graph over ``descriptors`` as a
-    :class:`networkx.DiGraph` (compatibility wrapper).
-
-    Node attributes: ``availability``.  Edge attributes: ``kind``
-    (:class:`SliverKind`).  Construction runs through the batched array
-    backend and adapts; callers that only need analytics should use
-    :func:`build_overlay` and skip the adapter entirely.
-    """
-    return build_overlay(descriptors, predicate, cushion=cushion).to_networkx()
-
-
-def sliver_sizes(graph: GraphLike) -> Dict[NodeId, Tuple[int, int]]:
+def sliver_sizes(graph: OverlayGraph) -> Dict[NodeId, Tuple[int, int]]:
     """Per-node ``(hs_size, vs_size)`` out-degrees."""
-    if isinstance(graph, OverlayGraph):
-        hs, vs = graph.sliver_size_arrays()
-        return {
-            node: (int(h), int(v)) for node, h, v in zip(graph.ids, hs, vs)
-        }
-    out: Dict[NodeId, Tuple[int, int]] = {}
-    for node in graph.nodes:
-        hs = vs = 0
-        for _, _, data in graph.out_edges(node, data=True):
-            if data["kind"] is SliverKind.HORIZONTAL:
-                hs += 1
-            else:
-                vs += 1
-        out[node] = (hs, vs)
-    return out
+    hs, vs = graph.sliver_size_arrays()
+    return {node: (int(h), int(v)) for node, h, v in zip(graph.ids, hs, vs)}
 
 
-def incoming_counts_by_kind(graph: GraphLike, kind: SliverKind) -> Dict[NodeId, int]:
+def incoming_counts_by_kind(graph: OverlayGraph, kind: SliverKind) -> Dict[NodeId, int]:
     """Per-node count of incoming edges of one sliver kind (Fig 4)."""
-    if isinstance(graph, OverlayGraph):
-        counts = graph.incoming_count_array(kind)
-        return {node: int(c) for node, c in zip(graph.ids, counts)}
-    out: Dict[NodeId, int] = {node: 0 for node in graph.nodes}
-    for _, dst, data in graph.edges(data=True):
-        if data["kind"] is kind:
-            out[dst] += 1
-    return out
+    counts = graph.incoming_count_array(kind)
+    return {node: int(c) for node, c in zip(graph.ids, counts)}
 
 
-def band_subgraph(graph: GraphLike, lo: float, hi: float) -> GraphLike:
-    """Induced subgraph of nodes with availability in ``[lo, hi]`` (same
-    backend as the input)."""
-    if isinstance(graph, OverlayGraph):
-        return graph.subgraph(graph.band_mask(lo, hi))
-    members = [
-        node
-        for node, data in graph.nodes(data=True)
-        if lo <= data["availability"] <= hi
-    ]
-    return graph.subgraph(members).copy()
+def band_subgraph(graph: OverlayGraph, lo: float, hi: float) -> OverlayGraph:
+    """Induced subgraph of nodes with availability in ``[lo, hi]``."""
+    return graph.subgraph(graph.band_mask(lo, hi))
 
 
-def band_connectivity(graph: GraphLike, lo: float, hi: float) -> bool:
+def band_connectivity(graph: OverlayGraph, lo: float, hi: float) -> bool:
     """Is the sub-overlay of nodes with availability in ``[lo, hi]``
     weakly connected?  (Theorem 2's claim, for bands of width 2ε.)
 
     Empty or singleton bands count as connected.
     """
-    if isinstance(graph, OverlayGraph):
-        return graph.band_connectivity(lo, hi)
-    sub = band_subgraph(graph, lo, hi)
-    if sub.number_of_nodes() <= 1:
-        return True
-    return nx.is_weakly_connected(sub)
+    return graph.band_connectivity(lo, hi)
 
 
-def mean_out_degree(graph: GraphLike) -> float:
+def mean_out_degree(graph: OverlayGraph) -> float:
     """Average membership-list size across nodes."""
-    if isinstance(graph, OverlayGraph):
-        return graph.mean_out_degree()
-    n = graph.number_of_nodes()
-    if n == 0:
-        return float("nan")
-    return graph.number_of_edges() / n
+    return graph.mean_out_degree()

@@ -81,12 +81,8 @@ class SessionSpec:
             raise ValueError("scenario must be a name or a ScenarioSpec object")
         overrides.setdefault("hosts", tier.hosts)
         overrides.setdefault("epochs", tier.epochs)
-        try:
-            settings = SimulationSettings.from_dict(overrides)
-        except TypeError as exc:
-            raise ValueError(f"bad settings: {exc}") from None
         return cls(
-            settings=settings,
+            settings=SimulationSettings.from_dict(overrides),
             warmup=float(payload.get("warmup", tier.warmup)),
             settle=float(payload.get("settle", tier.settle)),
             scenario=scenario,

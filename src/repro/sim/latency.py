@@ -30,8 +30,8 @@ class LatencyModel(abc.ABC):
     Models implement the vectorized :meth:`sample_array` (the batched
     dispatch layer draws whole send cohorts in one call); the scalar
     :meth:`sample` delegates to it, so a cohort of ``n`` draws consumes
-    the rng stream exactly like ``n`` successive scalar draws — the
-    invariant the batched-vs-per-hop dispatch parity tests rely on.
+    the rng stream exactly like ``n`` successive scalar draws — which
+    keeps :class:`~repro.sim.network.Network`'s size-based choice unseen.
     """
 
     def sample(self, rng: np.random.Generator) -> float:

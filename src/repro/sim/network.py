@@ -12,10 +12,10 @@ through :meth:`Network.send_batch`, which samples the whole cohort's
 latencies in one vectorized draw, answers destination presence *at the
 per-message arrival instants* with one batched oracle query, and
 enqueues one simulator event per arrival-time cohort instead of one per
-message.  Both paths deliver identically (same rng stream consumption,
+message.  Cohorts below ``batch_threshold`` take a loop of scalar
+sends instead; both deliver identically (same rng stream consumption,
 same handler invocation order) — property-tested in
-``tests/test_dispatch.py`` — and ``batched=False`` degrades
-``send_batch`` to the per-hop loop for parity baselines.
+``tests/test_dispatch.py``.
 
 The network layer is deliberately dumb: no acknowledgements, no retries.
 Those are protocol behaviours and live in :mod:`repro.ops`, built from
@@ -127,22 +127,21 @@ class Network:
     check_sender:
         When True (default), a message from a node that is offline at send
         time is dropped immediately — a crashed node cannot transmit.
-    batched:
-        When True (default), :meth:`send_batch` dispatches cohorts with
-        vectorized latency/presence and per-arrival-cohort events; when
-        False it degrades to a loop of scalar :meth:`send` calls — the
-        preserved per-hop path used as the parity/benchmark baseline.
     batch_threshold:
-        Cohorts smaller than this go through the scalar loop even when
-        ``batched`` — below roughly a dozen messages the fixed cost of
-        the vectorized draws/presence query exceeds the scalar path
-        (measured in ``benchmarks/bench_dispatch.py``).  Both paths are
-        behaviourally identical (same rng consumption, same delivery
-        order), so the threshold is purely a performance knob; parity
-        tests pin it to 1 to force the vector path.
+        Cohorts smaller than this go through a loop of scalar
+        :meth:`send` calls — below roughly a dozen messages the fixed
+        cost of the vectorized draws/presence query exceeds the scalar
+        path.  Both are behaviourally identical (same rng consumption,
+        same delivery order), so the size-based selection is purely a
+        matter of speed; ``tests/test_golden_logs.py`` replays every
+        golden log at 1 (always vectorize) and 10**9 (never).
     """
 
-    #: cohort size below which send_batch takes the scalar loop
+    #: cohort size below which send_batch takes the scalar loop.  The
+    #: crossover was last measured by the retired bench_dispatch.py (its
+    #: final ratios are in CHANGES.md, PR 13); ``benchmarks/e2e``
+    #: ``ops-mixed`` now runs both sides — anycast walks are
+    #: sub-threshold cohorts, multicast fan-out is vectorized.
     DEFAULT_BATCH_THRESHOLD = 12
 
     def __init__(
@@ -152,7 +151,6 @@ class Network:
         presence: Optional[PresenceOracle] = None,
         rng: Optional[np.random.Generator] = None,
         check_sender: bool = True,
-        batched: bool = True,
         batch_threshold: Optional[int] = None,
     ):
         self.sim = sim
@@ -160,7 +158,6 @@ class Network:
         self.presence = presence if presence is not None else AlwaysOnline()
         self.rng = rng if rng is not None else fallback_rng()
         self.check_sender = check_sender
-        self.batched = batched
         self.batch_threshold = (
             self.DEFAULT_BATCH_THRESHOLD if batch_threshold is None else int(batch_threshold)
         )
@@ -232,7 +229,7 @@ class Network:
         events would have produced.
 
         Messages whose destination is offline at arrival record their
-        ``DST_OFFLINE`` drop immediately (the per-hop path records it at
+        ``DST_OFFLINE`` drop immediately (the scalar loop records it at
         the arrival instant; totals are identical, only the counter
         timing differs) and schedule no event at all.  Returns the number
         of messages put on the wire (0 when the sender is offline — no
@@ -255,7 +252,7 @@ class Network:
         the seen-set only grows, so seen-at-send implies seen-at-arrival).
         A suppressed message is accounted exactly as if it had traveled —
         its latency draw still happens in ``dsts`` order (stream parity
-        with the per-hop path), an offline-at-arrival destination still
+        with the scalar loop), an offline-at-arrival destination still
         records ``DST_OFFLINE``, a missing handler still records
         ``NO_HANDLER``, and an otherwise-deliverable one still counts in
         ``stats.delivered`` — but **no simulator event is scheduled** for
@@ -263,15 +260,14 @@ class Network:
         element is how many suppressed messages would have reached their
         handler (the caller credits those as duplicate receptions).
 
-        On the scalar fallback (``batched`` off or cohort below the
-        threshold) every message is sent normally and
+        On the scalar loop (cohort below the threshold) every message is sent normally and
         ``suppressed_delivered`` is 0 — the receiver-side seen-set check
         then accounts the duplicates, so totals agree on both paths.
         """
         n = len(dsts)
         if n == 0:
             return 0, 0
-        if not self.batched or n < self.batch_threshold:
+        if n < self.batch_threshold:
             sent = 0
             for dst in dsts:
                 sent += bool(self.send(src, dst, payload))
@@ -351,15 +347,15 @@ class Network:
         item order — callers arm ack timeouts only for wired items, as
         they would off scalar :meth:`send` return values.
 
-        Degrades to a loop of scalar sends when ``batched`` is off or the
-        cohort is below the threshold; both paths consume the latency
+        Degrades to a loop of scalar sends when the cohort is below the
+        threshold; both paths consume the latency
         stream identically and deliver in the same order.
         """
         n = len(items)
         wired = [False] * n
         if n == 0:
             return wired
-        if not self.batched or n < self.batch_threshold:
+        if n < self.batch_threshold:
             for k, (src, dst, payload) in enumerate(items):
                 wired[k] = self.send(src, dst, payload)
             return wired
@@ -461,8 +457,8 @@ class Network:
 
         Presence was already checked (for the arrival instant) at send
         time; handlers are still resolved here, at fire time, so a node
-        detached mid-flight drops its messages exactly as the per-hop
-        path would.
+        detached mid-flight drops its messages exactly as a scalar
+        :meth:`send` would.
 
         Multi-message cohorts are bracketed by :attr:`cohort_hooks` when
         set: everything the handlers enqueue at this instant (anycast

@@ -22,7 +22,6 @@ Two bootstrap modes (docs/architecture.md, "Bootstrap modes"):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple, Union
@@ -46,8 +45,6 @@ from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.coarse_view import GlobalSampleView, ShuffledCoarseView
 from repro.monitor.oracle import OracleAvailability
 from repro.ops.engine import OperationEngine
-from repro.ops.plan import OperationItem, OperationPlan, OperationTiming
-from repro.ops.results import AnycastRecord, MulticastRecord
 from repro.ops.runner import OperationRunner
 from repro.ops.spec import InitiatorBand, TargetSpec
 from repro.overlays.graphs import OverlayGraph
@@ -105,10 +102,6 @@ class SimulationSettings:
     monitor_quantization: float = 0.0
     #: should operation recipients verify senders (Section 4.1 checks)?
     verify_inbound: bool = False
-    #: "batch" routes fan-out cohorts through Network.send_batch and
-    #: batched eligibility snapshots; "per-hop" preserves the seed's
-    #: one-event-per-message path (the parity/benchmark baseline)
-    dispatch: str = "batch"
     #: how direct bootstrap enumerates the overlay: "candidates" (O(N*k)
     #: interval enumeration; construction raises unless config.hash_name
     #: is interval-searchable, e.g. affine64) or "exhaustive" (block-
@@ -140,10 +133,6 @@ class SimulationSettings:
             raise ValueError(
                 f"protocols must be 'full', 'refresh-only' or 'off', got {self.protocols!r}"
             )
-        if self.dispatch not in ("batch", "per-hop"):
-            raise ValueError(
-                f"dispatch must be 'batch' or 'per-hop', got {self.dispatch!r}"
-            )
         if self.overlay_method not in ("exhaustive", "candidates"):
             raise ValueError(
                 f"overlay_method must be 'exhaustive' or 'candidates', "
@@ -168,7 +157,12 @@ class SimulationSettings:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationSettings":
+        """Rejects keys that are not fields (a create request's typo, a
+        manifest written before a field was removed) by name."""
         payload = dict(payload)
+        unknown = sorted(set(payload) - {f.name for f in dataclass_fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown settings fields: {unknown}")
         if isinstance(payload.get("config"), dict):
             payload["config"] = AvmemConfig.from_dict(payload["config"])
         return cls(**payload)
@@ -181,11 +175,10 @@ class AvmemSimulation:
     oracle, coarse view, nodes, operation engine) but advances no time;
     call :meth:`setup` once to warm the system up, then execute an
     :class:`~repro.ops.plan.OperationPlan` through :attr:`ops`
-    (``sim.ops.run(plan)``).  The legacy :meth:`run_anycast` /
-    :meth:`run_multicast` (and ``_batch``) methods remain as deprecation
-    shims over the same path.  All randomness derives from
+    (``sim.ops.run(plan)``).  All randomness derives from
     ``settings.seed``, so a run is reproducible end to end.
 
+    >>> from repro.ops.plan import OperationItem, OperationPlan
     >>> sim = AvmemSimulation(SimulationSettings(hosts=200, seed=7))
     >>> sim.setup(warmup=3600.0, settle=600.0)
     >>> item = OperationItem(kind="anycast", target=TargetSpec.range(0.8, 0.95))
@@ -266,7 +259,6 @@ class AvmemSimulation:
             latency=PAPER_HOP_LATENCY,
             presence=self.trace,
             rng=self._router.get("latency"),
-            batched=s.dispatch == "batch",
         )
         self.oracle = OracleAvailability(
             self.trace,
@@ -328,9 +320,7 @@ class AvmemSimulation:
             truth_availability=self.true_availability,
             rng=self._router.get("ops"),
             verify_inbound=s.verify_inbound,
-            truth_eligible=(
-                self.truth_eligible_ids if s.dispatch == "batch" else None
-            ),
+            truth_eligible=self.truth_eligible_ids,
         )
 
     def _make_predicate(self, lifetime: np.ndarray) -> AvmemPredicate:
@@ -560,146 +550,11 @@ class AvmemSimulation:
 
         Every operation workload — single shots, batches, mixed/timed
         streams — is an :class:`~repro.ops.plan.OperationPlan` executed
-        here; the legacy ``run_*`` methods below are deprecation shims
-        that compile to single-item plans.
+        here.
         """
         if self._ops_runner is None:
             self._ops_runner = OperationRunner(self)
         return self._ops_runner
-
-    def _deprecated_shim(self, old: str, plan_hint: str) -> None:
-        warnings.warn(
-            f"AvmemSimulation.{old}() is a deprecation shim; build an "
-            f"OperationPlan ({plan_hint}) and execute it via sim.ops.run(plan)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def run_anycast(
-        self,
-        target: TargetLike,
-        initiator: Optional[NodeId] = None,
-        initiator_band: str = InitiatorBand.MID,
-        policy: str = "greedy",
-        selector: str = "hs+vs",
-        ttl: Optional[int] = None,
-        retry: Optional[int] = None,
-        settle: float = 30.0,
-    ) -> AnycastRecord:
-        """Deprecation shim: one anycast through the plan path; returns
-        the finalized record."""
-        self._deprecated_shim("run_anycast", "one anycast item, batch timing")
-        self._require_ready()
-        if initiator is None:
-            initiator = self.pick_initiator(initiator_band)
-            if initiator is None:
-                raise RuntimeError(f"no online initiator in band {initiator_band!r}")
-        item = OperationItem(
-            kind="anycast",
-            target=self.as_target(target),
-            count=1,
-            band=initiator_band,
-            initiator=initiator,
-            policy=policy,
-            selector=selector,
-            ttl=ttl,
-            retry=retry,
-            timing=OperationTiming(mode="batch"),
-        )
-        execution = self.ops.execute(
-            OperationPlan.single(item, settle=settle, name="run_anycast")
-        )
-        return execution.records[0]
-
-    def run_multicast(
-        self,
-        target: TargetLike,
-        initiator: Optional[NodeId] = None,
-        initiator_band: str = InitiatorBand.HIGH,
-        mode: str = "flood",
-        selector: str = "hs+vs",
-        settle: float = 30.0,
-    ) -> MulticastRecord:
-        """Deprecation shim: one multicast through the plan path."""
-        self._deprecated_shim("run_multicast", "one multicast item, batch timing")
-        self._require_ready()
-        if initiator is None:
-            initiator = self.pick_initiator(initiator_band)
-            if initiator is None:
-                raise RuntimeError(f"no online initiator in band {initiator_band!r}")
-        item = OperationItem(
-            kind="multicast",
-            target=self.as_target(target),
-            count=1,
-            band=initiator_band,
-            initiator=initiator,
-            mode=mode,
-            selector=selector,
-            timing=OperationTiming(mode="batch"),
-        )
-        execution = self.ops.execute(
-            OperationPlan.single(item, settle=settle, name="run_multicast")
-        )
-        return execution.records[0]
-
-    def run_anycast_batch(
-        self,
-        count: int,
-        target: TargetLike,
-        initiator_band: str,
-        policy: str = "greedy",
-        selector: str = "hs+vs",
-        ttl: Optional[int] = None,
-        retry: Optional[int] = None,
-        spacing: float = 2.0,
-        settle: float = 30.0,
-    ) -> List[AnycastRecord]:
-        """Deprecation shim: ``count`` anycasts ``spacing`` seconds apart
-        (fresh random initiator from the band each time), settle,
-        finalize — now one interval-timed plan item."""
-        self._deprecated_shim("run_anycast_batch", "one anycast item, interval timing")
-        item = OperationItem(
-            kind="anycast",
-            target=self.as_target(target),
-            count=count,
-            band=initiator_band,
-            policy=policy,
-            selector=selector,
-            ttl=ttl,
-            retry=retry,
-            timing=OperationTiming(mode="interval", spacing=spacing),
-        )
-        execution = self.ops.execute(
-            OperationPlan.single(item, settle=settle, name="run_anycast_batch")
-        )
-        return execution.launched
-
-    def run_multicast_batch(
-        self,
-        count: int,
-        target: TargetLike,
-        initiator_band: str,
-        mode: str = "flood",
-        selector: str = "hs+vs",
-        spacing: float = 5.0,
-        settle: float = 30.0,
-    ) -> List[MulticastRecord]:
-        """Deprecation shim: ``count`` multicasts ``spacing`` seconds
-        apart — now one interval-timed plan item."""
-        self._deprecated_shim("run_multicast_batch", "one multicast item, interval timing")
-        item = OperationItem(
-            kind="multicast",
-            target=self.as_target(target),
-            count=count,
-            band=initiator_band,
-            mode=mode,
-            selector=selector,
-            timing=OperationTiming(mode="interval", spacing=spacing),
-        )
-        execution = self.ops.execute(
-            OperationPlan.single(item, settle=settle, name="run_multicast_batch")
-        )
-        return execution.launched
 
     # ------------------------------------------------------------------
     # Introspection

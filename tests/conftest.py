@@ -8,7 +8,29 @@ import pytest
 from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
 from repro.core.predicates import NodeDescriptor, paper_predicate
+from repro.ops.plan import OperationItem, OperationPlan, OperationTiming
 from repro.sim.engine import Simulator
+from repro.simulation import AvmemSimulation
+
+
+def launch(simulation, kind, target, count=None, settle=30.0, **item_fields):
+    """Execute a one-item plan through ``simulation.ops`` and return the
+    launched records in order.
+
+    ``count=None`` is a single launch now (batch timing); an integer is
+    that many launches at the kind's default interval spacing.  ``target``
+    may be a ``(lo, hi)`` tuple, a bare threshold or a ``TargetSpec``;
+    ``item_fields`` are :class:`OperationItem` fields (``band``,
+    ``initiator``, ``policy``, ``selector``, ``mode``, ``ttl``, ``retry``).
+    """
+    item = OperationItem(
+        kind=kind,
+        target=AvmemSimulation.as_target(target),
+        count=1 if count is None else count,
+        timing=OperationTiming(mode="batch" if count is None else "interval"),
+        **item_fields,
+    )
+    return simulation.ops.execute(OperationPlan.single(item, settle=settle)).launched
 
 
 @pytest.fixture

@@ -13,13 +13,16 @@ from repro.churn.overnet import OvernetTraceConfig, generate_overnet_trace
 from repro.churn.stats import (
     availability_samples,
     churn_events_per_epoch,
-    churn_events_per_epoch_scalar,
     online_availability_samples,
     online_population_series,
-    online_population_series_scalar,
     summarize_trace,
 )
 from repro.churn.trace import ChurnTrace
+
+from reference.churn_stats import (
+    churn_events_per_epoch_scalar,
+    online_population_series_scalar,
+)
 
 
 @pytest.fixture

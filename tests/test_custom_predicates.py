@@ -7,7 +7,7 @@ from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
 from repro.core.predicates import AvmemPredicate, NodeDescriptor
 from repro.core.slivers import FunctionRule
-from repro.overlays.graphs import build_overlay_graph, sliver_sizes
+from repro.overlays.graphs import build_overlay, sliver_sizes
 
 
 @pytest.fixture
@@ -50,8 +50,8 @@ class TestFunctionRule:
         ids = make_node_ids(300)
         avs = rng.uniform(0.05, 0.95, 300)
         descriptors = [NodeDescriptor(n, float(a)) for n, a in zip(ids, avs)]
-        graph = build_overlay_graph(descriptors, predicate)
-        in_deg = np.array([graph.in_degree(d.node) for d in descriptors])
+        graph = build_overlay(descriptors, predicate)
+        in_deg = np.bincount(graph.dst_indices, minlength=len(descriptors))
         corr = np.corrcoef(avs, in_deg)[0, 1]
         assert corr > 0.5  # stable nodes are far better known
 

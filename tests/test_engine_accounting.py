@@ -6,20 +6,22 @@ import pytest
 
 from repro.ops.spec import TargetSpec
 
+from conftest import launch
+
 
 class TestAnycastAccounting:
     def test_data_messages_bounded_by_network_sends(self, small_simulation):
         s = small_simulation
         sent_before = s.network.stats.sent
-        record = s.run_anycast((0.6, 1.0), initiator_band="mid", policy="retry-greedy")
+        (record,) = launch(s, "anycast", (0.6, 1.0), band="mid", policy="retry-greedy")
         sent_after = s.network.stats.sent
         # Receptions counted by the record cannot exceed what the network
         # actually carried in that window.
         assert record.data_messages <= sent_after - sent_before
 
     def test_hops_consistent_with_receptions(self, small_simulation):
-        record = small_simulation.run_anycast(
-            (0.6, 1.0), initiator_band="mid", policy="greedy"
+        (record,) = launch(
+            small_simulation, "anycast", (0.6, 1.0), band="mid", policy="greedy"
         )
         if record.delivered and record.hops is not None:
             # Each hop is one reception (the initiator's self-check is not
@@ -36,7 +38,7 @@ class TestAnycastAccounting:
                 break
         if initiator is None:
             pytest.skip("no initiator inside the target right now")
-        record = s.run_anycast((0.55, 1.0), initiator=initiator, policy="greedy")
+        (record,) = launch(s, "anycast", (0.55, 1.0), initiator=initiator, policy="greedy")
         assert record.delivered
         assert record.hops == 0
         assert record.data_messages == 0
@@ -44,8 +46,8 @@ class TestAnycastAccounting:
 
 class TestMulticastAccounting:
     def test_flood_messages_cover_deliveries(self, small_simulation):
-        record = small_simulation.run_multicast(
-            (0.6, 1.0), initiator_band="high", mode="flood"
+        (record,) = launch(
+            small_simulation, "multicast", (0.6, 1.0), band="high", mode="flood"
         )
         # Every stage-2 delivery beyond the root required >= 1 message.
         non_root_deliveries = max(0, len(record.deliveries) - 1)
@@ -55,14 +57,14 @@ class TestMulticastAccounting:
         """Gossip sends at most fanout x rounds messages per participant."""
         s = small_simulation
         config = s.settings.config.gossip
-        record = s.run_multicast((0.6, 1.0), initiator_band="high", mode="gossip")
+        (record,) = launch(s, "multicast", (0.6, 1.0), band="high", mode="gossip")
         participants = len(record.deliveries) + len(record.spam)
         assert record.data_messages <= participants * config.fanout * config.rounds
 
     def test_engine_records_registry(self, small_simulation):
         s = small_simulation
         before = len(s.engine.multicasts)
-        s.run_multicast((0.6, 1.0), initiator_band="high")
+        launch(s, "multicast", (0.6, 1.0), band="high")
         assert len(s.engine.multicasts) == before + 1
         # Each multicast shares its op id with its stage-1 anycast.
         op_id, record = max(s.engine.multicasts.items())
@@ -70,15 +72,15 @@ class TestMulticastAccounting:
 
 
 class TestDuplicateSuppressionAccounting:
-    """Batched dispatch absorbs seen-at-send duplicates before they
+    """Vectorized cohorts absorb seen-at-send duplicates before they
     become simulator events, pre-crediting ``delivered`` and
     ``duplicate_receptions`` at send time.  The record-level accounting
     identities must therefore hold exactly as if every duplicate had
-    traveled (which is what per-hop dispatch does)."""
+    traveled (which is what the sub-threshold scalar loop does)."""
 
     def test_receptions_bounded_by_data_messages(self, small_simulation):
-        record = small_simulation.run_multicast(
-            (0.5, 0.9), initiator_band="high", mode="flood"
+        (record,) = launch(
+            small_simulation, "multicast", (0.5, 0.9), band="high", mode="flood"
         )
         receptions = (
             len(record.deliveries) + len(record.spam) + record.duplicate_receptions
@@ -93,13 +95,13 @@ class TestDuplicateSuppressionAccounting:
         by exactly the first receptions — deliveries plus spam — and
         duplicates never enter it."""
         s = small_simulation
-        record = s.run_multicast((0.5, 0.9), initiator_band="high", mode="flood")
+        (record,) = launch(s, "multicast", (0.5, 0.9), band="high", mode="flood")
         seen = s.engine._mcast_seen[record.op_id]
         assert seen == set(record.deliveries) | {node for node, _ in record.spam}
 
     def test_gossip_duplicates_balance_too(self, small_simulation):
-        record = small_simulation.run_multicast(
-            (0.5, 0.9), initiator_band="high", mode="gossip"
+        (record,) = launch(
+            small_simulation, "multicast", (0.5, 0.9), band="high", mode="gossip"
         )
         receptions = (
             len(record.deliveries) + len(record.spam) + record.duplicate_receptions

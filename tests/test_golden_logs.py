@@ -1,0 +1,250 @@
+"""Committed golden operation logs: seeded record identity across commits.
+
+Every case below is one seeded N = 70 simulation executing one
+operation plan.  Its ``OperationLog`` (plus the network accounting
+totals, the per-operation initiator/delivery endpoints and the number of
+multicast envelopes handed to a handler) is committed under
+``tests/data/golden/`` and every run must reproduce it — at
+``batch_threshold`` 1 (every cohort vectorized, duplicates suppressed at
+the dispatch layer), at the default, and at 10**9 (every cohort through
+the scalar ``Network.send`` loop, duplicates counted at the receiver).
+
+The files were first written by the one-event-per-message path this
+suite replaced, so they state what that path produced; a refactor of the
+simulation core either reproduces them or changes them deliberately.
+
+``PYTHONPATH=src python tests/test_golden_logs.py`` rewrites the files.
+That is the only sanctioned way to change them, and only alongside a
+``repro.util.randomness.STREAM_EPOCH`` bump.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import tempfile
+from pathlib import Path
+from typing import Dict, Optional, Tuple
+
+import numpy as np
+import pytest
+
+from repro.ops.log import COLUMN_NAMES
+from repro.ops.messages import MulticastMessage
+from repro.ops.plan import OperationItem, OperationPlan, OperationTiming
+from repro.ops.spec import TargetSpec
+from repro.simulation import AvmemSimulation, SimulationSettings
+from repro.util.randomness import STREAM_EPOCH
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+POLICIES = ("greedy", "retry-greedy", "anneal")
+MODES = ("flood", "gossip")
+
+#: name -> ``Network.batch_threshold`` (None keeps the default)
+THRESHOLDS: Dict[str, Optional[int]] = {"vector": 1, "default": None, "scalar": 10**9}
+
+# Launch offsets phase just before the trace's 1200 s epoch boundaries
+# (setup ends on one), so in-flight hops, 0.5 s ack timeouts and gossip
+# rounds straddle churn events: the drop/retry paths are part of what
+# must stay identical.
+TIMINGS = {
+    "batch": OperationTiming(mode="batch", phase=1199.8),
+    "interval": OperationTiming(mode="interval", spacing=299.95, phase=1199.8),
+    "poisson": OperationTiming(mode="poisson", rate=1.0 / 240.0, phase=1199.8),
+}
+
+
+def parity_plan(policy: str, mode: str) -> OperationPlan:
+    anycasts = OperationItem(
+        kind="anycast", target=TargetSpec.range(0.5, 0.9), count=8,
+        policy=policy, timing=TIMINGS["interval"],
+    )
+    multicasts = OperationItem(
+        kind="multicast", target=TargetSpec.range(0.4, 0.8), count=3,
+        band="high", mode=mode, policy=policy,
+        timing=OperationTiming(mode="interval", spacing=1200.0, phase=1199.9),
+    )
+    return OperationPlan(items=(anycasts, multicasts), settle=40.0)
+
+
+def wavefront_plan(policy: str, timing_name: str, mode: str) -> OperationPlan:
+    timing = TIMINGS[timing_name]
+    anycasts = OperationItem(
+        kind="anycast", target=TargetSpec.range(0.5, 0.9), count=10,
+        policy=policy, timing=timing,
+    )
+    # High-band initiators chasing a low target: long walks with ack
+    # timeouts and retries interleaved into the same wavefronts.
+    retried = OperationItem(
+        kind="anycast", target=TargetSpec.range(0.05, 0.25), count=6,
+        band="high", policy="retry-greedy", retry=2, timing=timing,
+    )
+    # Multicasts share the launch instants so stage-2 floods mix with
+    # anycast forwards inside one cohort flush.
+    multicasts = OperationItem(
+        kind="multicast", target=TargetSpec.range(0.4, 0.8), count=2,
+        band="high", mode=mode, policy=policy, timing=timing,
+    )
+    return OperationPlan(items=(anycasts, retried, multicasts), settle=40.0)
+
+
+def suppression_plan(mode: str) -> OperationPlan:
+    """Two same-instant multicasts over a wide range: duplicate-heavy."""
+    item = OperationItem(
+        kind="multicast", target=TargetSpec.range(0.4, 0.9), count=2,
+        band="high", mode=mode, timing=TIMINGS["batch"],
+    )
+    return OperationPlan(items=(item,), settle=40.0)
+
+
+def _case_table() -> Dict[str, Tuple[int, OperationPlan]]:
+    cases: Dict[str, Tuple[int, OperationPlan]] = {}
+    for seed, policy, mode in itertools.product((3, 1729, 40507), POLICIES, MODES):
+        cases[f"dispatch-s{seed}-{policy}-{mode}"] = (seed, parity_plan(policy, mode))
+    combos = itertools.product(POLICIES, sorted(TIMINGS), MODES)
+    for k, (policy, timing_name, mode) in enumerate(combos):
+        cases[f"wavefront-{policy}-{timing_name}-{mode}"] = (
+            100 + 7 * k, wavefront_plan(policy, timing_name, mode),
+        )
+    for mode in MODES:
+        cases[f"suppression-{mode}"] = (11, suppression_plan(mode))
+    return cases
+
+
+#: case id -> (simulation seed, plan)
+CASES = _case_table()
+
+
+def build_sim(seed: int, batch_threshold: Optional[int] = None) -> AvmemSimulation:
+    """A warmed N = 70 simulation; ``batch_threshold`` 1 forces every
+    cohort down the vector paths (at 70 hosts the production thresholds
+    would route most of them to the scalar loops)."""
+    simulation = AvmemSimulation(
+        SimulationSettings(hosts=70, epochs=24, seed=seed, protocols="refresh-only")
+    )
+    if batch_threshold is not None:
+        simulation.network.batch_threshold = batch_threshold
+    if batch_threshold == 1:
+        simulation.engine.GOSSIP_COLUMNAR_MIN = 0
+    simulation.setup(warmup=7200.0, settle=600.0)
+    return simulation
+
+
+def run_plan(seed: int, plan: OperationPlan, batch_threshold: Optional[int] = None) -> dict:
+    """Execute ``plan`` on a fresh seeded simulation; returns the golden
+    payload (log, network totals, endpoints, multicast hand-offs)."""
+    simulation = build_sim(seed, batch_threshold)
+    handlers = simulation.network._handlers
+    handoffs = [0]
+    for node, original in list(handlers.items()):
+        def counting(envelope, _original=original):
+            if isinstance(envelope.payload, MulticastMessage):
+                handoffs[0] += 1
+            _original(envelope)
+
+        handlers[node] = counting
+    execution = simulation.ops.execute(plan)
+    endpoints = []
+    for record in execution.records:
+        if record is None:
+            endpoints.append(None)
+            continue
+        anycast = getattr(record, "anycast", record)
+        delivered_to = anycast.delivery_node
+        endpoints.append(
+            [record.initiator.endpoint, delivered_to.endpoint if delivered_to else None]
+        )
+    with tempfile.TemporaryDirectory() as scratch:
+        log_path = Path(scratch) / "log.json"
+        execution.log.to_json(str(log_path))
+        log_payload = json.loads(log_path.read_text(encoding="utf-8"))
+    return {
+        "stream_epoch": STREAM_EPOCH,
+        "network": simulation.network.stats.snapshot(),
+        "multicast_handoffs": handoffs[0],
+        "endpoints": endpoints,
+        "log": log_payload,
+    }
+
+
+def run_case(case_id: str, batch_threshold: Optional[int] = None) -> dict:
+    return run_plan(*CASES[case_id], batch_threshold)
+
+
+def golden_path(case_id: str) -> Path:
+    return GOLDEN_DIR / f"{case_id}.json"
+
+
+def write_goldens() -> None:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in GOLDEN_DIR.glob("*.json"):
+        stale.unlink()
+    for case_id in CASES:
+        with open(golden_path(case_id), "w", encoding="utf-8") as fh:
+            json.dump(run_case(case_id), fh, sort_keys=True)
+            fh.write("\n")
+
+
+def load_golden(case_id: str) -> dict:
+    with open(golden_path(case_id), "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    if golden["stream_epoch"] != STREAM_EPOCH:
+        pytest.fail(
+            f"{golden_path(case_id).name} was recorded at stream epoch "
+            f"{golden['stream_epoch']} but the code is at {STREAM_EPOCH}: "
+            "rewrite the goldens with `PYTHONPATH=src python "
+            "tests/test_golden_logs.py` in the commit that bumps STREAM_EPOCH"
+        )
+    return golden
+
+
+def assert_same_records(got: dict, want: dict) -> None:
+    """Code/integer columns exactly, float columns at rel 1e-9, plus the
+    per-operation endpoints and the network's accounting totals."""
+    assert got["log"]["vocabularies"] == want["log"]["vocabularies"]
+    for name in COLUMN_NAMES:
+        want_col, got_col = want["log"]["columns"][name], got["log"]["columns"][name]
+        if any(isinstance(v, float) for v in want_col + got_col):
+            np.testing.assert_allclose(
+                np.array(got_col, dtype=float),  # None -> nan
+                np.array(want_col, dtype=float),
+                rtol=1e-9, atol=0.0, equal_nan=True, err_msg=name,
+            )
+        else:
+            assert got_col == want_col, name
+    assert got["endpoints"] == want["endpoints"]
+    assert got["network"] == want["network"]
+
+
+def duplicate_receptions(payload: dict) -> int:
+    # anycast rows carry the -1 "not a multicast" sentinel
+    return sum(d for d in payload["log"]["columns"]["duplicates"] if d > 0)
+
+
+def test_golden_directory_matches_case_table():
+    on_disk = {path.stem for path in GOLDEN_DIR.glob("*.json")}
+    assert on_disk == set(CASES)
+
+
+@pytest.mark.parametrize("threshold_name", sorted(THRESHOLDS))
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_replay_matches_golden(case_id, threshold_name):
+    golden = load_golden(case_id)
+    got = run_case(case_id, THRESHOLDS[threshold_name])
+    assert_same_records(got, golden)
+    # Duplicates seen at send time never become an envelope on the
+    # vector path; on the scalar loop every one travels and is counted
+    # by the receiver, exactly as when the goldens were written.
+    duplicates = duplicate_receptions(golden)
+    saved = golden["multicast_handoffs"] - got["multicast_handoffs"]
+    assert 0 <= saved <= duplicates
+    if threshold_name == "scalar":
+        assert saved == 0
+    if threshold_name == "vector" and case_id.startswith("suppression"):
+        assert duplicates > 0 and saved > 0
+
+
+if __name__ == "__main__":
+    write_goldens()
+    print(f"wrote {len(CASES)} golden logs to {GOLDEN_DIR}")

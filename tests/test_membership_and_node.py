@@ -7,7 +7,7 @@ from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
-from repro.core.membership import MembershipLists, SliverSelector
+from repro.core.membership import MembershipTable, SliverSelector
 from repro.core.node import AvmemNode
 from repro.core.predicates import NodeDescriptor, SliverKind, paper_predicate
 from repro.monitor.cache import CachedAvailabilityView
@@ -21,7 +21,7 @@ class TestMembershipLists:
     @pytest.fixture
     def lists(self):
         ids = make_node_ids(10)
-        return MembershipLists(ids[0]), ids
+        return MembershipTable(ids[0]), ids
 
     def test_upsert_and_lookup(self, lists):
         table, ids = lists

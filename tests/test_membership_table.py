@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ids import make_node_ids
-from repro.core.membership import MembershipLists, MembershipTable, SliverSelector
+from repro.core.membership import MembershipTable, SliverSelector
 from repro.core.predicates import SliverKind
 
 POOL = make_node_ids(24)
@@ -78,8 +78,8 @@ steps = st.lists(
 def test_bulk_ops_match_scalar_reference(schedule):
     """upsert_many + refresh_round ≡ the scalar upsert/remove loops,
     entry for entry, across kinds and churn sequences."""
-    scalar = MembershipLists(OWNER)
-    batched = MembershipLists(OWNER)
+    scalar = MembershipTable(OWNER)
+    batched = MembershipTable(OWNER)
     now = 0.0
     for op, payload in schedule:
         now += 10.0

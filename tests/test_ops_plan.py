@@ -1,14 +1,7 @@
-"""Tests for the declarative operation-plan API.
-
-The load-bearing property is **old-vs-new equivalence**: a seeded
-``run_anycast_batch`` / ``run_multicast_batch`` shim call and the
-explicit :class:`~repro.ops.plan.OperationPlan` it compiles to must
-produce *identical* records on identically-seeded simulations.
-"""
+"""Tests for the declarative operation-plan API: timing/item/plan
+validation and round-trips, and plan execution through ``sim.ops``."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -25,46 +18,11 @@ from repro.ops.spec import TargetSpec
 from repro.simulation import AvmemSimulation, SimulationSettings
 
 
-def small_sim(seed: int = 5) -> AvmemSimulation:
-    sim = AvmemSimulation(SimulationSettings(hosts=120, epochs=48, seed=seed))
+@pytest.fixture(scope="module")
+def simulation() -> AvmemSimulation:
+    sim = AvmemSimulation(SimulationSettings(hosts=120, epochs=48, seed=5))
     sim.setup(warmup=12600.0, settle=1200.0)
     return sim
-
-
-@pytest.fixture(scope="module")
-def sim_pair():
-    """Two identically-seeded, independently-built simulations."""
-    return small_sim(), small_sim()
-
-
-def anycast_fields(record):
-    return (
-        record.op_id,
-        record.initiator,
-        record.status,
-        record.hops,
-        record.latency,
-        record.data_messages,
-        record.ack_messages,
-        record.retries_used,
-        record.started_at,
-        record.delivered_at,
-        record.delivery_node,
-    )
-
-
-def multicast_fields(record):
-    return (
-        record.op_id,
-        record.initiator,
-        record.mode,
-        sorted(n.endpoint for n in record.eligible),
-        sorted((n.endpoint, t) for n, t in record.deliveries.items()),
-        sorted((n.endpoint, t) for n, t in record.spam),
-        record.data_messages,
-        record.duplicate_receptions,
-        anycast_fields(record.anycast),
-    )
 
 
 class TestTiming:
@@ -233,81 +191,6 @@ class TestPlan:
         np.testing.assert_array_equal(one.times, two.times)
 
 
-class TestShimEquivalence:
-    """Seeded shim calls vs their explicit plans: identical records."""
-
-    def test_anycast_batch(self, sim_pair):
-        shim_sim, plan_sim = sim_pair
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            records = shim_sim.run_anycast_batch(
-                6, (0.7, 1.0), "mid", policy="retry-greedy", retry=2
-            )
-        item = OperationItem(
-            kind="anycast",
-            target=TargetSpec.range(0.7, 1.0),
-            count=6,
-            band="mid",
-            policy="retry-greedy",
-            retry=2,
-            timing=OperationTiming(mode="interval", spacing=2.0),
-        )
-        execution = plan_sim.ops.execute(OperationPlan.single(item, settle=30.0))
-        assert [anycast_fields(r) for r in records] == [
-            anycast_fields(r) for r in execution.launched
-        ]
-        # ... and both simulations end at the same simulated time.
-        assert shim_sim.sim.now == plan_sim.sim.now
-
-    def test_multicast_batch(self, sim_pair):
-        shim_sim, plan_sim = sim_pair
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            records = shim_sim.run_multicast_batch(3, 0.5, "high", mode="gossip")
-        item = OperationItem(
-            kind="multicast",
-            target=TargetSpec.threshold(0.5),
-            count=3,
-            band="high",
-            mode="gossip",
-            timing=OperationTiming(mode="interval", spacing=5.0),
-        )
-        execution = plan_sim.ops.execute(OperationPlan.single(item, settle=30.0))
-        assert [multicast_fields(r) for r in records] == [
-            multicast_fields(r) for r in execution.launched
-        ]
-        assert shim_sim.sim.now == plan_sim.sim.now
-
-    def test_single_run_anycast(self, sim_pair):
-        shim_sim, plan_sim = sim_pair
-        with pytest.warns(DeprecationWarning):
-            record = shim_sim.run_anycast((0.7, 1.0), initiator_band="mid")
-        initiator = plan_sim.pick_initiator("mid")
-        item = OperationItem(
-            kind="anycast",
-            target=TargetSpec.range(0.7, 1.0),
-            initiator=initiator,
-            timing=OperationTiming(mode="batch"),
-        )
-        execution = plan_sim.ops.execute(OperationPlan.single(item))
-        assert anycast_fields(record) == anycast_fields(execution.records[0])
-
-    def test_shim_records_match_log_rows(self, sim_pair):
-        shim_sim, _ = sim_pair
-        with pytest.warns(DeprecationWarning):
-            records = shim_sim.run_anycast_batch(4, (0.6, 1.0), "mid")
-        from repro.ops.log import OperationLog
-
-        log = OperationLog.from_records(anycasts=records, band="mid")
-        assert len(log) == len(records)
-        for i, record in enumerate(records):
-            row = log.row(i)
-            assert row["op_id"] == record.op_id
-            assert row["status"] == record.status
-            assert row["hops"] == (-1 if record.hops is None else record.hops)
-            assert row["transmissions"] == record.data_messages
-
-
 class TestRunner:
     def test_requires_setup(self):
         simulation = AvmemSimulation(SimulationSettings(hosts=60, epochs=24, seed=0))
@@ -315,8 +198,20 @@ class TestRunner:
         with pytest.raises(RuntimeError):
             simulation.ops.run(OperationPlan.single(item))
 
-    def test_initiator_by_index_and_endpoint(self, sim_pair):
-        simulation, _ = sim_pair
+    def test_execution_log_rows_match_records(self, simulation):
+        item = OperationItem(
+            kind="anycast", target=TargetSpec.range(0.6, 1.0), count=4, band="mid"
+        )
+        execution = simulation.ops.execute(OperationPlan.single(item))
+        assert len(execution.log) == len(execution.launched) == 4
+        for i, record in enumerate(execution.launched):
+            row = execution.log.row(i)
+            assert row["op_id"] == record.op_id
+            assert row["status"] == record.status
+            assert row["hops"] == (-1 if record.hops is None else record.hops)
+            assert row["transmissions"] == record.data_messages
+
+    def test_initiator_by_index_and_endpoint(self, simulation):
         target = TargetSpec.range(0.0, 1.0)  # initiator itself is in range
         by_index = OperationItem(
             kind="anycast", target=target, initiator=3,
@@ -366,8 +261,7 @@ class TestRunner:
         )
         assert execution.records[0].initiator == node
 
-    def test_unknown_endpoint_rejected(self, sim_pair):
-        simulation, _ = sim_pair
+    def test_unknown_endpoint_rejected(self, simulation):
         item = OperationItem(
             kind="anycast", target=TargetSpec.range(0.5, 1.0),
             initiator="255.255.255.255:1",
@@ -375,8 +269,7 @@ class TestRunner:
         with pytest.raises(ValueError, match="endpoint"):
             simulation.ops.run(OperationPlan.single(item))
 
-    def test_mixed_poisson_plan_end_to_end(self, sim_pair):
-        simulation, _ = sim_pair
+    def test_mixed_poisson_plan_end_to_end(self, simulation):
         plan = OperationPlan(
             items=(
                 OperationItem(
@@ -424,8 +317,7 @@ class TestRunner:
     def test_timing_modes_vocabulary(self):
         assert set(TIMING_MODES) == {"batch", "interval", "poisson"}
 
-    def test_multicast_item_budgets_reach_stage1(self, sim_pair):
-        simulation, _ = sim_pair
+    def test_multicast_item_budgets_reach_stage1(self, simulation):
         # An initiator whose *believed* availability is outside a narrow
         # target: with ttl=0 the stage-1 anycast must expire immediately
         # instead of running on the default TTL budget.

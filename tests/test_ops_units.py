@@ -112,18 +112,30 @@ def _entries(availabilities):
     ]
 
 
+def _order(policy, entries, target, ttl, rng, exclude):
+    """``policy.order_candidates`` over the columnar form of ``entries``."""
+    nodes = np.empty(len(entries), dtype=object)
+    nodes[:] = [e.node for e in entries]
+    avs = np.array([e.availability for e in entries], dtype=float)
+    digests = np.array([e.node.digest64 for e in entries], dtype=np.uint64)
+    exclude_digests = np.array([n.digest64 for n in exclude], dtype=np.uint64)
+    return policy.order_candidates(
+        nodes, avs, target, ttl, rng, exclude_digests, digests
+    )
+
+
 class TestGreedyPolicy:
     def test_in_range_first(self, rng):
         entries = _entries([0.1, 0.87, 0.5, 0.92, 0.3])
         target = TargetSpec.range(0.85, 0.95)
-        ordered = GreedyPolicy().order_candidates(entries, target, 6, rng, set())
+        ordered = _order(GreedyPolicy(), entries, target, 6, rng, set())
         in_range = {entries[1].node, entries[3].node}
         assert set(ordered[:2]) == in_range
 
     def test_outside_sorted_by_distance(self, rng):
         entries = _entries([0.1, 0.5, 0.3])
         target = TargetSpec.range(0.85, 0.95)
-        ordered = GreedyPolicy().order_candidates(entries, target, 6, rng, set())
+        ordered = _order(GreedyPolicy(), entries, target, 6, rng, set())
         distances = [0.75, 0.35, 0.55]
         expected = [e.node for _, e in sorted(zip(distances, entries))]
         assert ordered == expected
@@ -131,14 +143,12 @@ class TestGreedyPolicy:
     def test_exclusion(self, rng):
         entries = _entries([0.9, 0.88])
         target = TargetSpec.range(0.85, 0.95)
-        ordered = GreedyPolicy().order_candidates(
-            entries, target, 6, rng, {entries[0].node}
-        )
+        ordered = _order(GreedyPolicy(), entries, target, 6, rng, {entries[0].node})
         assert ordered == [entries[1].node]
 
     def test_empty_entries(self, rng):
         target = TargetSpec.range(0.85, 0.95)
-        assert GreedyPolicy().order_candidates([], target, 6, rng, set()) == []
+        assert _order(GreedyPolicy(), [], target, 6, rng, set()) == []
 
     def test_no_ack_wanted(self):
         assert not GreedyPolicy().wants_ack
@@ -151,7 +161,7 @@ class TestAnnealingPolicy:
         entries = _entries([0.9, 0.1, 0.3, 0.5])
         target = TargetSpec.range(0.85, 0.95)
         for _ in range(50):
-            ordered = policy.order_candidates(entries, target, 6, rng, set())
+            ordered = _order(policy, entries, target, 6, rng, set())
             assert ordered[0] == entries[0].node
 
     def test_acceptance_probability_shape(self):
@@ -166,7 +176,7 @@ class TestAnnealingPolicy:
         entries = _entries([0.7, 0.1, 0.2, 0.3, 0.4])
         target = TargetSpec.range(0.85, 0.95)
         firsts = {
-            policy.order_candidates(entries, target, 6, rng, set())[0]
+            _order(policy, entries, target, 6, rng, set())[0]
             for _ in range(100)
         }
         assert len(firsts) > 1  # sometimes explores away from greedy best
@@ -175,7 +185,7 @@ class TestAnnealingPolicy:
         policy = AnnealingPolicy()
         entries = _entries([0.5])
         target = TargetSpec.range(0.85, 0.95)
-        assert policy.order_candidates(entries, target, 6, rng, set()) == [
+        assert _order(policy, entries, target, 6, rng, set()) == [
             entries[0].node
         ]
 

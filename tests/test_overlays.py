@@ -1,6 +1,5 @@
 """Unit tests for overlay graph analysis and baseline membership protocols."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,9 +13,10 @@ from repro.core.predicates import (
 )
 from repro.overlays.cyclon import CyclonView
 from repro.overlays.graphs import (
+    OverlayGraph,
     band_connectivity,
     band_subgraph,
-    build_overlay_graph,
+    build_overlay,
     incoming_counts_by_kind,
     mean_out_degree,
     sliver_sizes,
@@ -39,84 +39,94 @@ def population():
     return descriptors, pdf
 
 
+def edge_set(graph):
+    return set(zip(graph.src_indices.tolist(), graph.dst_indices.tolist()))
+
+
 class TestGraphBuilder:
     def test_nodes_and_attributes(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors, paper_predicate(pdf))
-        assert graph.number_of_nodes() == 250
-        for descriptor in descriptors[:10]:
-            assert graph.nodes[descriptor.node]["availability"] == descriptor.availability
+        graph = build_overlay(descriptors, paper_predicate(pdf))
+        assert graph.number_of_nodes == 250
+        for i, descriptor in enumerate(descriptors[:10]):
+            assert graph.ids[i] == descriptor.node
+            assert graph.availabilities[i] == descriptor.availability
 
     def test_edges_match_predicate(self, population):
         descriptors, pdf = population
         predicate = paper_predicate(pdf)
-        graph = build_overlay_graph(descriptors, predicate)
-        by_node = {d.node: d for d in descriptors}
-        for src, dst, data in list(graph.edges(data=True))[:200]:
-            assert predicate.evaluate(by_node[src], by_node[dst])
+        graph = build_overlay(descriptors, predicate)
+        edges = zip(graph.src_indices[:200], graph.dst_indices[:200], graph.horizontal)
+        for src, dst, horizontal in edges:
+            assert predicate.evaluate(descriptors[src], descriptors[dst])
             expected = predicate.classify(
-                by_node[src].availability, by_node[dst].availability
+                descriptors[src].availability, descriptors[dst].availability
             )
-            assert data["kind"] is expected
+            assert (expected is SliverKind.HORIZONTAL) == horizontal
 
     def test_no_self_loops(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors, paper_predicate(pdf))
-        assert nx.number_of_selfloops(graph) == 0
+        graph = build_overlay(descriptors, paper_predicate(pdf))
+        assert not (graph.src_indices == graph.dst_indices).any()
 
     def test_duplicate_ids_rejected(self, population):
         descriptors, pdf = population
         dupes = [descriptors[0], descriptors[0]]
         with pytest.raises(ValueError):
-            build_overlay_graph(dupes, paper_predicate(pdf))
+            build_overlay(dupes, paper_predicate(pdf))
 
     def test_cushion_only_adds_edges(self, population):
         descriptors, pdf = population
         predicate = paper_predicate(pdf)
-        base = build_overlay_graph(descriptors, predicate)
-        wide = build_overlay_graph(descriptors, predicate, cushion=0.2)
-        assert wide.number_of_edges() > base.number_of_edges()
-        assert set(base.edges) <= set(wide.edges)
+        base = build_overlay(descriptors, predicate)
+        wide = build_overlay(descriptors, predicate, cushion=0.2)
+        assert wide.number_of_edges > base.number_of_edges
+        assert edge_set(base) <= edge_set(wide)
 
     def test_sliver_sizes_sum_to_out_degree(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors, paper_predicate(pdf))
+        graph = build_overlay(descriptors, paper_predicate(pdf))
         sizes = sliver_sizes(graph)
+        degrees = dict(zip(graph.ids, graph.out_degrees()))
         for node, (hs, vs) in sizes.items():
-            assert hs + vs == graph.out_degree(node)
+            assert hs + vs == degrees[node]
 
     def test_incoming_counts(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors, paper_predicate(pdf))
+        graph = build_overlay(descriptors, paper_predicate(pdf))
         incoming_vs = incoming_counts_by_kind(graph, SliverKind.VERTICAL)
-        total_vs_edges = sum(
-            1 for _, _, d in graph.edges(data=True) if d["kind"] is SliverKind.VERTICAL
-        )
-        assert sum(incoming_vs.values()) == total_vs_edges
+        assert sum(incoming_vs.values()) == np.count_nonzero(~graph.horizontal)
 
     def test_band_subgraph_members(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors, paper_predicate(pdf))
+        graph = build_overlay(descriptors, paper_predicate(pdf))
         sub = band_subgraph(graph, 0.4, 0.6)
-        for node in sub.nodes:
-            assert 0.4 <= graph.nodes[node]["availability"] <= 0.6
+        assert 0 < sub.number_of_nodes < graph.number_of_nodes
+        assert ((sub.availabilities >= 0.4) & (sub.availabilities <= 0.6)).all()
+        assert set(sub.ids) == {
+            d.node for d in descriptors if 0.4 <= d.availability <= 0.6
+        }
 
     def test_band_connectivity_trivial_cases(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors[:3], paper_predicate(pdf))
+        graph = build_overlay(descriptors[:3], paper_predicate(pdf))
         # A band with at most one node counts as connected.
         assert band_connectivity(graph, 2.0, 3.0) or True
         assert band_connectivity(graph, -1.0, -0.5)
 
     def test_mean_out_degree(self, population):
         descriptors, pdf = population
-        graph = build_overlay_graph(descriptors, paper_predicate(pdf))
+        graph = build_overlay(descriptors, paper_predicate(pdf))
         assert mean_out_degree(graph) == pytest.approx(
-            graph.number_of_edges() / graph.number_of_nodes()
+            graph.number_of_edges / graph.number_of_nodes
         )
 
     def test_mean_out_degree_empty_graph(self):
-        assert np.isnan(mean_out_degree(nx.DiGraph()))
+        empty = OverlayGraph(
+            [], np.empty(0), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+        )
+        assert np.isnan(mean_out_degree(empty))
 
 
 class TestRandomOverlayBaseline:
@@ -124,8 +134,8 @@ class TestRandomOverlayBaseline:
         descriptors, pdf = population
         avmem = paper_predicate(pdf)
         random_pred = degree_matched_random_predicate(avmem, descriptors)
-        g_avmem = build_overlay_graph(descriptors, avmem)
-        g_random = build_overlay_graph(descriptors, random_pred)
+        g_avmem = build_overlay(descriptors, avmem)
+        g_random = build_overlay(descriptors, random_pred)
         assert mean_out_degree(g_random) == pytest.approx(
             mean_out_degree(g_avmem), rel=0.25
         )
@@ -133,10 +143,10 @@ class TestRandomOverlayBaseline:
     def test_random_overlay_is_availability_blind(self, population):
         descriptors, pdf = population
         predicate = random_overlay_predicate(pdf, probability=0.06)
-        graph = build_overlay_graph(descriptors, predicate)
+        graph = build_overlay(descriptors, predicate)
         # Out-degree uncorrelated with availability: correlation near 0.
         avs = np.array([d.availability for d in descriptors])
-        degrees = np.array([graph.out_degree(d.node) for d in descriptors])
+        degrees = graph.out_degrees()
         corr = np.corrcoef(avs, degrees)[0, 1]
         assert abs(corr) < 0.25
 

@@ -25,7 +25,7 @@ from repro.churn.timeline import ChurnTimeline
 from repro.core.availability import AvailabilityPdf
 from repro.core.hashing import Affine64PairHash, Mix64PairHash
 from repro.core.ids import digest_array, make_node_ids
-from repro.core.membership import MembershipLists
+from repro.core.membership import MembershipTable
 from repro.core.population import Population
 from repro.core.predicates import AvmemPredicate, paper_predicate
 from repro.core.slivers import (
@@ -179,8 +179,8 @@ batch_lists = st.lists(
 def test_row_table_matches_object_table(batches):
     pop = Population.synthetic(np.linspace(0.05, 0.95, 30))
     owner = pop.id_of(0)
-    row_table = MembershipLists(owner, population=pop)
-    obj_table = MembershipLists(owner)
+    row_table = MembershipTable(owner, population=pop)
+    obj_table = MembershipTable(owner)
     now = 0.0
     for batch in batches:
         seen = set()
@@ -224,7 +224,7 @@ def test_row_table_matches_object_table(batches):
 
 def test_upsert_rows_validation():
     pop = Population.synthetic(np.linspace(0.05, 0.95, 10))
-    table = MembershipLists(pop.id_of(0), population=pop)
+    table = MembershipTable(pop.id_of(0), population=pop)
     with pytest.raises(ValueError, match="own neighbor"):
         table.upsert_rows(
             np.array([0]), np.array([0.5]), np.array([True]), now=0.0
@@ -233,7 +233,7 @@ def test_upsert_rows_validation():
         table.upsert_rows(
             np.array([1, 1]), np.array([0.5, 0.6]), np.array([True, False]), now=0.0
         )
-    plain = MembershipLists(pop.id_of(0))
+    plain = MembershipTable(pop.id_of(0))
     with pytest.raises(ValueError, match="population-backed"):
         plain.upsert_rows(np.array([1]), np.array([0.5]), np.array([True]), now=0.0)
 

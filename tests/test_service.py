@@ -123,7 +123,7 @@ class TestSessionSpec:
             SessionSpec.from_request({"scale": "galactic"})
 
     def test_rejects_bad_settings_field(self):
-        with pytest.raises(ValueError, match="bad settings"):
+        with pytest.raises(ValueError, match=r"unknown settings fields: \['warp'\]"):
             SessionSpec.from_request({"settings": {"warp": 9}})
 
     def test_validates_warmup_window(self):
@@ -269,6 +269,22 @@ class TestDurability:
         # The checkpoint stays listable and deletable.
         assert store.describe("x")["stream_epoch"] == written
         assert store.delete("x")
+
+    def test_restore_names_a_removed_settings_field(self, tmp_path):
+        """A manifest written before a settings field was removed
+        (``dispatch``, PR 13) fails restore with the field's name — not a
+        bare TypeError from the dataclass constructor, and never by
+        silently dropping the key."""
+        store = SessionStore(str(tmp_path))
+        store.checkpoint(SimulationSession.build("x", tiny_spec()))
+        path = store.manifest_path("x")
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["spec"]["settings"]["dispatch"] = "batch"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=r"unknown settings fields: \['dispatch'\]"):
+            store.load("x")
 
 
 class TestSessionStore:

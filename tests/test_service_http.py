@@ -177,6 +177,30 @@ class TestRoutes:
             assert f"stream epoch {STREAM_EPOCH}" in err.value.message
         assert client.healthz()
 
+    def test_restore_of_a_removed_settings_field_400(self, service):
+        """A manifest carrying a settings field this code no longer has
+        (``dispatch``, removed in PR 13) restores as a 4xx JSON error
+        naming the field — never a 500, never a silent drop."""
+        client, orchestrator = service
+        client.create_session(id="old", **TINY)
+        client.evict("old")
+        path = orchestrator.store.manifest_path("old")
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["spec"]["settings"]["dispatch"] = "batch"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        for call in (lambda: client.log("old"), lambda: client.run_plan("old", PLAN)):
+            with pytest.raises(ServiceClientError) as err:
+                call()
+            assert err.value.status == 400
+            assert "unknown settings fields: ['dispatch']" in err.value.message
+        with pytest.raises(ServiceClientError) as err:
+            client.create_session(id="new", settings={"dispatch": "per-hop"})
+        assert err.value.status == 400
+        assert "unknown settings fields: ['dispatch']" in err.value.message
+        assert client.healthz()
+
     def test_unknown_route_404(self, service):
         client, __ = service
         with pytest.raises(ServiceClientError) as err:

@@ -8,6 +8,8 @@ from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
 from repro.simulation import AvmemSimulation, SimulationSettings
 
+from conftest import launch
+
 
 class TestSettings:
     def test_defaults_are_paper_scale(self):
@@ -33,7 +35,7 @@ class TestLifecycle:
     def test_setup_required_before_ops(self):
         simulation = AvmemSimulation(SimulationSettings(hosts=50, epochs=20))
         with pytest.raises(RuntimeError):
-            simulation.run_anycast((0.8, 0.9))
+            launch(simulation, "anycast", (0.8, 0.9))
 
     def test_double_setup_rejected(self):
         simulation = AvmemSimulation(SimulationSettings(hosts=50, epochs=20))
@@ -92,32 +94,34 @@ class TestWarmedSystem:
 
 class TestOperations:
     def test_run_anycast_easy_target(self, small_simulation):
-        record = small_simulation.run_anycast(
-            (0.75, 1.0), initiator_band="mid", policy="retry-greedy"
+        (record,) = launch(
+            small_simulation, "anycast", (0.75, 1.0), band="mid", policy="retry-greedy"
         )
         assert record.status in AnycastStatus.TERMINAL
         assert record.delivered  # wide high target: deliverable
 
     def test_run_anycast_batch(self, small_simulation):
-        records = small_simulation.run_anycast_batch(
-            5, (0.7, 1.0), "mid", policy="greedy"
+        records = launch(
+            small_simulation, "anycast", (0.7, 1.0), count=5, band="mid", policy="greedy"
         )
         assert len(records) == 5
         assert all(r.status != AnycastStatus.PENDING for r in records)
 
     def test_run_multicast(self, small_simulation):
-        record = small_simulation.run_multicast(
-            (0.7, 1.0), initiator_band="high", mode="flood"
+        (record,) = launch(
+            small_simulation, "multicast", (0.7, 1.0), band="high", mode="flood"
         )
         assert record.reliability() >= 0.5
 
     def test_run_multicast_batch(self, small_simulation):
-        records = small_simulation.run_multicast_batch(3, 0.5, "high", mode="gossip")
+        records = launch(
+            small_simulation, "multicast", 0.5, count=3, band="high", mode="gossip"
+        )
         assert len(records) == 3
 
     def test_operations_advance_time(self, small_simulation):
         before = small_simulation.sim.now
-        small_simulation.run_anycast((0.7, 1.0), initiator_band="mid")
+        launch(small_simulation, "anycast", (0.7, 1.0), band="mid")
         assert small_simulation.sim.now > before
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.ids import make_node_ids
-from repro.core.membership import MembershipLists
+from repro.core.membership import MembershipTable
 from repro.core.predicates import SliverKind
 from repro.sim.engine import Simulator
 
@@ -77,7 +77,7 @@ def test_next_transition_flips_presence(intervals, probe):
 
 
 # ----------------------------------------------------------------------
-# MembershipLists
+# MembershipTable
 # ----------------------------------------------------------------------
 ops_strategy = st.lists(
     st.tuples(
@@ -94,7 +94,7 @@ ops_strategy = st.lists(
 @settings(max_examples=80, deadline=None)
 def test_membership_table_invariants(ops):
     ids = make_node_ids(13)
-    table = MembershipLists(ids[0])
+    table = MembershipTable(ids[0])
     model = {}
     for op, index, availability in ops:
         node = ids[index]

@@ -18,7 +18,7 @@ from repro.core.theory import (
     theorem1_band_counts,
     theorem3_bound,
 )
-from repro.overlays.graphs import band_connectivity, build_overlay_graph, sliver_sizes
+from repro.overlays.graphs import band_connectivity, build_overlay, sliver_sizes
 from repro.util.mathx import log_at_least_one
 
 
@@ -55,7 +55,7 @@ class TestTheorem1:
     def test_empirical_matches_expectation(self, uniform_population):
         descriptors, pdf = uniform_population
         predicate = paper_predicate(pdf)
-        graph = build_overlay_graph(descriptors, predicate)
+        graph = build_overlay(descriptors, predicate)
         sizes = sliver_sizes(graph)
         mids = [d for d in descriptors if 0.45 <= d.availability <= 0.55]
         empirical = np.mean([sizes[d.node][1] for d in mids])
@@ -71,7 +71,7 @@ class TestTheorem2:
     def test_bands_connected(self, uniform_population):
         descriptors, pdf = uniform_population
         predicate = paper_predicate(pdf, c2=1.5)
-        graph = build_overlay_graph(descriptors, predicate)
+        graph = build_overlay(descriptors, predicate)
         connected = sum(
             band_connectivity(graph, center - 0.1, center + 0.1)
             for center in (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -93,7 +93,7 @@ class TestTheorem3:
     def test_empirical_degree_below_bound(self, uniform_population):
         descriptors, pdf = uniform_population
         predicate = paper_predicate(pdf)
-        graph = build_overlay_graph(descriptors, predicate)
+        graph = build_overlay(descriptors, predicate)
         sizes = sliver_sizes(graph)
         violations = 0
         for d in descriptors:

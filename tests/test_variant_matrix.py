@@ -15,6 +15,8 @@ import pytest
 from repro.ops.anycast import POLICY_NAMES
 from repro.ops.results import AnycastStatus
 
+from conftest import launch
+
 SELECTORS = ("hs", "vs", "hs+vs")
 MODES = ("flood", "gossip")
 
@@ -24,8 +26,9 @@ class TestNineAnycastVariants:
         "policy,selector", list(itertools.product(sorted(POLICY_NAMES), SELECTORS))
     )
     def test_variant_runs_and_terminates(self, small_simulation, policy, selector):
-        records = small_simulation.run_anycast_batch(
-            4, (0.6, 1.0), "mid", policy=policy, selector=selector, settle=15.0
+        records = launch(
+            small_simulation, "anycast", (0.6, 1.0), count=4, band="mid",
+            policy=policy, selector=selector, settle=15.0,
         )
         assert records
         for record in records:
@@ -41,9 +44,9 @@ class TestNineAnycastVariants:
         so its delivery rate is (statistically) at least comparable."""
         rates = {}
         for selector in SELECTORS:
-            records = small_simulation.run_anycast_batch(
-                12, (0.6, 1.0), "mid", policy="retry-greedy", selector=selector,
-                settle=15.0,
+            records = launch(
+                small_simulation, "anycast", (0.6, 1.0), count=12, band="mid",
+                policy="retry-greedy", selector=selector, settle=15.0,
             )
             rates[selector] = np.mean([r.delivered for r in records])
         assert rates["hs+vs"] >= max(rates["hs"], rates["vs"]) - 0.35
@@ -54,9 +57,9 @@ class TestSixMulticastVariants:
         "mode,selector", list(itertools.product(MODES, SELECTORS))
     )
     def test_variant_runs(self, small_simulation, mode, selector):
-        record = small_simulation.run_multicast(
-            (0.6, 1.0), initiator_band="high", mode=mode, selector=selector,
-            settle=20.0,
+        (record,) = launch(
+            small_simulation, "multicast", (0.6, 1.0), band="high", mode=mode,
+            selector=selector, settle=20.0,
         )
         assert record.mode == mode
         assert record.selector == selector
@@ -66,13 +69,13 @@ class TestSixMulticastVariants:
 
     def test_flood_at_least_as_reliable_as_gossip(self, small_simulation):
         flood = [
-            small_simulation.run_multicast((0.6, 1.0), initiator_band="high",
-                                           mode="flood", settle=15.0).reliability()
+            launch(small_simulation, "multicast", (0.6, 1.0), band="high",
+                   mode="flood", settle=15.0)[0].reliability()
             for _ in range(4)
         ]
         gossip = [
-            small_simulation.run_multicast((0.6, 1.0), initiator_band="high",
-                                           mode="gossip", settle=15.0).reliability()
+            launch(small_simulation, "multicast", (0.6, 1.0), band="high",
+                   mode="gossip", settle=15.0)[0].reliability()
             for _ in range(4)
         ]
         assert np.nanmean(flood) >= np.nanmean(gossip) - 0.15
