@@ -51,7 +51,7 @@ class LintConfig:
     )
     #: row-space hot modules: per-node Python loops are the 1M-node
     #: burn-down list
-    hot_modules: Tuple[str, ...] = ("simulation.py", "ops/", "core/", "sim/")
+    hot_modules: Tuple[str, ...] = ("simulation.py", "ops/", "core/", "sim/", "monitor/")
     #: iterable names treated as population-sized in hot modules
     population_names: Tuple[str, ...] = (
         "nodes",

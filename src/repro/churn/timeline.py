@@ -118,6 +118,9 @@ class ChurnTimeline:
         "_grid_rank",
         "_starts_sorted",
         "_ends_sorted",
+        "_snapshot",
+        "_snapshot_from",
+        "_snapshot_until",
     )
 
     def __init__(
@@ -193,10 +196,18 @@ class ChurnTimeline:
         np.cumsum(per_cell, axis=1, out=rank[:, 1:])
         self._grid_rank = rank.ravel()
         self._starts_padded = np.concatenate((self.starts, [np.inf]))
-        # Globally time-sorted session edges, built lazily on the first
-        # whole-population series query (online_count_series).
+        self._init_lazy_state()
+
+    def _init_lazy_state(self) -> None:
+        # Globally time-sorted session edges, built on the first query
+        # that needs them (online_count_series, presence_snapshot).
         self._starts_sorted: Optional[np.ndarray] = None
         self._ends_sorted: Optional[np.ndarray] = None
+        # presence_snapshot(): the mask and the edge-to-edge interval
+        # [from, until) it holds on (empty until the first call).
+        self._snapshot: Optional[np.ndarray] = None
+        self._snapshot_from = np.inf
+        self._snapshot_until = -np.inf
 
     # ------------------------------------------------------------------
     # Construction
@@ -303,8 +314,7 @@ class ChurnTimeline:
         self._inv_cell = 1.0 / (self.horizon / self._grid_cells)
         for attr, name in _SPILL_ARRAYS:
             setattr(self, attr, open_array(directory, name))
-        self._starts_sorted = None
-        self._ends_sorted = None
+        self._init_lazy_state()
         return self
 
     # ------------------------------------------------------------------
@@ -403,8 +413,43 @@ class ChurnTimeline:
         out[self.node_index[stabbed]] = True
         return out
 
+    def presence_snapshot(self, time: float) -> np.ndarray:
+        """:meth:`online_mask` at ``time`` as a shared read-only array
+        that is reused until the next session edge.
+
+        Presence is piecewise constant: nobody joins or leaves between
+        two consecutive session edges, so one stabbing pass answers every
+        "who is online now?" lookup a simulation makes until its clock
+        crosses the next edge (per-node protocol gates and liveness
+        probes index the returned mask by row).  Callers must not hold
+        the array across a clock advance — ask again instead.
+        """
+        if not self._snapshot_from <= time < self._snapshot_until:
+            starts, ends = self._sorted_edges()
+            begun = int(starts.searchsorted(time, "right"))
+            ended = int(ends.searchsorted(time, "right"))
+            self._snapshot_from = max(
+                starts[begun - 1] if begun else -np.inf,
+                ends[ended - 1] if ended else -np.inf,
+            )
+            self._snapshot_until = min(
+                starts[begun] if begun < starts.size else np.inf,
+                ends[ended] if ended < ends.size else np.inf,
+            )
+            snapshot = self.online_mask(time)
+            snapshot.flags.writeable = False
+            self._snapshot = snapshot
+        return self._snapshot
+
     def online_count(self, time: float) -> int:
         return int(self.online_mask(time).sum())
+
+    def _sorted_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All session starts and all session ends, each time-sorted."""
+        if self._starts_sorted is None:
+            self._starts_sorted = np.sort(self.starts)
+            self._ends_sorted = np.sort(self.ends)
+        return self._starts_sorted, self._ends_sorted
 
     def online_count_series(self, times: Sequence[float]) -> np.ndarray:
         """Online population at each of ``times``, in one batch.
@@ -416,11 +461,9 @@ class ChurnTimeline:
         session edges, with no ``len(times) × n_nodes`` matrix in sight.
         """
         times = np.asarray(times, dtype=float)
-        if self._starts_sorted is None:
-            self._starts_sorted = np.sort(self.starts)
-            self._ends_sorted = np.sort(self.ends)
-        begun = np.searchsorted(self._starts_sorted, times, side="right")
-        ended = np.searchsorted(self._ends_sorted, times, side="right")
+        starts, ends = self._sorted_edges()
+        begun = np.searchsorted(starts, times, side="right")
+        ended = np.searchsorted(ends, times, side="right")
         return (begun - ended).astype(np.int64)
 
     def online_mask_matrix(self, times: Sequence[float]) -> np.ndarray:

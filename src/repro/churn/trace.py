@@ -124,7 +124,10 @@ class NodeSchedule:
             return 0.0
         full = float(self._cum_uptime[idx])
         start, end = float(self._starts[idx]), float(self._ends[idx])
-        return full + min(time, end) - start if time > start else full
+        # Associated as ChurnTimeline._uptime_before does it — earlier
+        # sessions plus (the part of this one) — so a scalar answer and
+        # the batched answer for the same node are the same float.
+        return full + (min(time, end) - start)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -359,6 +362,13 @@ class ChurnTrace:
         False-for-unknowns fall back to :meth:`is_online`).
         """
         return self.timeline.is_online_array(self.node_indices(nodes), times)
+
+    def presence_snapshot(self, time: float) -> np.ndarray:
+        """Row-space presence of every node at ``time`` (aligned to
+        :attr:`nodes`): the timeline's shared read-only snapshot, reused
+        until the next session edge — what
+        :meth:`repro.sim.network.Network.online_rows` indexes."""
+        return self.timeline.presence_snapshot(time)
 
     # ------------------------------------------------------------------
     # Population queries

@@ -466,6 +466,13 @@ class MembershipTable:
         out[matched] = live[candidate[matched]]
         return out
 
+    def contains_digests(self, digests: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of these endpoint digests are neighbors —
+        the batched ``node in table``.  Row-space callers pass
+        ``population.digests[rows]``; a neighbor is found however it was
+        installed (by id or by row)."""
+        return self._match_slots(np.asarray(digests, dtype=np.uint64)) >= 0
+
     def neighbor_arrays(self, with_nodes: bool = True) -> NeighborView:
         """Columnar snapshot of the live neighbors (listing order).
 

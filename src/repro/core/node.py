@@ -1,9 +1,9 @@
 """The AVMEM node: discovery and refresh sub-protocols (Section 3.1),
 plus message dispatch for the management operations built on top.
 
-Discovery (every ``discovery_period``, typically 1 minute): iterate the
-coarse view; for every entry not already a neighbor, fetch its
-availability from the monitoring service and evaluate the predicate;
+Discovery (every ``discovery_period``, typically 1 minute): take the
+coarse view; for the entries not already neighbors, fetch their
+availabilities from the monitoring service and evaluate the predicate;
 insert matches into HS/VS.
 
 Refresh (every ``refresh_period``, typically 20 minutes): re-fetch the
@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from repro.core.config import AvmemConfig
-from repro.core.ids import NodeId
+from repro.core.ids import NodeId, digest_array
 from repro.core.membership import MembershipTable
 from repro.core.population import Population
 from repro.core.predicates import AvmemPredicate, NodeDescriptor
@@ -35,6 +35,7 @@ from repro.monitor.base import CoarseViewProvider
 from repro.monitor.cache import CachedAvailabilityView
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.network import Envelope, Network
+from repro.telemetry import current as current_telemetry
 from repro.util.randomness import fallback_rng
 
 __all__ = ["AvmemNode"]
@@ -66,7 +67,13 @@ class AvmemNode:
         lightweight view over ``population`` row ``row``: its membership
         lists are population-backed (row-keyed installs stay object-free)
         and ``node_id`` may be omitted — it is materialized lazily from
-        the population only when identity-object APIs need it.
+        the population only when identity-object APIs need it.  A
+        population-backed node addresses its peers by row, so the
+        population's row order must be the order the churn trace (the
+        network's presence oracle and the monitoring service), the
+        coarse view and the availability cache were built over —
+        :class:`~repro.simulation.AvmemSimulation` builds all of them
+        from one id list.
     """
 
     def __init__(
@@ -95,6 +102,8 @@ class AvmemNode:
         self.coarse_view = coarse_view
         self.rng = rng if rng is not None else fallback_rng()
         self.population = population
+        if population is not None and row is None:
+            row = population.row_of(node_id)
         self.row = int(row) if row is not None else None
         self.lists = MembershipTable(node_id, population=population)
         self.verifier = InboundVerifier(
@@ -102,6 +111,8 @@ class AvmemNode:
         )
         self.discovery_rounds = 0
         self.refresh_rounds = 0
+        # Captured once, as the simulator and network do.
+        self._telemetry = current_telemetry()
         self._handlers: Dict[Type, PayloadHandler] = {}
         self._tasks: List[PeriodicTask] = []
         network.attach(node_id, self._on_envelope)
@@ -133,6 +144,8 @@ class AvmemNode:
 
     @property
     def online(self) -> bool:
+        if self.row is not None:
+            return bool(self.network.online_rows(self.row))
         return self.network.is_online(self.id)
 
     # ------------------------------------------------------------------
@@ -153,22 +166,56 @@ class AvmemNode:
     # Discovery sub-protocol
     # ------------------------------------------------------------------
     def discovery_step(self) -> int:
-        """One discovery round.  Returns the number of neighbors added."""
+        """One discovery round.  Returns the number of neighbors added.
+
+        The round is one batched pass in view order, the shape
+        :meth:`refresh_step` has: the coarse view → mask out this node,
+        entries already in the lists and (with
+        ``config.discovery_liveness``) entries whose handshake fails →
+        one bulk cache fetch for what is left → one vectorized predicate
+        evaluation → one bulk insert of the matches.  A
+        population-backed node addresses the candidates by row
+        throughout; a population-less one runs the same pass addressed
+        by id.
+        """
         if not self.online:
             return 0
         self.discovery_rounds += 1
         me = self.self_descriptor(fresh=True)
+        population = self.population
+        if population is not None:
+            candidates = self.coarse_view.view_rows(self.row)
+            digests = population.digests[candidates]
+            probe, fetch = self.network.online_rows, self.availability.fetch_rows
+        else:
+            view = self.coarse_view.view(self.id)
+            candidates = np.empty(len(view), dtype=object)
+            candidates[:] = view
+            digests = digest_array(view)
+            probe, fetch = self.network.online_array, self.availability.fetch_array
+        unknown = ~self.lists.contains_digests(digests)
+        unknown &= digests != np.uint64(self.id.digest64)
+        if self.config.discovery_liveness:
+            # a candidate whose handshake fails is skipped unfetched
+            unknown[unknown] = probe(candidates[unknown])
+        candidates, digests = candidates[unknown], digests[unknown]
         added = 0
-        for candidate in self.coarse_view.view(self.id):
-            if candidate == self.id or candidate in self.lists:
-                continue
-            if self.config.discovery_liveness and not self.network.is_online(candidate):
-                continue  # handshake with the candidate failed; skip it
-            av_candidate = self.availability.fetch(candidate)
-            kind = self.predicate.evaluate_kind(me, NodeDescriptor(candidate, av_candidate))
-            if kind is not None:
-                self.lists.upsert(candidate, av_candidate, kind, self.sim.now)
-                added += 1
+        if candidates.size:
+            availabilities = fetch(candidates)
+            ids = candidates if population is None else population.ids_of(candidates)
+            member, horizontal = self.predicate.evaluate_many(
+                me, ids, availabilities, digests=digests
+            )
+            matches = candidates[member], availabilities[member], horizontal[member]
+            if population is None:
+                added = self.install_members(*matches, digests=digests[member])
+            else:
+                added = self.install_member_rows(*matches)
+        telemetry = self._telemetry
+        if telemetry.enabled:
+            telemetry.count("node.discovery.rounds")
+            telemetry.count("node.discovery.candidates", int(candidates.size))
+            telemetry.count("node.discovery.added", added)
         return added
 
     # ------------------------------------------------------------------
@@ -195,6 +242,14 @@ class AvmemNode:
         if not self.online:
             return 0
         self.refresh_rounds += 1
+        evicted = self._refresh_round()
+        telemetry = self._telemetry
+        if telemetry.enabled:
+            telemetry.count("node.refresh.rounds")
+            telemetry.count("node.refresh.evicted", evicted)
+        return evicted
+
+    def _refresh_round(self) -> int:
         me = self.self_descriptor(fresh=True)
         view = self.lists.neighbor_arrays()
         total = view.slots.size

@@ -208,8 +208,14 @@ class Population:
         return node
 
     def ids_of(self, rows: Sequence[int]) -> List[NodeId]:
-        """Materialize the ids of a batch of rows."""
-        return [self.id_of(row) for row in np.asarray(rows, dtype=np.int64)]
+        """Materialize the ids of a batch of rows (one gather when they
+        already exist; only rows never touched before pay ``id_of``)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if self._ids is not None and (rows >= 0).all():
+            ids = self._ids[rows].tolist()
+            if None not in ids:
+                return ids
+        return [self.id_of(row) for row in rows]
 
     @property
     def id_tuple(self) -> tuple:

@@ -14,13 +14,16 @@ fetch/read split so protocol code can only read what it has fetched.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ids import NodeId
 from repro.monitor.base import AvailabilityService
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # repro.core imports repro.monitor.cache
+    from repro.core.population import Population
 
 __all__ = ["CacheEntry", "CachedAvailabilityView"]
 
@@ -42,16 +45,35 @@ class CachedAvailabilityView:
     written per fetched neighbor per refresh round, so construction cost
     sits on the hot path; :meth:`entry` materializes the public
     :class:`CacheEntry` on demand.
+
+    ``population`` optionally binds the cache to a
+    :class:`~repro.core.population.Population` whose rows are the
+    service's rows; it enables :meth:`fetch_rows`, which fetches a batch
+    addressed by row and materializes the ids only if a read ever needs
+    them.
     """
 
-    def __init__(self, service: AvailabilityService, sim: Simulator):
+    #: deferred batches are folded into the entry dict once this many
+    #: have accumulated, so a consumer that only ever fetches (never
+    #: reads) holds a bounded number of batch arrays
+    _PENDING_LIMIT = 8
+
+    def __init__(
+        self,
+        service: AvailabilityService,
+        sim: Simulator,
+        population: Optional["Population"] = None,
+    ):
         self._service = service
         self._sim = sim
+        self._population = population
         self._entries: Dict[NodeId, Tuple[float, float]] = {}
-        #: batches fetched but not yet folded into ``_entries`` — refresh
-        #: rounds overwrite the whole neighbor set every period while
-        #: reads happen sporadically, so batch results are folded in
-        #: lazily on first read (last write wins, same observable state)
+        #: batches fetched but not yet folded into ``_entries``, oldest
+        #: first: ``(keys, values, fetched_at)`` with ``keys`` a list of
+        #: ids or an integer array of population rows.  Rounds overwrite
+        #: whole neighbor sets every period while reads happen
+        #: sporadically, so batch results are folded in lazily (last
+        #: write wins, same observable state).
         self._pending: list = []
         self.fetch_count = 0
         self.hit_count = 0
@@ -61,10 +83,13 @@ class CachedAvailabilityView:
     # ------------------------------------------------------------------
     def fetch(self, node: NodeId) -> float:
         """Query the service now and cache the answer."""
-        if self._pending:
-            self._fold_pending()
         value = self._service.query(node)
-        self._entries[node] = (value, self._sim.now)
+        if self._pending:
+            # Queue behind the deferred batches instead of folding them:
+            # fetch order is what makes the last write win.
+            self._defer([node], [value])
+        else:
+            self._entries[node] = (value, self._sim.now)
         self.fetch_count += 1
         return value
 
@@ -88,19 +113,43 @@ class CachedAvailabilityView:
                 (self.fetch(node) for node in nodes), dtype=float, count=len(nodes)
             )
         values = np.asarray(query_array(nodes), dtype=float)
-        self._pending.append((list(nodes), values, self._sim.now))
+        self._defer(list(nodes), values)
         self.fetch_count += len(nodes)
         return values
+
+    def fetch_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Row-addressed :meth:`fetch_array` (the discovery hot path):
+        ``rows`` is an integer array of population rows, passed to the
+        service's ``query_array`` as it is.  No :class:`NodeId` is
+        touched unless a later read folds the batch."""
+        if self._population is None:
+            raise ValueError("fetch_rows requires a population-backed cache")
+        query_array = getattr(self._service, "query_array", None)
+        if query_array is None:
+            return self.fetch_array(self._population.ids_of(rows))
+        values = np.asarray(query_array(rows), dtype=float)
+        self._defer(rows, values)
+        self.fetch_count += rows.size
+        return values
+
+    def _defer(self, keys, values) -> None:
+        self._pending.append((keys, values, self._sim.now))
+        if len(self._pending) >= self._PENDING_LIMIT:
+            self._fold_pending()
 
     def _fold_pending(self) -> None:
         """Fold deferred batches into the entry dict, oldest first (so a
         later fetch of the same node wins, as with eager stores)."""
         pending, self._pending = self._pending, []
         entries = self._entries
-        for nodes, values, fetched_at in pending:
+        for keys, values, fetched_at in pending:
+            if isinstance(keys, np.ndarray):
+                keys = self._population.ids_of(keys)
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
             # C-level bulk insert: dict.update consumes the zip pipeline
             # without a per-entry python loop.
-            entries.update(zip(nodes, zip(values.tolist(), repeat(fetched_at))))
+            entries.update(zip(keys, zip(values, repeat(fetched_at))))
 
     # ------------------------------------------------------------------
     # Reading (never talks to the service)

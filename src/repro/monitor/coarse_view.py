@@ -26,6 +26,30 @@ from repro.sim.network import PresenceOracle
 
 __all__ = ["ShuffledCoarseView", "GlobalSampleView"]
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _row_index(population: Tuple[NodeId, ...]) -> Dict[NodeId, int]:
+    """id -> position in ``population`` (which must hold no duplicates)."""
+    row_of = dict(zip(population, range(len(population))))
+    if len(row_of) != len(population):
+        raise ValueError("population must not contain duplicates")
+    return row_of
+
+
+def _presence_rows(
+    presence: Optional[PresenceOracle], population: Tuple[NodeId, ...]
+) -> Optional[np.ndarray]:
+    """The presence oracle's row of every population member, when the
+    oracle answers in row space (``presence_snapshot`` over its own node
+    order, as a churn trace does) and knows them all; else None."""
+    if not hasattr(presence, "presence_snapshot"):
+        return None
+    try:
+        return presence.node_indices(population)
+    except KeyError:
+        return None  # a member the oracle has never heard of is offline
+
 
 class GlobalSampleView:
     """Idealized shuffler: each period, a node's view is a fresh uniform
@@ -42,6 +66,11 @@ class GlobalSampleView:
     drawn from the currently online population; a small ``stale_fraction``
     of slots may instead point at arbitrary (possibly dead) hosts,
     modeling the stale entries a real view accumulates.
+
+    Sampling runs in index space: a node is its position (*row*) in
+    ``population``, the online pool is one sorted row array per period,
+    and the two draws of a sample are mapped onto their pools by
+    arithmetic (:meth:`view_rows`), so no sample walks the population.
     """
 
     def __init__(
@@ -60,39 +89,48 @@ class GlobalSampleView:
             raise ValueError(f"stale_fraction must be in [0, 1], got {stale_fraction}")
         self.sim = sim
         self.population: Tuple[NodeId, ...] = tuple(population)
-        if len(set(self.population)) != len(self.population):
-            raise ValueError("population must not contain duplicates")
+        self._row_of: Dict[NodeId, int] = _row_index(self.population)
         self.view_size = min(view_size, max(1, len(self.population) - 1))
         self.rng = rng
         self.presence = presence
         self.period = period
         self.stale_fraction = stale_fraction
-        self._members = frozenset(self.population)
-        self._views: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        self._sampled_at: Dict[NodeId, int] = {}
-        # Online-pool cache, refreshed once per period bucket.
-        self._pool: List[NodeId] = []
+        self._ids = np.empty(len(self.population), dtype=object)
+        self._ids[:] = self.population
+        self._presence_rows = _presence_rows(presence, self.population)
+        #: row -> (period bucket it was sampled in, the sampled rows)
+        self._views: Dict[int, Tuple[int, np.ndarray]] = {}
+        # Online-pool cache (sorted rows), refreshed once per period bucket.
+        self._all_rows = np.arange(len(self.population), dtype=np.int64)
+        self._pool = self._all_rows
         self._pool_bucket = -1
 
     def _bucket(self) -> int:
         return int(self.sim.now / self.period)
 
-    def _online_pool(self) -> List[NodeId]:
+    def _online_pool(self) -> np.ndarray:
         bucket = self._bucket()
         if bucket != self._pool_bucket:
-            if self.presence is None:
-                self._pool = list(self.population)
-            else:
-                now = self.sim.now
-                self._pool = [
-                    n for n in self.population if self.presence.is_online(n, now)
-                ]
-                if not self._pool:
-                    self._pool = list(self.population)
+            self._pool = self._all_rows
+            if self.presence is not None:
+                online = np.flatnonzero(self._presence_mask(self.sim.now))
+                if online.size:
+                    self._pool = online
             self._pool_bucket = bucket
         return self._pool
 
-    def _sample_for(self, node: NodeId) -> Tuple[NodeId, ...]:
+    def _presence_mask(self, now: float) -> np.ndarray:
+        """Presence of every population row at ``now``."""
+        if self._presence_rows is not None:
+            return self.presence.presence_snapshot(now)[self._presence_rows]
+        presence = self.presence
+        return np.fromiter(
+            (presence.is_online(member, now) for member in self.population),
+            dtype=bool,
+            count=len(self.population),
+        )
+
+    def _sample_rows(self, row: int) -> np.ndarray:
         """One period's view: live picks plus stale picks, all distinct.
 
         Both draws exclude the owner and each other up front, so a view
@@ -101,34 +139,55 @@ class GlobalSampleView:
         with ``stale_fraction=0``) — collisions are resampled, never
         silently dropped, which would shrink views and bias discovery
         time toward nodes that happened to collide less.
+
+        Each draw is ``rng.choice(m, size, replace=False)`` over the
+        *size* of its pool; the drawn positions are then mapped onto the
+        pool without building it — the live pool is the online pool
+        minus the owner (skip one position), the stale pool is the
+        complement of ``{owner} ∪ live`` in the population (the k-th
+        element of a complement by one ``searchsorted``).
         """
         pool = self._online_pool()
         n_stale = int(round(self.view_size * self.stale_fraction))
         n_live = self.view_size - n_stale
-        view: List[NodeId] = []
+        live = _NO_ROWS
         if n_live > 0:
-            live_pool = [p for p in pool if p != node]
-            if live_pool:
-                size = min(n_live, len(live_pool))
-                indices = self.rng.choice(len(live_pool), size=size, replace=False)
-                view.extend(live_pool[i] for i in indices)
+            owner_at = int(pool.searchsorted(row))
+            owner_in_pool = bool(owner_at < pool.size and pool[owner_at] == row)
+            eligible = int(pool.size) - owner_in_pool
+            if eligible:
+                drawn = self.rng.choice(eligible, size=min(n_live, eligible), replace=False)
+                if owner_in_pool:
+                    drawn = drawn + (drawn >= owner_at)
+                live = pool[drawn]
         if n_stale > 0:
-            seen = {node, *view}
-            stale_pool = [p for p in self.population if p not in seen]
-            if stale_pool:
-                size = min(n_stale, len(stale_pool))
-                indices = self.rng.choice(len(stale_pool), size=size, replace=False)
-                view.extend(stale_pool[i] for i in indices)
-        return tuple(view)
+            seen = np.empty(live.size + 1, dtype=np.int64)
+            seen[:-1] = live
+            seen[-1] = row
+            seen.sort()
+            eligible = len(self.population) - int(seen.size)
+            if eligible:
+                drawn = self.rng.choice(eligible, size=min(n_stale, eligible), replace=False)
+                # the k-th unseen row is k + #{j : seen[j] - j <= k}
+                seen -= self._all_rows[: seen.size]
+                stale = drawn + seen.searchsorted(drawn, "right")
+                return np.concatenate((live, stale))
+        return live
+
+    def view_rows(self, row: int) -> np.ndarray:
+        """The current view of the node at ``row``, as population rows
+        (an array the caller must not write to)."""
+        bucket = self._bucket()
+        sampled = self._views.get(row)
+        if sampled is None or sampled[0] != bucket:
+            sampled = self._views[row] = (bucket, self._sample_rows(row))
+        return sampled[1]
 
     def view(self, node: NodeId) -> Tuple[NodeId, ...]:
-        if node not in self._members:
+        row = self._row_of.get(node)
+        if row is None:
             raise KeyError(f"unknown node {node!r}")
-        bucket = self._bucket()
-        if self._sampled_at.get(node) != bucket:
-            self._views[node] = self._sample_for(node)
-            self._sampled_at[node] = bucket
-        return self._views[node]
+        return tuple(self._ids[self.view_rows(row)].tolist())
 
     def stop(self) -> None:
         """No background tasks to stop (lazy implementation); kept for
@@ -158,8 +217,7 @@ class ShuffledCoarseView:
             raise ValueError(f"view_size must be positive, got {view_size}")
         self.sim = sim
         self.population: Tuple[NodeId, ...] = tuple(population)
-        if len(set(self.population)) != len(self.population):
-            raise ValueError("population must not contain duplicates")
+        self._row_of: Dict[NodeId, int] = _row_index(self.population)
         self.view_size = min(view_size, max(1, len(self.population) - 1))
         self.rng = rng
         self.presence = presence
@@ -248,6 +306,14 @@ class ShuffledCoarseView:
             return tuple(self._views[node])
         except KeyError:
             raise KeyError(f"unknown node {node!r}") from None
+
+    def view_rows(self, row: int) -> np.ndarray:
+        """:meth:`view` of the node at ``row``, as population rows."""
+        row_of = self._row_of
+        entries = self._views[self.population[row]]
+        return np.fromiter(
+            (row_of[entry] for entry in entries), dtype=np.int64, count=len(entries)
+        )
 
     def stop(self) -> None:
         if self._task is not None:

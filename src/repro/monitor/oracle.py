@@ -19,7 +19,7 @@ matching answers while keeping the batch path free of per-node python.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -90,16 +90,22 @@ class OracleAvailability:
             value = round(value / self.quantization) * self.quantization
         return float(min(1.0, max(0.0, value)))
 
-    def query_array(self, nodes: Sequence[NodeId]) -> np.ndarray:
+    def query_array(self, nodes: Union[Sequence[NodeId], np.ndarray]) -> np.ndarray:
         """Batched :meth:`query`: one vectorized timeline pass for the
-        whole batch (the refresh-round hot path).
+        whole batch (the refresh- and discovery-round hot path).
+
+        ``nodes`` is a sequence of ids or an integer array of trace rows
+        (what population-backed callers hold; no id is materialized).
 
         Answers match per-node :meth:`query` calls — same branch
         semantics, same per-bucket noise vector, same quantization and
         clamping — bit-for-bit on epoch-aligned traces, and to
         uptime-accumulation rounding (≲1e-10) on continuous-time ones.
         """
-        indices = self.trace.node_indices(nodes)  # KeyError on unknowns
+        if isinstance(nodes, np.ndarray) and nodes.dtype.kind in "iu":
+            indices = nodes
+        else:
+            indices = self.trace.node_indices(nodes)  # KeyError on unknowns
         now = self.sim.now
         timeline = self.trace.timeline
         if self.window is None:

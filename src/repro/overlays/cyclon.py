@@ -16,7 +16,8 @@ simplified swap in :class:`repro.monitor.coarse_view.ShuffledCoarseView`:
 The exchange is performed synchronously on the shared state (the paper
 consumes the shuffler as a black box; message-level simulation of it
 would only add cost), driven by one global periodic task.  Implements
-:class:`~repro.monitor.base.CoarseViewProvider`.
+the id-addressed half of :class:`~repro.monitor.base.CoarseViewProvider`
+(``view``), which is what population-less nodes consume.
 """
 
 from __future__ import annotations

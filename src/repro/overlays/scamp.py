@@ -18,7 +18,8 @@ subscription-forwarding rule:
 
 As with the other substrates, joins execute synchronously on shared
 state (the paper consumes membership as a black box).  Implements
-:class:`~repro.monitor.base.CoarseViewProvider`.
+the id-addressed half of :class:`~repro.monitor.base.CoarseViewProvider`
+(``view``), which is what population-less nodes consume.
 """
 
 from __future__ import annotations

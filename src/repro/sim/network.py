@@ -52,6 +52,9 @@ class PresenceOracle(Protocol):
     ``is_online_array(nodes, times) -> bool array`` (as
     :class:`~repro.churn.trace.ChurnTrace` does); the network batches
     through it when present and falls back to scalar queries otherwise.
+    Row-addressed callers (population-backed nodes) additionally need
+    ``presence_snapshot(time) -> bool array`` over the oracle's own node
+    order (see :meth:`Network.online_rows`).
     """
 
     def is_online(self, node: NodeKey, time: float) -> bool:  # pragma: no cover
@@ -419,6 +422,15 @@ class Network:
     def online_array(self, nodes: Sequence[NodeKey]) -> np.ndarray:
         """Presence of many nodes right now — one batched oracle query."""
         return self._presence_array(nodes, self.sim.now)
+
+    def online_rows(self, rows) -> np.ndarray:
+        """Presence right now by *row* of the presence oracle (an index
+        or an index array into its node order): one lookup in the
+        oracle's ``presence_snapshot``, which a trace-backed oracle
+        reuses until the next session edge.  Population-backed nodes,
+        whose population rows are the trace's rows, gate their protocol
+        rounds and probe discovery candidates through this."""
+        return self.presence.presence_snapshot(self.sim.now)[rows]
 
     def _presence_array(self, nodes: Sequence[NodeKey], times) -> np.ndarray:
         """Boolean presence of ``nodes[k]`` at ``times`` (scalar or

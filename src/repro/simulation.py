@@ -299,7 +299,7 @@ class AvmemSimulation:
             )
         self.nodes: Dict[NodeId, AvmemNode] = {}
         for row, node_id in enumerate(self.node_ids):
-            cache = CachedAvailabilityView(self.oracle, self.sim)
+            cache = CachedAvailabilityView(self.oracle, self.sim, population=self.population)
             self.nodes[node_id] = AvmemNode(
                 node_id,
                 self.sim,

@@ -38,6 +38,25 @@ def _render_span(
         _render_span(child, wall, depth + 1, lines)
 
 
+def _render_maintenance(counters: Dict[str, int]) -> List[str]:
+    """Per-protocol attribution of the maintenance rounds, derived from
+    the ``node.discovery.*`` / ``node.refresh.*`` counters."""
+    rounds = counters.get("node.discovery.rounds", 0)
+    refreshes = counters.get("node.refresh.rounds", 0)
+    if not rounds and not refreshes:
+        return []
+    candidates = counters.get("node.discovery.candidates", 0)
+    added = counters.get("node.discovery.added", 0)
+    evicted = counters.get("node.refresh.evicted", 0)
+    share = f"{100.0 * added / candidates:.2f}%" if candidates else "n/a"
+    return [
+        "maintenance rounds (online nodes only):",
+        f"  discovery  rounds={rounds} candidates={candidates} "
+        f"added={added} (yield {share})",
+        f"  refresh    rounds={refreshes} evicted={evicted}",
+    ]
+
+
 def render_snapshot(snapshot: TelemetrySnapshot) -> str:
     """One snapshot as a readable report."""
     lines: List[str] = []
@@ -57,6 +76,7 @@ def render_snapshot(snapshot: TelemetrySnapshot) -> str:
         lines.append("counters:")
         for name, value in snapshot.counters.items():
             lines.append(f"  {name:<42} {value}")
+    lines.extend(_render_maintenance(snapshot.counters))
     if snapshot.gauges:
         lines.append("gauges (last sample):")
         for name, value in snapshot.gauges.items():

@@ -141,6 +141,21 @@ def test_hot_loop_ignores_k_sized_and_off_scope_loops():
     assert all(f.path not in ("engine/clean.py", "other/offpath.py") for f in findings)
 
 
+def test_default_scope_reaches_the_monitor_package():
+    """``monitor/`` is a hot module by default: the per-sample population
+    walks the coarse-view sampler once had are the shape in
+    ``hotloops/monitor/sampler.py``."""
+    assert "monitor/" in LintConfig().hot_modules
+    config = LintConfig(
+        randomness_modules=(), engine_scope=(), service_modules=(),
+        hot_modules=LintConfig().hot_modules,
+    )
+    paths = by_path(lint_fixture("hotloops", config, ["hot-loop"]))
+    assert set(paths) == {"monitor/sampler.py"}
+    flagged = {f.symbol for f in paths["monitor/sampler.py"]}
+    assert flagged == {"Sampler.sample_for", "Sampler.online_pool"}
+
+
 # -- service family ----------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Committed golden operation logs: seeded record identity across commits.
 
-Every case below is one seeded N = 70 simulation executing one
+Every dispatch case below is one seeded N = 70 simulation executing one
 operation plan.  Its ``OperationLog`` (plus the network accounting
 totals, the per-operation initiator/delivery endpoints and the number of
 multicast envelopes handed to a handler) is committed under
@@ -12,6 +12,17 @@ the scalar ``Network.send`` loop, duplicates counted at the receiver).
 The files were first written by the one-event-per-message path this
 suite replaced, so they state what that path produced; a refactor of the
 simulation core either reproduces them or changes them deliberately.
+
+The two ``maintain-*`` cases pin the maintenance path instead: N = 300
+with discovery *and* refresh on every node through a 900 s settle (15
+discovery periods), then a flood / gossip plan.  Besides the records
+they hold ``sim.events_processed`` (after set-up and after the plan) and
+the next draw of the ``coarse-view`` stream, so a change to how a
+discovery round samples, fetches or inserts either reproduces the event
+count and the generator state or shows up here.  They were written at
+default ``batch_threshold`` by the per-candidate discovery loop (now
+``tests/reference/discovery.py``) at the commit before it was deleted,
+and replay at that threshold only.
 
 ``PYTHONPATH=src python tests/test_golden_logs.py`` rewrites the files.
 That is the only sanctioned way to change them, and only alongside a
@@ -29,6 +40,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import pytest
 
+from repro.core.predicates import AvmemPredicate
+from repro.monitor.oracle import OracleAvailability
 from repro.ops.log import COLUMN_NAMES
 from repro.ops.messages import MulticastMessage
 from repro.ops.plan import OperationItem, OperationPlan, OperationTiming
@@ -115,26 +128,49 @@ def _case_table() -> Dict[str, Tuple[int, OperationPlan]]:
 #: case id -> (simulation seed, plan)
 CASES = _case_table()
 
+#: (hosts, protocols, settle) of the simulation a case runs on
+DISPATCH_SHAPE = (70, "refresh-only", 600.0)
+MAINTENANCE_SHAPE = (300, "full", 900.0)
 
-def build_sim(seed: int, batch_threshold: Optional[int] = None) -> AvmemSimulation:
-    """A warmed N = 70 simulation; ``batch_threshold`` 1 forces every
-    cohort down the vector paths (at 70 hosts the production thresholds
-    would route most of them to the scalar loops)."""
+#: case id -> (simulation seed, plan), on ``MAINTENANCE_SHAPE``
+MAINTENANCE_CASES: Dict[str, Tuple[int, OperationPlan]] = {
+    "maintain-flood": (23, parity_plan("greedy", "flood")),
+    "maintain-gossip": (577, parity_plan("retry-greedy", "gossip")),
+}
+
+
+def build_sim(
+    seed: int,
+    batch_threshold: Optional[int] = None,
+    shape: Tuple[int, str, float] = DISPATCH_SHAPE,
+) -> AvmemSimulation:
+    """A warmed simulation of ``shape``; ``batch_threshold`` 1 forces
+    every cohort down the vector paths (at 70 hosts the production
+    thresholds would route most of them to the scalar loops)."""
+    hosts, protocols, settle = shape
     simulation = AvmemSimulation(
-        SimulationSettings(hosts=70, epochs=24, seed=seed, protocols="refresh-only")
+        SimulationSettings(hosts=hosts, epochs=24, seed=seed, protocols=protocols)
     )
     if batch_threshold is not None:
         simulation.network.batch_threshold = batch_threshold
     if batch_threshold == 1:
         simulation.engine.GOSSIP_COLUMNAR_MIN = 0
-    simulation.setup(warmup=7200.0, settle=600.0)
+    simulation.setup(warmup=7200.0, settle=settle)
     return simulation
 
 
-def run_plan(seed: int, plan: OperationPlan, batch_threshold: Optional[int] = None) -> dict:
+def run_plan(
+    seed: int,
+    plan: OperationPlan,
+    batch_threshold: Optional[int] = None,
+    shape: Tuple[int, str, float] = DISPATCH_SHAPE,
+) -> dict:
     """Execute ``plan`` on a fresh seeded simulation; returns the golden
-    payload (log, network totals, endpoints, multicast hand-offs)."""
-    simulation = build_sim(seed, batch_threshold)
+    payload (log, network totals, endpoints, multicast hand-offs; on the
+    maintenance shape also the event counts and the coarse-view stream's
+    next draw)."""
+    simulation = build_sim(seed, batch_threshold, shape)
+    setup_events = simulation.sim.events_processed
     handlers = simulation.network._handlers
     handoffs = [0]
     for node, original in list(handlers.items()):
@@ -159,16 +195,23 @@ def run_plan(seed: int, plan: OperationPlan, batch_threshold: Optional[int] = No
         log_path = Path(scratch) / "log.json"
         execution.log.to_json(str(log_path))
         log_payload = json.loads(log_path.read_text(encoding="utf-8"))
-    return {
+    payload = {
         "stream_epoch": STREAM_EPOCH,
         "network": simulation.network.stats.snapshot(),
         "multicast_handoffs": handoffs[0],
         "endpoints": endpoints,
         "log": log_payload,
     }
+    if shape == MAINTENANCE_SHAPE:
+        payload["setup_events"] = setup_events
+        payload["events_processed"] = simulation.sim.events_processed
+        payload["coarse_view_next_draw"] = float(simulation.coarse_view.rng.random())
+    return payload
 
 
 def run_case(case_id: str, batch_threshold: Optional[int] = None) -> dict:
+    if case_id in MAINTENANCE_CASES:
+        return run_plan(*MAINTENANCE_CASES[case_id], batch_threshold, MAINTENANCE_SHAPE)
     return run_plan(*CASES[case_id], batch_threshold)
 
 
@@ -180,7 +223,7 @@ def write_goldens() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for stale in GOLDEN_DIR.glob("*.json"):
         stale.unlink()
-    for case_id in CASES:
+    for case_id in (*CASES, *MAINTENANCE_CASES):
         with open(golden_path(case_id), "w", encoding="utf-8") as fh:
             json.dump(run_case(case_id), fh, sort_keys=True)
             fh.write("\n")
@@ -224,7 +267,7 @@ def duplicate_receptions(payload: dict) -> int:
 
 def test_golden_directory_matches_case_table():
     on_disk = {path.stem for path in GOLDEN_DIR.glob("*.json")}
-    assert on_disk == set(CASES)
+    assert on_disk == set(CASES) | set(MAINTENANCE_CASES)
 
 
 @pytest.mark.parametrize("threshold_name", sorted(THRESHOLDS))
@@ -245,6 +288,49 @@ def test_replay_matches_golden(case_id, threshold_name):
         assert duplicates > 0 and saved > 0
 
 
+@pytest.mark.parametrize("case_id", sorted(MAINTENANCE_CASES))
+def test_maintenance_replay_matches_golden(case_id):
+    golden = load_golden(case_id)
+    got = run_case(case_id)
+    assert_same_records(got, golden)
+    assert got["multicast_handoffs"] == golden["multicast_handoffs"]
+    for name in ("setup_events", "events_processed", "coarse_view_next_draw"):
+        assert got[name] == golden[name], name
+
+
+def test_maintenance_rounds_stay_batched(monkeypatch):
+    """Counts, not times: through a full-protocol set-up no candidate is
+    evaluated or fetched one at a time.  ``evaluate_kind`` is never
+    called, and the only scalar oracle queries are the self fetches —
+    one per node at bootstrap and one per online discovery or refresh
+    round — so the per-candidate loop cannot come back through a
+    fallback.  Per-node timers are untouched: the event count is the
+    golden's."""
+    calls = {"evaluate_kind": 0, "query": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(AvmemPredicate, "evaluate_kind")
+    counted(OracleAvailability, "query")
+    seed, _ = MAINTENANCE_CASES["maintain-flood"]
+    simulation = build_sim(seed, shape=MAINTENANCE_SHAPE)
+    nodes = list(simulation.nodes.values())
+    discovery_rounds = sum(node.discovery_rounds for node in nodes)
+    refresh_rounds = sum(node.refresh_rounds for node in nodes)
+    assert discovery_rounds > 10 * len(nodes) // 4  # the rounds did run
+    assert calls["evaluate_kind"] == 0
+    assert calls["query"] <= len(nodes) + discovery_rounds + refresh_rounds
+    assert sum(node.availability.fetch_count for node in nodes) > 5 * calls["query"]
+    assert simulation.sim.events_processed == load_golden("maintain-flood")["setup_events"]
+
+
 if __name__ == "__main__":
     write_goldens()
-    print(f"wrote {len(CASES)} golden logs to {GOLDEN_DIR}")
+    print(f"wrote {len(CASES) + len(MAINTENANCE_CASES)} golden logs to {GOLDEN_DIR}")

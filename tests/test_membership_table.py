@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ids import make_node_ids
+from repro.core.ids import digest_array, make_node_ids
 from repro.core.membership import MembershipTable, SliverSelector
 from repro.core.predicates import SliverKind
 
@@ -35,6 +35,10 @@ def assert_tables_identical(scalar: MembershipTable, batched: MembershipTable) -
     assert scalar.horizontal == batched.horizontal
     assert scalar.vertical == batched.vertical
     assert scalar.entries() == batched.entries()
+    # the batched membership test is `in`, for every candidate at once
+    assert batched.contains_digests(digest_array(CANDIDATES)).tolist() == [
+        node in scalar for node in CANDIDATES
+    ]
 
 
 # ----------------------------------------------------------------------

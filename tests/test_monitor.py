@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.ids import make_node_ids
+from repro.core.population import Population
 from repro.monitor.base import AvailabilityService, CoarseViewProvider
 from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.coarse_view import GlobalSampleView, ShuffledCoarseView
@@ -90,6 +93,36 @@ class TestOracle:
         trace, _ = trace_and_ids
         assert isinstance(OracleAvailability(trace, Simulator()), AvailabilityService)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        now=st.floats(0.0, 12 * 1200.0, allow_nan=False),
+        window=st.sampled_from((None, 600.0, 3600.0, 7200.5)),
+        noise_std=st.sampled_from((0.0, 0.02)),
+        quantization=st.sampled_from((0.0, 0.01)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_batched_answers_are_the_same_float(
+        self, seed, now, window, noise_std, quantization
+    ):
+        """On an epoch-aligned trace ``query`` and ``query_array`` agree
+        to the last bit at any (fractional) instant, raw and windowed,
+        by id and by row — discovery stores the batched answer where it
+        used to store the scalar one."""
+        rng = np.random.default_rng(seed)
+        ids = make_node_ids(12)
+        trace = ChurnTrace.from_matrix(rng.random((12, 12)) < 0.6, ids, 1200.0)
+        sim = Simulator(start_time=now)
+        oracle = OracleAvailability(
+            trace, sim, window=window, noise_std=noise_std,
+            quantization=quantization, seed=seed % 1000,
+        )
+        row = int(rng.integers(12))
+        scalar = oracle.query(ids[row])
+        assert scalar == oracle.query_array([ids[row]])[0]
+        assert scalar == oracle.query_array(np.array([row]))[0]
+        everyone = oracle.query_array(np.arange(12))
+        assert everyone.tolist() == [oracle.query(node) for node in ids]
+
 
 class TestCachedView:
     @pytest.fixture
@@ -144,6 +177,48 @@ class TestCachedView:
         cache.fetch(ids[0])
         cache.evict(ids[0])
         assert cache.get(ids[0]) is None
+
+    @pytest.mark.parametrize("by_row", (False, True))
+    def test_deferred_batches_stay_bounded_and_last_write_wins(self, trace_and_ids, by_row):
+        """A consumer that only ever fetches batches (never reads) holds
+        a bounded number of them, and whenever a read does come it sees
+        what eager per-node stores would have left."""
+        trace, ids = trace_and_ids
+        sim = Simulator()
+        oracle = OracleAvailability(trace, sim)
+        population = Population.from_ids(ids, np.zeros(len(ids)))
+        cache = CachedAvailabilityView(oracle, sim, population=population)
+        batches = [[0, 1, 2], [2, 3], [1]]
+        expected = {}
+        for step in range(200):
+            sim.run_until(1.0 + step)
+            batch = batches[step % len(batches)]
+            if step % 7 == 3:  # a scalar fetch queues behind the batches
+                batch = batch[:1]
+                values = [cache.fetch(ids[batch[0]])]
+            elif by_row:
+                values = cache.fetch_rows(np.array(batch)).tolist()
+            else:
+                values = cache.fetch_array([ids[i] for i in batch]).tolist()
+            assert values == [oracle.query(ids[i]) for i in batch]
+            expected.update((ids[i], (v, sim.now)) for i, v in zip(batch, values))
+            assert len(cache._pending) < cache._PENDING_LIMIT
+        assert cache.fetch_count == sum(
+            1 if step % 7 == 3 else len(batches[step % len(batches)])
+            for step in range(200)
+        )
+        assert cache._pending  # the reads below fold what is still deferred
+        assert len(cache) == len(expected) == 4
+        for node, (value, fetched_at) in expected.items():
+            assert cache.entry(node) == (value, fetched_at)
+            assert cache.get(node) == value
+            assert cache.staleness(node) == sim.now - fetched_at
+            assert node in cache
+
+    def test_fetch_rows_needs_a_population(self, setup):
+        _, _, cache, _ = setup
+        with pytest.raises(ValueError):
+            cache.fetch_rows(np.array([0, 1]))
 
 
 class TestGlobalSampleView:

@@ -1,7 +1,9 @@
 """Unit tests for the presence-gated network."""
 
+import numpy as np
 import pytest
 
+from repro.churn.trace import ChurnTrace
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import AlwaysOnline, DropReason, Network
@@ -124,6 +126,20 @@ class TestPresenceGating:
         assert net.is_online("a")
         sim.run_until(6.0)
         assert not net.is_online("a")
+
+
+    def test_online_rows_indexes_the_trace_snapshot(self, sim):
+        keys = ["a", "b", "c"]
+        trace = ChurnTrace.from_matrix(
+            np.array([[1, 0, 1], [0, 0, 1]], dtype=bool), keys, epoch_seconds=10.0
+        )
+        net = Network(sim, presence=trace)
+        rows = np.array([2, 0, 1])
+        assert net.online_rows(rows).tolist() == [True, True, False]
+        assert net.online_rows(0) and net.is_online("a")
+        sim.run_until(10.0)  # the session edge: a leaves
+        assert net.online_rows(rows).tolist() == [True, False, False]
+        assert [net.is_online(k) for k in keys] == net.online_rows(np.arange(3)).tolist()
 
 
 class TestStats:

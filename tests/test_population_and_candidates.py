@@ -61,6 +61,19 @@ class TestPopulation:
         assert pop.id_of(3) is ids[3]
         assert pop.find_row(ids[11]) == 11
 
+    def test_ids_of_gathers_and_materializes(self):
+        ids = make_node_ids(20)
+        given_ids = Population.from_ids(tuple(ids), np.linspace(0.1, 0.9, 20))
+        rows = np.array([7, 0, 19, 7])
+        assert all(a is b for a, b in zip(given_ids.ids_of(rows), (ids[r] for r in rows)))
+        synthetic = Population.synthetic(np.linspace(0.1, 0.9, 20))
+        first = synthetic.ids_of(rows)  # nothing materialized yet
+        assert first == [ids[r] for r in rows]
+        assert all(a is b for a, b in zip(synthetic.ids_of(rows), first))
+        for bad in (np.array([3, -1]), np.array([20])):
+            with pytest.raises(IndexError):
+                given_ids.ids_of(bad)
+
     def test_find_row_unknown_is_minus_one(self):
         pop = Population.synthetic(np.linspace(0.1, 0.9, 10))
         foreign = make_node_ids(12)[11]
@@ -270,6 +283,7 @@ def test_timeline_spill_and_open_round_trip(tmp_path, rng):
     assert (reopened.is_online_array(nodes, times) == expect_online).all()
     assert (reopened.availability_array(nodes, times) == expect_avail).all()
     assert (reopened.online_mask(horizon / 2) == expect_mask).all()
+    assert (reopened.presence_snapshot(horizon / 2) == expect_mask).all()
 
     trace = reopened.to_trace()
     assert trace.schedule(4).intervals == tuple(

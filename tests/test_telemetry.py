@@ -403,12 +403,12 @@ class TestNoPerturbation:
                 settle=30.0,
                 name="identity-check",
             )
-            return sim.ops.run(plan)
+            return sim.ops.run(plan), sim
 
         global_telemetry.enable(reset=True)
-        log_on = run_once()
+        log_on, sim_on = run_once()
         global_telemetry.disable()
-        log_off = run_once()
+        log_off, _ = run_once()
         assert set(log_on.columns) == set(log_off.columns)
         for name in log_on.columns:
             assert np.array_equal(
@@ -418,6 +418,17 @@ class TestNoPerturbation:
         snapshot = global_telemetry.snapshot()
         assert snapshot.counters.get("sim.events", 0) > 0
         assert snapshot.find_span("ops.execute") is not None
+        # Per-protocol attribution: the maintenance counters are the
+        # nodes' own round counts, and summarize renders them.
+        nodes = sim_on.nodes.values()
+        counters = snapshot.counters
+        assert counters["node.discovery.rounds"] == sum(n.discovery_rounds for n in nodes) > 0
+        assert counters["node.refresh.rounds"] == sum(n.refresh_rounds for n in nodes) > 0
+        assert counters["node.discovery.candidates"] >= counters["node.discovery.added"] > 0
+        assert counters["node.refresh.evicted"] >= 0
+        rendered = render_snapshot(snapshot)
+        assert f"discovery  rounds={counters['node.discovery.rounds']}" in rendered
+        assert f"refresh    rounds={counters['node.refresh.rounds']}" in rendered
 
 
 class TestRss:

@@ -118,6 +118,27 @@ class TestQueryParity:
             scalar = [s.is_online(t) for s in schedules]
             assert mask.tolist() == scalar
             assert batch.tolist() == scalar
+            # the snapshot carried over from the previous (unordered)
+            # time is only reused when no session edge lies between
+            assert timeline.presence_snapshot(t).tolist() == scalar
+
+    @given(lists=interval_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_presence_snapshot_holds_exactly_from_edge_to_edge(self, lists):
+        timeline, _ = make_pair(lists)
+        edges = np.unique(np.concatenate((timeline.starts, timeline.ends)))
+        probes = np.concatenate(
+            (edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-1.0, 2 * HORIZON])
+        )
+        for t in probes.tolist():
+            snapshot = timeline.presence_snapshot(t)
+            assert snapshot.tolist() == timeline.online_mask(t).tolist()
+            assert not snapshot.flags.writeable
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            held = timeline.presence_snapshot(lo)
+            assert timeline.presence_snapshot((lo + hi) / 2) is held
+            assert timeline.presence_snapshot(np.nextafter(hi, -np.inf)) is held
+            assert timeline.presence_snapshot(hi) is not held
 
     @given(lists=interval_lists, times=query_times)
     @settings(max_examples=120, deadline=None)
