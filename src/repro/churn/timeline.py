@@ -39,9 +39,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.telemetry import current as current_telemetry
 from repro.util.memmaps import open_array, spill
 
-__all__ = ["ChurnTimeline"]
+__all__ = ["ChurnTimeline", "EdgeSnapshot"]
 
 # Arrays persisted by spill_to()/open(): the session-proportional CSR
 # columns plus the derived query-acceleration tables, so open() needs no
@@ -101,6 +102,52 @@ def _merge_node_intervals(
     return node_index[order], starts[order], ends[order]
 
 
+class EdgeSnapshot:
+    """Everything about a timeline that is constant between two
+    consecutive session edges, valid on ``[valid_from, valid_until)``.
+
+    Nobody joins or leaves between two edges, so the presence mask
+    (:attr:`online`) and every node's last-started session are fixed for
+    the whole window.  The mask is built with the snapshot; the session
+    columns are gathered on the first :meth:`availability` call (protocol
+    gates only ever read the mask).  All arrays are read-only.  Built by
+    :meth:`ChurnTimeline.snapshot` only — an O(N) pass for callers that
+    already pay O(N); scalar readers go through
+    :meth:`ChurnTimeline.live_snapshot`, which never builds.  Must not be
+    held across a clock advance: ask the timeline again instead.
+    """
+
+    __slots__ = ("valid_from", "valid_until", "online", "_timeline", "_sessions")
+
+    def __init__(
+        self,
+        timeline: "ChurnTimeline",
+        valid_from: float,
+        valid_until: float,
+        online: np.ndarray,
+    ):
+        self._timeline = timeline
+        self.valid_from = valid_from
+        self.valid_until = valid_until
+        online.flags.writeable = False
+        self.online = online
+        self._sessions: Optional[Tuple[np.ndarray, ...]] = None
+
+    def availability(self, rows: np.ndarray, time: float) -> np.ndarray:
+        """``timeline.availability_array(rows, time)`` for a ``time``
+        inside the window, bit for bit: the same expression with the same
+        association, over session columns gathered once per window
+        instead of one segment search per call."""
+        if time <= 0.0:
+            # Zero-length window: instantaneous presence.
+            return self.online[rows].astype(float)
+        if self._sessions is None:
+            self._sessions = self._timeline._snapshot_sessions(time)
+        cum_before, starts, ends, at_zero = self._sessions
+        uptime = cum_before[rows] + (np.minimum(time, ends[rows]) - starts[rows])
+        return (uptime - at_zero[rows]) / time
+
+
 class ChurnTimeline:
     """All nodes' online sessions as flat, CSR-grouped numpy arrays."""
 
@@ -119,8 +166,7 @@ class ChurnTimeline:
         "_starts_sorted",
         "_ends_sorted",
         "_snapshot",
-        "_snapshot_from",
-        "_snapshot_until",
+        "_uptime_at_zero",
     )
 
     def __init__(
@@ -200,14 +246,14 @@ class ChurnTimeline:
 
     def _init_lazy_state(self) -> None:
         # Globally time-sorted session edges, built on the first query
-        # that needs them (online_count_series, presence_snapshot).
+        # that needs them (online_count_series, snapshot).
         self._starts_sorted: Optional[np.ndarray] = None
         self._ends_sorted: Optional[np.ndarray] = None
-        # presence_snapshot(): the mask and the edge-to-edge interval
-        # [from, until) it holds on (empty until the first call).
-        self._snapshot: Optional[np.ndarray] = None
-        self._snapshot_from = np.inf
-        self._snapshot_until = -np.inf
+        # snapshot(): the one live edge-to-edge window (None until the
+        # first call), and every node's uptime before t = 0 — the
+        # ``since`` edge of a raw availability, the same for every window.
+        self._snapshot: Optional[EdgeSnapshot] = None
+        self._uptime_at_zero: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -413,33 +459,70 @@ class ChurnTimeline:
         out[self.node_index[stabbed]] = True
         return out
 
-    def presence_snapshot(self, time: float) -> np.ndarray:
-        """:meth:`online_mask` at ``time`` as a shared read-only array
-        that is reused until the next session edge.
+    def snapshot(self, time: float) -> EdgeSnapshot:
+        """The :class:`EdgeSnapshot` whose window holds ``time``, reused
+        until the clock crosses the next session edge.
 
-        Presence is piecewise constant: nobody joins or leaves between
-        two consecutive session edges, so one stabbing pass answers every
-        "who is online now?" lookup a simulation makes until its clock
-        crosses the next edge (per-node protocol gates and liveness
-        probes index the returned mask by row).  Callers must not hold
-        the array across a clock advance — ask again instead.
+        Building one is a whole-population pass, so this is for callers
+        that pay O(N) anyway (band selection, protocol gates,
+        ``online_rows``); per-node queries read :meth:`live_snapshot`.
         """
-        if not self._snapshot_from <= time < self._snapshot_until:
+        snapshot = self.live_snapshot(time)
+        if snapshot is None:
             starts, ends = self._sorted_edges()
             begun = int(starts.searchsorted(time, "right"))
             ended = int(ends.searchsorted(time, "right"))
-            self._snapshot_from = max(
+            valid_from = max(
                 starts[begun - 1] if begun else -np.inf,
                 ends[ended - 1] if ended else -np.inf,
             )
-            self._snapshot_until = min(
+            valid_until = min(
                 starts[begun] if begun < starts.size else np.inf,
                 ends[ended] if ended < ends.size else np.inf,
             )
-            snapshot = self.online_mask(time)
-            snapshot.flags.writeable = False
-            self._snapshot = snapshot
-        return self._snapshot
+            snapshot = self._snapshot = EdgeSnapshot(
+                self, valid_from, valid_until, self.online_mask(time)
+            )
+            telemetry = current_telemetry()
+            if telemetry.enabled:
+                telemetry.count("churn.snapshot.rebuilds")
+        return snapshot
+
+    def live_snapshot(self, time: float) -> Optional[EdgeSnapshot]:
+        """The live snapshot if its window holds ``time``, else None —
+        never builds one, so a per-node query stays O(1) on a hit and
+        falls back to its own search on a miss."""
+        snapshot = self._snapshot
+        if snapshot is not None and snapshot.valid_from <= time < snapshot.valid_until:
+            return snapshot
+        return None
+
+    def presence_snapshot(self, time: float) -> np.ndarray:
+        """:meth:`online_mask` at ``time`` as the shared read-only mask of
+        :meth:`snapshot` (per-node protocol gates and liveness probes
+        index it by row).  Callers must not hold the array across a clock
+        advance — ask again instead."""
+        return self.snapshot(time).online
+
+    def _snapshot_sessions(self, time: float) -> Tuple[np.ndarray, ...]:
+        """Per node, the ``(cum_before, start, end)`` of the last session
+        started by ``time`` — all zeros where none has, which makes
+        :meth:`_uptime_before`'s expression come out 0.0 there — plus the
+        uptime before t = 0."""
+        rows = np.arange(self.n_nodes, dtype=np.int64)
+        if self._uptime_at_zero is None:
+            self._uptime_at_zero = self._uptime_before(rows, np.zeros(self.n_nodes))
+            self._uptime_at_zero.flags.writeable = False
+        pos = self._last_started(rows, np.full(self.n_nodes, time))
+        started = pos >= self.offsets[:-1]
+        pos = pos[started]
+        columns = []
+        for column in (self._cum_before, self.starts, self.ends):
+            gathered = np.zeros(self.n_nodes, dtype=float)
+            gathered[started] = column[pos]
+            gathered.flags.writeable = False
+            columns.append(gathered)
+        return (*columns, self._uptime_at_zero)
 
     def online_count(self, time: float) -> int:
         return int(self.online_mask(time).sum())

@@ -350,6 +350,16 @@ class ChurnTrace:
     # PresenceOracle protocol
     # ------------------------------------------------------------------
     def is_online(self, node: NodeKey, time: float) -> bool:
+        """Presence of one node.  Reads the timeline's live edge-to-edge
+        snapshot when its window holds ``time`` (one index, no search)
+        and searches the node's schedule otherwise; it never builds a
+        snapshot — that is left to the callers that pay O(N) anyway."""
+        timeline = self._timeline
+        if timeline is not None:
+            snapshot = timeline.live_snapshot(time)
+            if snapshot is not None:
+                row = self._index.get(node)
+                return row is not None and bool(snapshot.online[row])
         schedule = self._schedules.get(node)
         return schedule.is_online(time) if schedule is not None else False
 
@@ -365,7 +375,8 @@ class ChurnTrace:
 
     def presence_snapshot(self, time: float) -> np.ndarray:
         """Row-space presence of every node at ``time`` (aligned to
-        :attr:`nodes`): the timeline's shared read-only snapshot, reused
+        :attr:`nodes`): the mask of the timeline's shared read-only
+        :meth:`~repro.churn.timeline.ChurnTimeline.snapshot`, reused
         until the next session edge — what
         :meth:`repro.sim.network.Network.online_rows` indexes."""
         return self.timeline.presence_snapshot(time)

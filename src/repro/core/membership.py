@@ -102,11 +102,12 @@ class SliverSelector:
 class NeighborView(NamedTuple):
     """A positional snapshot of a table's live neighbors.
 
-    Parallel arrays over the neighbors in listing order (HS first, then
-    VS, each in recency order — the same order :meth:`MembershipTable.entries`
-    yields).  ``slots`` are opaque handles for
-    :meth:`MembershipTable.refresh_round`; they stay valid only until the
-    table is next mutated.
+    Parallel read-only arrays over the neighbors in listing order (HS
+    first, then VS, each in recency order — the same order
+    :meth:`MembershipTable.entries` yields).  The table hands the same
+    view to every caller until it is next mutated; ``slots`` are opaque
+    handles for :meth:`MembershipTable.refresh_round` and stay valid
+    only that long.
     """
 
     slots: np.ndarray  #: int64 slot handles (pass back to refresh_round)
@@ -161,6 +162,10 @@ class MembershipTable:
         # Lazy caches: None marks "rebuild on next scalar access".
         self._slot_of: Optional[Dict[NodeId, int]] = {}
         self._materialized: Dict[NodeId, MemberEntry] = {}
+        # neighbor_arrays() results (without / with the nodes column),
+        # dropped by every mutator.
+        self._view: Optional[NeighborView] = None
+        self._view_with_nodes: Optional[NeighborView] = None
 
     # ------------------------------------------------------------------
     # Internal plumbing
@@ -222,6 +227,10 @@ class MembershipTable:
         self._ids[live.size : self._size] = None
         self._size = live.size
         self._slot_of = None
+        self._drop_views()
+
+    def _drop_views(self) -> None:
+        self._view = self._view_with_nodes = None
 
     def _entry_at(self, slot: int) -> MemberEntry:
         node = self._ids[slot]
@@ -285,6 +294,7 @@ class MembershipTable:
         self._checked[slot] = now
         self._seq[slot] = self._seq_counter
         self._seq_counter += 1
+        self._drop_views()
         entry = MemberEntry(
             node=node,
             availability=float(availability),
@@ -305,6 +315,7 @@ class MembershipTable:
         self._ids[slot] = None
         self._count -= 1
         self._materialized.pop(node, None)
+        self._drop_views()
         self._maybe_compact()
         return True
 
@@ -317,6 +328,7 @@ class MembershipTable:
         self._count = 0
         self._slot_of = {}
         self._materialized = {}
+        self._drop_views()
 
     # ------------------------------------------------------------------
     # Bulk mutation (array hot paths)
@@ -392,6 +404,7 @@ class MembershipTable:
         self._seq[slots] = self._next_seq_block(batch)
         self._materialized = {}
         self._slot_of = None
+        self._drop_views()
         return batch
 
     def upsert_rows(
@@ -449,6 +462,7 @@ class MembershipTable:
         self._seq[slots] = self._next_seq_block(batch)
         self._materialized = {}
         self._slot_of = None
+        self._drop_views()
         return batch
 
     def _match_slots(self, digests: np.ndarray) -> np.ndarray:
@@ -476,28 +490,49 @@ class MembershipTable:
     def neighbor_arrays(self, with_nodes: bool = True) -> NeighborView:
         """Columnar snapshot of the live neighbors (listing order).
 
-        The returned :class:`NeighborView` carries the slot handles
-        :meth:`refresh_round` consumes; any other mutation of the table
+        The returned :class:`NeighborView` is cached: every call until
+        the next mutation (:meth:`upsert`, :meth:`remove`, :meth:`clear`,
+        :meth:`upsert_many`, :meth:`upsert_rows`, :meth:`refresh_round`,
+        compaction) gets the same read-only arrays.  It carries the slot
+        handles :meth:`refresh_round` consumes; any mutation of the table
         invalidates them.  ``with_nodes=False`` skips :class:`NodeId`
         materialization (``nodes`` is None) — row-space callers on a
         population-backed table should prefer it so bulk flows never
         instantiate identity objects.
         """
+        view = self._view
+        if view is None:
+            view = self._view = self._build_view()
+        if not with_nodes:
+            return view
+        full = self._view_with_nodes
+        if full is None:
+            self._materialize_missing_ids(view.slots)
+            nodes = self._ids[view.slots]
+            nodes.flags.writeable = False
+            full = self._view_with_nodes = view._replace(nodes=nodes)
+        return full
+
+    def _build_view(self) -> NeighborView:
+        telemetry = current_telemetry()
+        if telemetry.enabled:
+            telemetry.count("membership.view.rebuilds")
         live = np.flatnonzero(self._alive[: self._size])
-        horizontal = self._horiz[live]
         # One lexsort gives the listing order directly: HS block first
         # (~horizontal ascending), recency within each block.
-        slots = live[np.lexsort((self._seq[live], ~horizontal))]
-        if with_nodes:
-            self._materialize_missing_ids(slots)
-        return NeighborView(
+        slots = live[np.lexsort((self._seq[live], ~self._horiz[live]))]
+        view = NeighborView(
             slots=slots,
-            nodes=self._ids[slots] if with_nodes else None,
+            nodes=None,
             availabilities=self._avail[slots],
             horizontal=self._horiz[slots],
             digests=self._digests[slots],
             rows=self._rows[slots] if self.population is not None else None,
         )
+        for column in view:
+            if column is not None:
+                column.flags.writeable = False
+        return view
 
     def refresh_round(
         self,
@@ -556,6 +591,7 @@ class MembershipTable:
             self._count -= int(dropped.size)
         self._materialized = {}
         self._slot_of = None
+        self._drop_views()
         self._maybe_compact()
         return int(dropped.size)
 

@@ -615,8 +615,8 @@ class OperationEngine:
         """
         if not self.verify_inbound and len(targets) >= self.network.batch_threshold:
             # Build the mask only for cohorts the network will actually
-            # vectorize; sub-threshold cohorts take the scalar loop
-            # where the receiver-side seen-set counts duplicates — same
+            # vectorize; a sub-threshold cohort delivers every message,
+            # and the receiver-side seen-set counts the duplicates — same
             # totals, no wasted mask construction.
             seen = self._mcast_seen[payload.op_id]
             suppress = np.fromiter(

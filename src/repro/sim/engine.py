@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.telemetry import current as current_telemetry
@@ -36,13 +35,6 @@ __all__ = ["Simulator", "ScheduledEvent", "PeriodicTask", "SimulationError"]
 class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulator (e.g. scheduling
     in the past)."""
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    seq: int
-    event: "ScheduledEvent" = field(compare=False)
 
 
 class ScheduledEvent:
@@ -104,7 +96,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: List[_HeapEntry] = []
+        # Heap of (time, seq, event): seq is unique, so two entries never
+        # tie on (time, seq) and the event itself is never compared.
+        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -130,15 +124,26 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of queued events, including cancelled-but-unpopped ones."""
-        return sum(1 for entry in self._queue if entry.event.pending)
+        """Number of events that will still fire (cancelled-but-unpopped
+        entries are excluded; :attr:`queue_depth` includes them).  O(queue)."""
+        return len(self.pending_times())
+
+    @property
+    def queue_depth(self) -> int:
+        """Heap size, including cancelled-but-unpopped entries.  O(1) —
+        what telemetry samples."""
+        return len(self._queue)
+
+    def pending_times(self) -> List[float]:
+        """Fire times of the events that will still fire, ascending."""
+        return sorted(time for time, _, event in self._queue if not event._cancelled)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        self._drop_cancelled_head()
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        queue = self._queue
+        while queue and queue[0][2]._cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -158,7 +163,7 @@ class Simulator:
         if not callable(callback):
             raise TypeError(f"callback must be callable, got {callback!r}")
         event = ScheduledEvent(float(time), callback, args)
-        heapq.heappush(self._queue, _HeapEntry(event.time, next(self._counter), event))
+        heapq.heappush(self._queue, (event.time, next(self._counter), event))
         return event
 
     def defer(self, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
@@ -206,7 +211,7 @@ class Simulator:
         events: List[ScheduledEvent] = []
         for time, args in zip(times, args_seq):
             event = ScheduledEvent(float(time), callback, tuple(args))
-            heapq.heappush(queue, _HeapEntry(event.time, next(counter), event))
+            heapq.heappush(queue, (event.time, next(counter), event))
             events.append(event)
         if self._telemetry.enabled:
             self._telemetry.observe("sim.schedule_cohort_size", len(events))
@@ -217,61 +222,32 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the single next pending event.  Returns False if none remain."""
-        entry = self._pop_next()
-        if entry is None:
-            return False
-        self._now = entry.time
-        event = entry.event
-        event._fired = True
-        event.callback(*event.args)
-        self._events_processed += 1
-        # The whole per-event cost of telemetry while disabled is this
-        # one attribute check (overhead-guarded in tests/test_telemetry.py).
-        if self._telemetry.enabled:
-            self._telemetry.event_tick(self)
-        return True
+        return self._loop(float("inf"), 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).
 
         Returns the number of events executed by this call.
         """
-        executed = 0
-        self._running, self._stop_requested = True, False
-        try:
-            while not self._stop_requested:
-                if max_events is not None and executed >= max_events:
-                    break
-                if not self.step():
-                    break
-                executed += 1
-        finally:
-            self._running = False
-        return executed
+        return self._loop(float("inf"), max_events)
 
     def run_until(self, time: float) -> int:
         """Run all events with ``event.time <= time``; advance clock to ``time``.
 
         Returns the number of events executed.  The clock is advanced to
         exactly ``time`` even if the queue drains early, so periodic
-        bookkeeping that reads :attr:`now` stays aligned.
+        bookkeeping that reads :attr:`now` stays aligned — unless a
+        callback called :meth:`stop`: events at or before ``time`` may
+        then still be queued, so the clock stays at the last fired event
+        (advancing it would make the next run fire them in the past).
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot run until t={time!r}, already at t={self._now!r}"
             )
-        executed = 0
-        self._running, self._stop_requested = True, False
-        try:
-            while not self._stop_requested:
-                next_time = self.peek_time()
-                if next_time is None or next_time > time:
-                    break
-                self.step()
-                executed += 1
-        finally:
-            self._running = False
-        self._now = max(self._now, float(time))
+        executed = self._loop(float(time), None)
+        if not self._stop_requested:
+            self._now = float(time)
         return executed
 
     def stop(self) -> None:
@@ -279,18 +255,39 @@ class Simulator:
         current event."""
         self._stop_requested = True
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _drop_cancelled_head(self) -> None:
-        while self._queue and not self._queue[0].event.pending:
-            heapq.heappop(self._queue)
-
-    def _pop_next(self) -> Optional[_HeapEntry]:
-        self._drop_cancelled_head()
-        if not self._queue:
-            return None
-        return heapq.heappop(self._queue)
+    def _loop(self, deadline: float, max_events: Optional[int]) -> int:
+        """The event loop: fire pending events in ``(time, seq)`` order
+        while they are due by ``deadline``, fewer than ``max_events``
+        have fired and no callback called :meth:`stop`.  Cancelled
+        entries are discarded as they reach the head."""
+        queue = self._queue
+        pop = heapq.heappop
+        telemetry = self._telemetry
+        limit = -1 if max_events is None else max(0, max_events)
+        executed = 0
+        self._running, self._stop_requested = True, False
+        try:
+            while queue and executed != limit and not self._stop_requested:
+                time, _, event = queue[0]
+                if event._cancelled:
+                    pop(queue)
+                    continue
+                if time > deadline:
+                    break
+                pop(queue)
+                self._now = time
+                event._fired = True
+                event.callback(*event.args)
+                executed += 1
+                self._events_processed += 1
+                # The whole per-event cost of telemetry while disabled is
+                # this one attribute check (overhead-guarded in
+                # tests/test_telemetry.py).
+                if telemetry.enabled:
+                    telemetry.event_tick(self)
+        finally:
+            self._running = False
+        return executed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

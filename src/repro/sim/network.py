@@ -12,10 +12,13 @@ through :meth:`Network.send_batch`, which samples the whole cohort's
 latencies in one vectorized draw, answers destination presence *at the
 per-message arrival instants* with one batched oracle query, and
 enqueues one simulator event per arrival-time cohort instead of one per
-message.  Cohorts below ``batch_threshold`` take a loop of scalar
-sends instead; both deliver identically (same rng stream consumption,
-same handler invocation order) — property-tested in
-``tests/test_dispatch.py``.
+message.  A ``send_batch`` cohort below ``batch_threshold`` keeps one
+event per message — one sender check, one ``sample_array`` draw and one
+``schedule_at_many`` for the cohort, each destination's presence checked
+when its message arrives — and a sub-threshold ``send_many`` (one sender
+per item) sends its items one by one.  Either way deliveries are
+identical (same rng stream consumption, same handler invocation order)
+— property-tested in ``tests/test_dispatch.py``.
 
 The network layer is deliberately dumb: no acknowledgements, no retries.
 Those are protocol behaviours and live in :mod:`repro.ops`, built from
@@ -131,20 +134,23 @@ class Network:
         When True (default), a message from a node that is offline at send
         time is dropped immediately — a crashed node cannot transmit.
     batch_threshold:
-        Cohorts smaller than this go through a loop of scalar
-        :meth:`send` calls — below roughly a dozen messages the fixed
-        cost of the vectorized draws/presence query exceeds the scalar
-        path.  Both are behaviourally identical (same rng consumption,
-        same delivery order), so the size-based selection is purely a
-        matter of speed; ``tests/test_golden_logs.py`` replays every
-        golden log at 1 (always vectorize) and 10**9 (never).
+        Cohorts smaller than this keep one simulator event per message
+        (arrival-instant presence checked at delivery) instead of the
+        batched destination-presence query and arrival-time grouping —
+        below roughly a dozen messages that fixed cost exceeds the
+        per-message events it saves.  Both are behaviourally identical
+        (same rng consumption, same delivery order), so the size-based
+        selection is purely a matter of speed;
+        ``tests/test_golden_logs.py`` replays every golden log at 1
+        (always vectorize) and 10**9 (never).
     """
 
-    #: cohort size below which send_batch takes the scalar loop.  The
-    #: crossover was last measured by the retired bench_dispatch.py (its
-    #: final ratios are in CHANGES.md, PR 13); ``benchmarks/e2e``
-    #: ``ops-mixed`` now runs both sides — anycast walks are
-    #: sub-threshold cohorts, multicast fan-out is vectorized.
+    #: cohort size below which a cohort keeps one event per message.
+    #: Re-measured on ``benchmarks/e2e`` with the sub-threshold cohort
+    #: path in place (``plan_s`` medians at 1 / 12 / 10**9 for
+    #: ``ops-mixed`` and ``paper-maintain`` are in CHANGES.md, PR 15);
+    #: ``ops-mixed`` runs both sides — anycast walks are sub-threshold
+    #: cohorts, multicast fan-out is vectorized.
     DEFAULT_BATCH_THRESHOLD = 12
 
     def __init__(
@@ -232,7 +238,7 @@ class Network:
         events would have produced.
 
         Messages whose destination is offline at arrival record their
-        ``DST_OFFLINE`` drop immediately (the scalar loop records it at
+        ``DST_OFFLINE`` drop immediately (a sub-threshold cohort records it at
         the arrival instant; totals are identical, only the counter
         timing differs) and schedule no event at all.  Returns the number
         of messages put on the wire (0 when the sender is offline — no
@@ -255,7 +261,7 @@ class Network:
         the seen-set only grows, so seen-at-send implies seen-at-arrival).
         A suppressed message is accounted exactly as if it had traveled —
         its latency draw still happens in ``dsts`` order (stream parity
-        with the scalar loop), an offline-at-arrival destination still
+        with per-message sends), an offline-at-arrival destination still
         records ``DST_OFFLINE``, a missing handler still records
         ``NO_HANDLER``, and an otherwise-deliverable one still counts in
         ``stats.delivered`` — but **no simulator event is scheduled** for
@@ -263,26 +269,35 @@ class Network:
         element is how many suppressed messages would have reached their
         handler (the caller credits those as duplicate receptions).
 
-        On the scalar loop (cohort below the threshold) every message is sent normally and
-        ``suppressed_delivered`` is 0 — the receiver-side seen-set check
-        then accounts the duplicates, so totals agree on both paths.
+        A cohort below the threshold sends every message normally — one
+        event each, exactly what one :meth:`send` per destination would
+        enqueue — and ``suppressed_delivered`` is 0: the receiver-side
+        seen-set check then accounts the duplicates, so totals agree on
+        both paths.
         """
         n = len(dsts)
         if n == 0:
             return 0, 0
-        if n < self.batch_threshold:
-            sent = 0
-            for dst in dsts:
-                sent += bool(self.send(src, dst, payload))
-            return sent, 0
         now = self.sim.now
-        if self._telemetry.enabled:
+        batched = n >= self.batch_threshold
+        if batched and self._telemetry.enabled:
             self._telemetry.observe("net.batch_cohort_size", n)
         if self.check_sender and not self.presence.is_online(src, now):
             self.stats.record_drop(DropReason.SRC_OFFLINE, count=n)
             return 0, 0
         self.stats.sent += n
         arrivals = now + self.latency.sample_array(self.rng, n)
+        if not batched:
+            times = arrivals.tolist()
+            self.sim.schedule_at_many(
+                times,
+                self._deliver,
+                [
+                    (Envelope(src=src, dst=dst, payload=payload, sent_at=now, delivered_at=at),)
+                    for dst, at in zip(dsts, times)
+                ],
+            )
+            return n, 0
         online = self._presence_array(dsts, arrivals)
         offline_count = int(n - np.count_nonzero(online))
         if offline_count:
@@ -351,8 +366,9 @@ class Network:
         they would off scalar :meth:`send` return values.
 
         Degrades to a loop of scalar sends when the cohort is below the
-        threshold; both paths consume the latency
-        stream identically and deliver in the same order.
+        threshold (every item has its own sender to check); both paths
+        consume the latency stream identically and deliver in the same
+        order.
         """
         n = len(items)
         wired = [False] * n

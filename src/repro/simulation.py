@@ -348,29 +348,31 @@ class AvmemSimulation:
         """Exact raw availability of ``node`` as of the current sim time."""
         return self.trace.availability(node, self.sim.now)
 
-    def _online_truth_filter(self, keep_fn) -> List[NodeId]:
-        """Online nodes whose *true* availability passes ``keep_fn``
-        (an availability-array → bool-mask callable), in trace order.
+    def _online_truth_rows(self, keep_fn) -> np.ndarray:
+        """Population rows of the online nodes whose *true* availability
+        passes ``keep_fn`` (an availability-array → bool-mask callable),
+        in trace (= row) order.
 
-        The shared row-space snapshot under multicast eligibility and
-        initiator-candidate queries: one timeline presence pass, one
-        availability pass, one mask — no per-node key translation,
-        because the population *is* the timeline.
+        The shared row-space pass under multicast eligibility and
+        initiator-candidate queries.  Presence and each node's current
+        session come from the timeline's edge-to-edge snapshot, so
+        launches between two session edges share one whole-population
+        pass — and no per-node key translation, because the population
+        *is* the timeline.
         """
         now = self.sim.now
-        timeline = self.trace.timeline
-        rows = np.flatnonzero(timeline.online_mask(now))
+        snapshot = self.trace.timeline.snapshot(now)
+        rows = np.flatnonzero(snapshot.online)
         if not rows.size:
-            return []
-        keep = keep_fn(timeline.availability_array(rows, now))
-        order = self.trace.nodes
-        return [order[i] for i in rows[keep]]
+            return rows
+        return rows[keep_fn(snapshot.availability(rows, now))]
 
     def truth_eligible_ids(self, target: TargetSpec) -> set:
         """Online nodes whose *true* availability is in ``target`` right
         now — the engine's multicast-eligibility snapshot (Fig 12/13
         denominator)."""
-        return set(self._online_truth_filter(target.contains_array))
+        order = self.trace.nodes
+        return {order[i] for i in self._online_truth_rows(target.contains_array)}
 
     def online_ids(self) -> List[NodeId]:
         return self.trace.online_nodes(self.sim.now)
@@ -511,20 +513,14 @@ class AvmemSimulation:
         """Population rows of the online nodes whose true availability
         lies in ``band`` right now, in trace (= row) order.
 
-        The object-free form of :meth:`band_initiator_candidates`: one
-        timeline presence pass plus one availability pass, no NodeId
-        materialization — what the plan runner caches per launch instant.
+        The object-free form of :meth:`band_initiator_candidates`, no
+        NodeId materialization — what the plan runner caches per launch
+        instant.
         """
         InitiatorBand.validate(band)
-        now = self.sim.now
-        timeline = self.trace.timeline
-        rows = np.flatnonzero(timeline.online_mask(now))
-        if not rows.size:
-            return rows
-        keep = InitiatorBand.contains_array(
-            band, timeline.availability_array(rows, now)
+        return self._online_truth_rows(
+            lambda availabilities: InitiatorBand.contains_array(band, availabilities)
         )
-        return rows[keep]
 
     def band_initiator_candidates(self, band: str) -> List[NodeId]:
         """Online nodes whose true availability lies in ``band`` right

@@ -292,7 +292,7 @@ class TelemetryRecorder:
         self._tick_countdown -= 1
         if self._tick_countdown <= 0:
             self._tick_countdown = _TICK_SAMPLE_EVERY
-            self.gauge("sim.queue_depth", len(sim._queue))
+            self.gauge("sim.queue_depth", sim.queue_depth)
             self.gauge("sim.now", sim.now)
             progress = self._progress
             if progress is not None:

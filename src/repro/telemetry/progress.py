@@ -71,7 +71,7 @@ class ProgressReporter:
             self._last_events = events
             parts.append(
                 f"sim-t={sim.now:.0f}s events={events} "
-                f"({rate:.0f}/s) pending={len(sim._queue)}"
+                f"({rate:.0f}/s) pending={sim.queue_depth}"
             )
         if context is not None:
             parts.append(context() if callable(context) else str(context))

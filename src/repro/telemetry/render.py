@@ -57,6 +57,20 @@ def _render_maintenance(counters: Dict[str, int]) -> List[str]:
     ]
 
 
+def _render_caches(counters: Dict[str, int]) -> List[str]:
+    """Rebuild counts of the operation plane's two caches (counted at
+    the rebuild points only, so a hit costs telemetry nothing)."""
+    snapshots = counters.get("churn.snapshot.rebuilds", 0)
+    views = counters.get("membership.view.rebuilds", 0)
+    if not snapshots and not views:
+        return []
+    return [
+        "cache rebuilds:",
+        f"  churn edge-to-edge snapshot  rebuilds={snapshots}",
+        f"  membership neighbor view     rebuilds={views}",
+    ]
+
+
 def render_snapshot(snapshot: TelemetrySnapshot) -> str:
     """One snapshot as a readable report."""
     lines: List[str] = []
@@ -77,6 +91,7 @@ def render_snapshot(snapshot: TelemetrySnapshot) -> str:
         for name, value in snapshot.counters.items():
             lines.append(f"  {name:<42} {value}")
     lines.extend(_render_maintenance(snapshot.counters))
+    lines.extend(_render_caches(snapshot.counters))
     if snapshot.gauges:
         lines.append("gauges (last sample):")
         for name, value in snapshot.gauges.items():

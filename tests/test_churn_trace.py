@@ -103,6 +103,33 @@ class TestChurnTrace:
     def test_unknown_node_is_offline(self, trace):
         assert not trace.is_online("zzz", 5.0)
 
+    def test_is_online_reads_the_live_snapshot_and_only_reads(self, trace):
+        """Scalar presence equals the schedule search inside the live
+        window, outside it and at both window bounds; an unknown key is
+        False either way; a scalar query never builds a snapshot."""
+        timeline = trace.timeline
+        probes = [0.0, 5.0, 10.0, np.nextafter(20.0, 0.0), 20.0, 25.0, 30.0, 39.9, 40.0, 45.0]
+
+        def check():
+            for node in trace.nodes:
+                for t in probes:
+                    assert trace.is_online(node, t) == bool(trace.schedule(node).is_online(t))
+            for t in probes:
+                assert trace.is_online("zzz", t) is False
+
+        check()
+        assert timeline.live_snapshot(15.0) is None  # nothing built so far
+        window = timeline.snapshot(15.0)
+        assert (window.valid_from, window.valid_until) == (10.0, 20.0)
+        check()
+        assert timeline.snapshot(15.0) is window  # scalar misses left it alone
+        # Inside the window the answer is the snapshot's, not a search.
+        online = window.online.copy()
+        online[trace.index_of("b")] = True
+        window.online = online
+        assert trace.is_online("b", 15.0) and not trace.schedule("b").is_online(15.0)
+        assert not trace.is_online("b", 5.0)  # outside the window: the search
+
     def test_online_population(self, trace):
         assert trace.online_nodes(5.0) == ["a", "c"]
         assert trace.online_count(25.0) == 2

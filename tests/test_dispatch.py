@@ -145,6 +145,52 @@ class TestSendBatch:
         sim.run()
         assert inbox == []
 
+    def test_sub_threshold_offline_sender_draws_nothing(self, sim):
+        """Below the threshold too: one sender check for the cohort,
+        SRC_OFFLINE x n, no latency draw, no event."""
+        presence = ScriptedPresence({"b": [(0, 100)], "c": [(0, 100)]})
+        net, inbox = recording_network(
+            sim, UniformLatency(), presence=presence, batch_threshold=SCALAR
+        )
+        state = net.rng.bit_generator.state
+        assert net.send_batch("a", ["b", "c", "b"], "x") == 0
+        assert net.rng.bit_generator.state == state
+        assert net.stats.sent == 0
+        assert net.stats.dropped == {DropReason.SRC_OFFLINE: 3}
+        assert sim.queue_depth == 0
+
+    @pytest.mark.parametrize("model", [UniformLatency(0.02, 0.08), ConstantLatency(0.05)])
+    def test_sub_threshold_cohort_is_one_send_per_destination(self, model):
+        """Below the threshold a cohort enqueues exactly what a loop of
+        scalar sends would: one event per message at the same instants
+        in the same order, arrival-time presence checked at delivery,
+        the latency stream left at the same position."""
+        windows = {
+            "a": [(0, 100)], "b": [(0, 100)],
+            "c": [(0.0, 0.03)],  # offline by the time its message lands
+            "d": [(0, 100)],
+        }
+        runs = []
+        for cohort in (True, False):
+            sim = Simulator()
+            net, inbox = recording_network(
+                sim, model, presence=ScriptedPresence(windows), batch_threshold=SCALAR
+            )
+            net.detach("d")  # NO_HANDLER resolved at delivery on both
+            for dsts in (["b", "c", "d"], ["c"], ["d", "b"]):
+                if cohort:
+                    assert net.send_batch("a", dsts, "payload") == len(dsts)
+                else:
+                    assert all(net.send("a", dst, "payload") for dst in dsts)
+            depth = sim.queue_depth
+            sim.run()
+            runs.append(
+                (net.stats.snapshot(), inbox, depth, sim.events_processed,
+                 net.rng.bit_generator.state)
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][2] == 6  # one event per message
+
     def test_offline_destination_dropped_without_event(self, sim):
         presence = ScriptedPresence({"a": [(0, 100)], "b": [(0, 100)], "c": []})
         net, inbox = recording_network(sim, ConstantLatency(0.05), presence=presence)

@@ -331,6 +331,50 @@ def test_maintenance_rounds_stay_batched(monkeypatch):
     assert simulation.sim.events_processed == load_golden("maintain-flood")["setup_events"]
 
 
+def test_interval_plan_pays_population_passes_per_edge_not_per_launch(monkeypatch):
+    """Counts, not times: a 300-launch 50 ms interval plan straddling an
+    epoch boundary makes whole-population passes (``online_mask``, the
+    ``_last_started`` segment search) once per session edge it crosses,
+    not once per launch.  Protocols are off and every cohort is
+    sub-threshold, so nothing else reaches either method: a per-launch
+    ``online_mask`` + ``availability_array`` coming back fails here."""
+    from repro.churn.timeline import ChurnTimeline
+
+    simulation = build_sim(5, batch_threshold=10**9, shape=(150, "off", 600.0))
+    calls = {"online_mask": 0, "_last_started": 0}
+    for name in calls:
+        original = getattr(ChurnTimeline, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ChurnTimeline, name, wrapper)
+    start = simulation.sim.now
+    plan = OperationPlan(
+        items=(
+            OperationItem(
+                kind="anycast", target=TargetSpec.range(0.5, 0.9), count=300,
+                timing=OperationTiming(mode="interval", spacing=0.05, phase=1192.0),
+            ),
+            OperationItem(
+                kind="multicast", target=TargetSpec.range(0.4, 0.8), count=4, band="high",
+                timing=OperationTiming(mode="interval", spacing=3.0, phase=1193.0),
+            ),
+        ),
+        settle=40.0,
+    )
+    simulation.ops.run(plan)
+    assert len(simulation.engine.anycasts) == 304  # every slot launched
+    timeline = simulation.trace.timeline
+    edges = np.unique(np.concatenate((timeline.starts, timeline.ends)))
+    crossed = int(np.count_nonzero((edges > start) & (edges <= simulation.sim.now)))
+    assert 1 <= crossed <= 3  # the plan does straddle an epoch boundary
+    assert 0 < calls["online_mask"] <= crossed + 1
+    # + 1: the uptime-before-zero column, gathered once per timeline.
+    assert 0 < calls["_last_started"] <= crossed + 2
+
+
 if __name__ == "__main__":
     write_goldens()
     print(f"wrote {len(CASES) + len(MAINTENANCE_CASES)} golden logs to {GOLDEN_DIR}")

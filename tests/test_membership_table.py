@@ -39,6 +39,14 @@ def assert_tables_identical(scalar: MembershipTable, batched: MembershipTable) -
     assert batched.contains_digests(digest_array(CANDIDATES)).tolist() == [
         node in scalar for node in CANDIDATES
     ]
+    # the cached columnar view (left filled by the previous step's call)
+    # was dropped by whatever mutated the table since
+    view = batched.neighbor_arrays()
+    assert list(view.nodes) == [entry.node for entry in scalar.entries()]
+    assert view.availabilities.tolist() == [e.availability for e in scalar.entries()]
+    assert view.horizontal.tolist() == [
+        e.kind is SliverKind.HORIZONTAL for e in scalar.entries()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +264,97 @@ class TestRefreshRound:
                 view.slots, view.availabilities[:2], view.horizontal,
                 np.ones(view.slots.size, dtype=bool), now=1.0,
             )
+
+
+class TestNeighborViewCache:
+    """neighbor_arrays() is one cached read-only view per table state."""
+
+    @staticmethod
+    def _table():
+        from repro.core.population import Population
+
+        population = Population.from_ids(tuple(POOL), np.linspace(0.1, 0.9, len(POOL)))
+        table = MembershipTable(OWNER, population=population)
+        table.upsert_rows(
+            np.arange(1, 13), np.linspace(0.1, 0.9, 12), np.arange(12) % 2 == 0, now=0.0
+        )
+        return table
+
+    def test_unmutated_table_hands_out_the_same_view(self):
+        table = self._table()
+        bare = table.neighbor_arrays(with_nodes=False)
+        assert bare.nodes is None
+        assert table.neighbor_arrays(with_nodes=False) is bare
+        full = table.neighbor_arrays()
+        assert table.neighbor_arrays() is full
+        assert list(full.nodes) == table.neighbor_ids()
+        # Both variants share the columns; only the nodes column differs.
+        assert full.slots is bare.slots and full.availabilities is bare.availabilities
+        assert table.neighbor_arrays(with_nodes=False).nodes is None
+
+    def test_view_arrays_are_read_only(self):
+        view = self._table().neighbor_arrays()
+        for column in view:
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            view.availabilities[0] = 0.0
+
+    def test_every_mutator_drops_the_view(self):
+        mutators = {
+            "upsert": lambda t, v: t.upsert(CANDIDATES[20], 0.5, SliverKind.VERTICAL, 1.0),
+            "upsert-existing": lambda t, v: t.upsert(v.nodes[3], 0.5, SliverKind.VERTICAL, 1.0),
+            "remove": lambda t, v: t.remove(v.nodes[0]),
+            "clear": lambda t, v: t.clear(),
+            "upsert_many": lambda t, v: t.upsert_many(
+                CANDIDATES[18:20], np.array([0.3, 0.4]), np.array([True, False]), now=1.0
+            ),
+            "upsert_rows": lambda t, v: t.upsert_rows(
+                np.array([2, 15]), np.array([0.3, 0.4]), np.array([True, False]), now=1.0
+            ),
+            "refresh_round": lambda t, v: t.refresh_round(
+                v.slots, v.availabilities + 0.01, ~v.horizontal,
+                np.arange(v.slots.size) % 3 != 0, now=1.0,
+            ),
+        }
+        for name, mutate in mutators.items():
+            table = self._table()
+            before = table.neighbor_arrays()
+            mutate(table, before)
+            after = table.neighbor_arrays()
+            assert after is not before, name
+            fresh = table._build_view()
+            for cached, rebuilt in zip(table.neighbor_arrays(with_nodes=False), fresh):
+                assert (cached is None and rebuilt is None) or cached.tolist() == rebuilt.tolist(), name
+            assert list(after.nodes) == table.neighbor_ids(), name
+
+    def test_compaction_drops_the_view(self):
+        # Through the public surface: slots move under a cached view when
+        # removals trigger a compaction; the next view names the new slots.
+        table = self._table()
+        high_water = table._size
+        for node in table.neighbor_ids()[:-1]:
+            table.neighbor_arrays()
+            table.remove(node)
+        assert table._size < high_water  # compaction happened
+        view = table.neighbor_arrays()
+        assert table._alive[view.slots].all()
+        assert list(view.nodes) == table.neighbor_ids()
+        # And the compaction step itself drops it, not only the remove
+        # that led to it.
+        table = self._table()
+        stale = table.neighbor_arrays(with_nodes=False)
+        table._alive[stale.slots[:10]] = False
+        table._count -= 10
+        table._maybe_compact()
+        assert table._size == 2
+        assert table.neighbor_arrays(with_nodes=False) is not stale
+
+    def test_a_miss_that_mutates_nothing_keeps_the_view(self):
+        table = self._table()
+        view = table.neighbor_arrays()
+        assert not table.remove(CANDIDATES[22])
+        assert table.upsert_many([], np.empty(0), np.empty(0, dtype=bool), 1.0) == 0
+        assert table.neighbor_arrays() is view
 
 
 class TestCompaction:

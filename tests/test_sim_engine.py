@@ -175,6 +175,90 @@ class TestRunControls:
         assert sim.pending_count == 1
         assert keep.pending
 
+    def test_queue_depth_counts_cancelled_until_popped(self, sim):
+        head = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        head.cancel()
+        assert sim.queue_depth == 2
+        assert sim.pending_times() == [2.0]
+        sim.run()
+        assert sim.queue_depth == 0 and sim.pending_times() == []
+
+    def test_cancelled_head_is_skipped_not_fired(self, sim):
+        order = []
+        head = sim.schedule(1.0, order.append, "cancelled")
+        sim.schedule(1.0, order.append, "kept")
+        head.cancel()
+        assert sim.run_until(1.0) == 1
+        assert order == ["kept"] and sim.events_processed == 1
+
+    def test_cancelled_head_does_not_count_against_max_events(self, sim):
+        order = []
+        sim.schedule(1.0, order.append, 0).cancel()
+        sim.schedule(2.0, order.append, 1)
+        sim.schedule(3.0, order.append, 2)
+        assert sim.run(max_events=1) == 1
+        assert order == [1] and sim.now == 2.0
+
+    def test_equal_time_fifo_across_schedule_forms(self, sim):
+        """schedule, schedule_at_many, defer and schedule_at share one
+        sequence counter: equal-time events fire in scheduling order."""
+        order = []
+        sim.schedule(5.0, order.append, "a")
+        sim.schedule_at_many([5.0, 5.0], order.append, [("b",), ("c",)])
+        sim.schedule_at(5.0, order.append, "d")
+        sim.schedule(5.0, lambda: sim.defer(order.append, "f"))
+        sim.schedule(5.0, order.append, "e")
+        sim.run()
+        assert order == ["a", "b", "c", "d", "e", "f"]
+
+    def test_stop_inside_run_until_leaves_clock_at_last_event(self, sim):
+        """Regression: run_until(t) used to set now = t after a stop()
+        with earlier events still queued, so the next run fired them
+        with the clock jumping backwards."""
+        seen = []
+        sim.schedule(10.0, sim.stop)
+        sim.schedule(20.0, lambda: seen.append(sim.now))
+        assert sim.run_until(100.0) == 1
+        assert sim.now == 10.0
+        sim.run()
+        assert seen == [20.0] and sim.now == 20.0
+        # Without a stop the clock still lands exactly on the deadline.
+        sim.run_until(100.0)
+        assert sim.now == 100.0
+
+    def test_running_flag_cleared_when_callback_raises(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        later = []
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, later.append, 1)
+        with pytest.raises(RuntimeError):
+            sim.run_until(5.0)
+        assert not sim._running
+        # The failed event is gone, the clock stayed at it, the rest runs.
+        assert sim.now == 1.0 and sim.events_processed == 0
+        sim.run()
+        assert later == [1]
+
+    def test_schedule_at_many_validation_is_atomic(self, sim):
+        sim.run_until(10.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_at_many([11.0, 9.0], lambda: None, [(), ()])
+        with pytest.raises(ValueError):
+            sim.schedule_at_many([11.0, 12.0], lambda: None, [()])
+        with pytest.raises(TypeError):
+            sim.schedule_at_many([11.0], "not callable", [()])
+        assert sim.queue_depth == 0
+
+    def test_step_runs_exactly_one_event(self, sim):
+        order = []
+        sim.schedule(1.0, order.append, 1)
+        sim.schedule(1.0, order.append, 2)
+        assert sim.step()
+        assert order == [1] and sim.events_processed == 1
+
 
 class TestPeriodicTask:
     def test_fires_every_period(self, sim):
@@ -242,7 +326,6 @@ class TestPeriodicTask:
         the same instant."""
         for _ in range(20):
             PeriodicTask(sim, 100.0, (lambda: None), jitter=40.0, rng=rng)
-        # Collect the scheduled first-fire times straight off the queue.
-        firsts = sorted(entry.event.time for entry in sim._queue)
+        firsts = sim.pending_times()
         assert len(set(firsts)) > 1
         assert all(60.0 <= t <= 140.0 for t in firsts)

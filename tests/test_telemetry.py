@@ -429,6 +429,13 @@ class TestNoPerturbation:
         rendered = render_snapshot(snapshot)
         assert f"discovery  rounds={counters['node.discovery.rounds']}" in rendered
         assert f"refresh    rounds={counters['node.refresh.rounds']}" in rendered
+        # The two operation-plane caches count their rebuilds (and only
+        # those): far fewer snapshots than launches + messages, and no
+        # more neighbor views than there were tables to read.
+        assert 0 < counters["churn.snapshot.rebuilds"] < counters["sim.events"]
+        assert counters["membership.view.rebuilds"] > 0
+        assert f"snapshot  rebuilds={counters['churn.snapshot.rebuilds']}" in rendered
+        assert f"view     rebuilds={counters['membership.view.rebuilds']}" in rendered
 
 
 class TestRss:

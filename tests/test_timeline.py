@@ -140,6 +140,74 @@ class TestQueryParity:
             assert timeline.presence_snapshot(np.nextafter(hi, -np.inf)) is held
             assert timeline.presence_snapshot(hi) is not held
 
+    @given(
+        lists=st.lists(st.lists(interval, max_size=8), min_size=2, max_size=6),
+        times=query_times,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_snapshot_availability_is_availability_array_bit_for_bit(self, lists, times):
+        """The edge-to-edge snapshot's availability is the segment-search
+        answer with the same association: random times, every session
+        edge and its float neighbours, before a node's first session, and
+        a node that is never online — equal as floats, not approximately."""
+        lists = lists + [[]]  # a never-online node
+        timeline, _ = make_pair(lists)
+        rows = np.arange(len(lists), dtype=np.int64)
+        edges = np.unique(np.concatenate((timeline.starts, timeline.ends)))
+        probes = np.concatenate(
+            (times, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-5.0])
+        )
+        for t in probes.tolist():
+            snapshot = timeline.snapshot(t)
+            assert snapshot.valid_from <= t < snapshot.valid_until
+            expected = timeline.availability_array(rows, t)
+            got = snapshot.availability(rows, t)
+            assert got.tolist() == expected.tolist()
+            assert got[-1] == 0.0
+            subset = rows[::2]
+            assert snapshot.availability(subset, t).tolist() == expected[::2].tolist()
+            # One window, one object: a second request inside it is a hit.
+            assert timeline.snapshot(t) is snapshot
+            assert timeline.live_snapshot(t) is snapshot
+
+    @given(lists=interval_lists, times=query_times, anchor=st.floats(0.0, HORIZON, width=32))
+    @settings(max_examples=100, deadline=None)
+    def test_trace_scalar_presence_same_inside_and_outside_the_window(self, lists, times, anchor):
+        timeline, schedules = make_pair(lists)
+        trace = timeline.to_trace()
+        window = timeline.snapshot(anchor)
+        bounds = [b for b in (window.valid_from, window.valid_until) if np.isfinite(b)]
+        for t in list(times) + bounds:
+            for node, schedule in enumerate(schedules):
+                assert trace.is_online(node, t) == bool(schedule.is_online(t))
+            assert trace.is_online(len(schedules), t) is False  # unknown key
+        assert timeline.snapshot(anchor) is window
+
+    def test_snapshot_availability_counts_uptime_before_time_zero(self):
+        # A session that began before t = 0 (tolerated, see TestStructure):
+        # availability over [0, t] subtracts the uptime before 0, exactly
+        # as availability_array does.
+        timeline = ChurnTimeline(
+            2, 100.0, np.array([0, 0, 1]), np.array([-10.0, 40.0, 5.0]), np.array([20.0, 60.0, 15.0])
+        )
+        rows = np.arange(2)
+        for t in (10.0, 20.0, 30.0, 50.0, 99.0):
+            expected = timeline.availability_array(rows, t)
+            assert timeline.snapshot(t).availability(rows, t).tolist() == expected.tolist()
+
+    def test_live_snapshot_never_builds(self):
+        timeline = ChurnTimeline.from_interval_lists([[(10.0, 20.0)], [(15.0, 30.0)]], HORIZON)
+        assert timeline.live_snapshot(12.0) is None
+        built = timeline.snapshot(12.0)
+        assert (built.valid_from, built.valid_until) == (10.0, 15.0)
+        assert timeline.live_snapshot(10.0) is built
+        assert timeline.live_snapshot(np.nextafter(15.0, 0.0)) is built
+        assert timeline.live_snapshot(15.0) is None  # [from, until)
+        assert timeline.live_snapshot(np.nextafter(10.0, 0.0)) is None
+        assert timeline.snapshot(12.0) is built  # a miss did not evict it
+        for column in (built.online, *timeline._snapshot_sessions(12.0)):
+            assert not column.flags.writeable
+
     @given(lists=interval_lists, times=query_times)
     @settings(max_examples=120, deadline=None)
     def test_uptime_and_availability_match_schedules(self, lists, times):
