@@ -366,10 +366,10 @@ class ChurnTrace:
     def is_online_array(self, nodes: Sequence[NodeKey], times) -> np.ndarray:
         """Batched :meth:`is_online`: presence of ``nodes[k]`` at
         ``times`` (a scalar or a parallel array of instants) in one
-        vectorized timeline query — the call the network's batched
-        dispatch layer makes once per send cohort.  Raises ``KeyError``
-        on unknown nodes (callers that want the scalar protocol's
-        False-for-unknowns fall back to :meth:`is_online`).
+        vectorized timeline query (what
+        :meth:`repro.sim.network.Network.online_array` asks).  Raises
+        ``KeyError`` on unknown nodes (callers that want the scalar
+        protocol's False-for-unknowns fall back to :meth:`is_online`).
         """
         return self.timeline.is_online_array(self.node_indices(nodes), times)
 

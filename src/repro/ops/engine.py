@@ -33,7 +33,6 @@ from repro.ops.results import AnycastRecord, AnycastStatus, MulticastRecord
 from repro.ops.spec import TargetSpec
 from repro.sim.engine import ScheduledEvent, Simulator
 from repro.sim.network import Envelope, Network
-from repro.telemetry import current as current_telemetry
 from repro.util.randomness import fallback_rng
 
 __all__ = ["OperationEngine"]
@@ -65,31 +64,15 @@ class _GossipState:
     refresh rounds mutate the membership lists between gossip rounds —
     the candidate list is recomputed every round, so an index would point
     at an arbitrary neighbor and could permanently skip some.
-
-    The columnar walk keeps the same cursor in digest space
-    (``resume_digest``/``sent_digests``) so a round over a large table is
-    one rotated mask over the candidate arrays instead of a Python
-    re-scan; digests name neighbors 1:1, so both cursors resume at the
-    same position.
     """
 
     rounds_left: int
     sent_to: Set[NodeId] = field(default_factory=set)
     resume_after: Optional[NodeId] = None
-    resume_digest: Optional[int] = None
-    sent_digests: Set[int] = field(default_factory=set)
 
 
 class OperationEngine:
     """Runs management operations over a node population."""
-
-    #: Minimum membership-table occupancy before a gossip round's target
-    #: walk uses the rotated columnar mask instead of the scalar
-    #: resume-cursor scan.  The two are pick-identical and rng-free, so
-    #: — like ``Network.batch_threshold`` — this is purely a performance
-    #: knob: below roughly this many neighbors the handful of small-array
-    #: numpy ops cost more than the early-exit Python walk.
-    GOSSIP_COLUMNAR_MIN = 64
 
     def __init__(
         self,
@@ -115,9 +98,6 @@ class OperationEngine:
         self.truth_eligible = truth_eligible
         self.rng = rng if rng is not None else fallback_rng()
         self.verify_inbound = verify_inbound
-        # Captured once (see Simulator): per-session recorders route
-        # through construction-time capture, not a process-wide global.
-        self._telemetry = current_telemetry()
         self.anycasts: Dict[int, AnycastRecord] = {}
         self.multicasts: Dict[int, MulticastRecord] = {}
         self.rejected_inbound = 0
@@ -127,13 +107,6 @@ class OperationEngine:
         self._pending: Dict[int, _PendingAttempt] = {}  # attempt -> state
         self._mcast_seen: Dict[int, Set[NodeId]] = {}  # op -> nodes that processed
         self._gossip: Dict[Tuple[int, NodeId], _GossipState] = {}
-        # Wavefront dispatch state: same-instant anycast forwards and
-        # flood cohorts accumulate here while a hold is in effect and
-        # flush as one ordered pass — see docs/architecture.md §"Anycast
-        # wavefront".
-        self._wavefront: List[tuple] = []
-        self._hold_depth = 0
-        network.cohort_hooks = (self.hold_wavefront, self.release_wavefront)
         for node in nodes.values():
             node.register_handler(AnycastMessage, self._handle_anycast)
             node.register_handler(AnycastAck, self._handle_ack)
@@ -301,107 +274,28 @@ class OperationEngine:
             if record.status == AnycastStatus.PENDING:
                 record.status = AnycastStatus.TTL_EXPIRED
             return
-        # The forward joins the current same-instant cohort.  Without an
-        # active hold the cohort is just this message and flushes
-        # synchronously.
-        self._wavefront.append(("fwd", node, message))
-        if self._hold_depth == 0:
-            self._flush_wavefront()
-
-    # -- wavefront dispatch ---------------------------------------------
-    def hold_wavefront(self) -> None:
-        """Begin collecting same-instant dispatch work instead of sending
-        immediately.  Holds nest (the plan runner brackets launch
-        instants; the network brackets multi-message delivery cohorts);
-        the wavefront flushes when the last hold releases."""
-        self._hold_depth += 1
-
-    def release_wavefront(self) -> None:
-        """Release one hold; flush the accumulated wavefront if it was
-        the last."""
-        if self._hold_depth > 0:
-            self._hold_depth -= 1
-        if self._hold_depth == 0 and self._wavefront:
-            self._flush_wavefront()
-
-    def _flush_wavefront(self) -> None:
-        """Dispatch the accumulated same-instant cohort in arrival order.
-
-        Consecutive anycast forwards coalesce into one
-        :meth:`~repro.sim.network.Network.send_many` (one vectorized
-        latency draw / presence query for the whole segment); a queued
-        flood cohort is a segment boundary, so the ``"latency"`` stream
-        is consumed in arrival order — the order one send per message
-        would draw in, which is what ``tests/data/golden/`` records.
-        Ack timeouts are armed per segment, in operation order, so
-        equal-deadline timeouts tie-break in that order too.
-        """
-        actions = self._wavefront
-        if not actions:
+        policy = self._policies[message.op_id]
+        candidates = self._order_candidates(node, message, record, policy)
+        if not candidates:
+            if record.status == AnycastStatus.PENDING:
+                record.status = AnycastStatus.NO_NEIGHBOR
             return
-        self._wavefront = []
-        if self._telemetry.enabled:
-            self._telemetry.observe("dispatch.wavefront_actions", len(actions))
-        with self._telemetry.span("dispatch.flush"):
-            self._dispatch_wavefront(actions)
-
-    def _dispatch_wavefront(self, actions: List[tuple]) -> None:
-        items: List[tuple] = []
-        armed: List[Tuple[int, int, _PendingAttempt]] = []
-
-        def flush_forwards() -> None:
-            if not items:
-                return
-            wired = self.network.send_many(items)
-            for item_idx, attempt, state in armed:
-                if not wired[item_idx]:
-                    # Holder offline at send time: nothing hit the wire,
-                    # so no ack timeout — the same dead-hop outcome as
-                    # a failed _try_next_candidate send.
-                    continue
-                self._pending[attempt] = state
-                state.timeout = self.sim.schedule(
-                    self.config.anycast.ack_timeout, self._on_ack_timeout, attempt
-                )
-            items.clear()
-            armed.clear()
-
-        for action in actions:
-            if action[0] == "flood":
-                _, src, targets, payload, record = action
-                flush_forwards()
-                self._dispatch_mcast_cohort(src, targets, payload, record)
-                continue
-            _, node, message = action
-            record = self.anycasts[message.op_id]
-            policy = self._policies[message.op_id]
-            candidates = self._order_candidates(node, message, record, policy)
-            if not candidates:
-                if record.status == AnycastStatus.PENDING:
-                    record.status = AnycastStatus.NO_NEIGHBOR
-                continue
-            if policy.wants_ack:
-                if record.status != AnycastStatus.PENDING:
-                    continue  # already resolved elsewhere
-                state = _PendingAttempt(
+        if policy.wants_ack:
+            self._try_next_candidate(
+                _PendingAttempt(
                     record=record,
                     holder=node.id,
                     base_message=message,
                     candidates=candidates,
-                    next_index=1,
+                    next_index=0,
                     retry_remaining=message.retry,
                 )
-                attempt = self._new_attempt()
-                forwarded = message.hop(
-                    node.id, candidates[0], attempt, retry=state.retry_remaining
-                )
-                armed.append((len(items), attempt, state))
-                items.append((node.id, candidates[0], forwarded))
-            else:
-                next_hop = candidates[0]
-                forwarded = message.hop(node.id, next_hop, self._new_attempt())
-                items.append((node.id, next_hop, forwarded))
-        flush_forwards()
+            )
+        else:
+            next_hop = candidates[0]
+            self.network.send(
+                node.id, next_hop, message.hop(node.id, next_hop, self._new_attempt())
+            )
 
     def _order_candidates(
         self,
@@ -585,15 +479,7 @@ class OperationEngine:
             for neighbor in self._in_range_neighbors(node, record)
             if neighbor != message.sender
         ]
-        if not targets:
-            return
-        if self._hold_depth > 0:
-            # Mid-wavefront flood (a launch-instant stage-2 start, or a
-            # reception inside a delivery cohort): queue it so its
-            # latency draws land between the forwards queued before and
-            # after it, in arrival order.
-            self._wavefront.append(("flood", node.id, targets, forwarded, record))
-        else:
+        if targets:
             self._dispatch_mcast_cohort(node.id, targets, forwarded, record)
 
     def _dispatch_mcast_cohort(
@@ -604,32 +490,10 @@ class OperationEngine:
         record: MulticastRecord,
     ) -> None:
         """One dispatch for a fan-out cohort; the message tally counts
-        transmission attempts.  Destinations already in the operation's seen-set are
-        suppressed at the dispatch layer — the seen-set only grows, so a
-        duplicate identified at send time is certainly one at arrival;
-        the network credits it delivered without scheduling an event and
-        we tally ``duplicate_receptions`` here instead of in
-        :meth:`_accept_multicast`.  Suppression stays off under inbound
-        verification (a verifier could reject the duplicate, which must
-        keep counting as a rejection, not a reception).
-        """
-        if not self.verify_inbound and len(targets) >= self.network.batch_threshold:
-            # Build the mask only for cohorts the network will actually
-            # vectorize; a sub-threshold cohort delivers every message,
-            # and the receiver-side seen-set counts the duplicates — same
-            # totals, no wasted mask construction.
-            seen = self._mcast_seen[payload.op_id]
-            suppress = np.fromiter(
-                (target in seen for target in targets),
-                dtype=bool,
-                count=len(targets),
-            )
-            _, duplicates = self.network.send_batch_suppressing(
-                src, targets, payload, suppress
-            )
-            record.duplicate_receptions += duplicates
-        else:
-            self.network.send_batch(src, targets, payload)
+        transmission attempts.  Every message travels: a destination
+        that already processed the operation counts the duplicate when
+        it receives it (:meth:`_accept_multicast`)."""
+        self.network.send_batch(src, targets, payload)
         record.data_messages += len(targets)
 
     # -- gossip ---------------------------------------------------------
@@ -668,13 +532,8 @@ class OperationEngine:
             # evicted in the meantime, iteration restarts from the front
             # (the sent-set suppresses duplicates).  The selection
             # consumes no randomness, so the cohort's latency draws land
-            # in the same stream order as a per-send loop's.  Large
-            # tables run the walk as one rotated mask over the columnar
-            # candidate arrays; small ones keep the early-exit scan.
-            if node.lists.total_count >= self.GOSSIP_COLUMNAR_MIN:
-                targets = self._gossip_targets_columnar(node, record, state)
-            else:
-                targets = self._gossip_targets_scan(node, record, state, node_id)
+            # in the same stream order as a per-send loop's.
+            targets = self._gossip_targets(node, record, state)
             if targets:
                 self._dispatch_mcast_cohort(node_id, targets, message, record)
         state.rounds_left -= 1
@@ -683,15 +542,11 @@ class OperationEngine:
                 self.config.gossip.period, self._gossip_round, op_id, node_id
             )
 
-    def _gossip_targets_scan(
-        self,
-        node: AvmemNode,
-        record: MulticastRecord,
-        state: _GossipState,
-        node_id: NodeId,
+    def _gossip_targets(
+        self, node: AvmemNode, record: MulticastRecord, state: _GossipState
     ) -> List[NodeId]:
-        """The scalar resume-cursor walk (tables under
-        :attr:`GOSSIP_COLUMNAR_MIN`)."""
+        """One round's picks: the resume-cursor walk over the in-range
+        neighbors, stopping at ``fanout`` new targets."""
         candidates = self._in_range_neighbors(node, record)
         index = 0
         if state.resume_after is not None:
@@ -705,64 +560,9 @@ class OperationEngine:
             target_node = candidates[index % len(candidates)]
             index += 1
             scanned += 1
-            if target_node in state.sent_to or target_node == node_id:
+            if target_node in state.sent_to or target_node == node.id:
                 continue
             state.sent_to.add(target_node)
             state.resume_after = target_node
             targets.append(target_node)
-        # Mirror the digest-space cursor so later rounds can switch to
-        # the columnar walk (table grown past GOSSIP_COLUMNAR_MIN)
-        # without losing their place.
-        if targets:
-            state.sent_digests.update(t.digest64 for t in targets)
-            state.resume_digest = targets[-1].digest64
-        return targets
-
-    def _gossip_targets_columnar(
-        self, node: AvmemNode, record: MulticastRecord, state: _GossipState
-    ) -> List[NodeId]:
-        """One round's picks as a rotated mask over the columnar view.
-
-        Equivalent to :meth:`_gossip_targets_scan`: rotating the
-        candidate index space to start one past the resume cursor visits
-        each candidate exactly once in the same wrap order the scalar
-        walk scans, and the sent/self exclusions are the same
-        (digest-keyed) membership tests, so the first ``fanout`` valid
-        positions are the identical picks.
-        """
-        view = node.lists.neighbor_arrays()
-        mask = record.target.contains_array(view.availabilities)
-        if record.selector == SliverSelector.HS_ONLY:
-            mask &= view.horizontal
-        elif record.selector == SliverSelector.VS_ONLY:
-            mask &= ~view.horizontal
-        idx = np.flatnonzero(mask)
-        if not idx.size:
-            return []
-        cand_digests = view.digests[idx]
-        start = 0
-        if state.resume_digest is not None:
-            pos = np.flatnonzero(cand_digests == np.uint64(state.resume_digest))
-            if pos.size:
-                start = int(pos[0]) + 1
-        rotated = np.roll(np.arange(idx.size), -start)
-        scan = cand_digests[rotated]
-        valid = scan != np.uint64(node.id.digest64)
-        if state.sent_digests:
-            sent = np.fromiter(
-                state.sent_digests, dtype=np.uint64, count=len(state.sent_digests)
-            )
-            valid &= ~np.isin(scan, sent)
-        picks = rotated[np.flatnonzero(valid)[: self.config.gossip.fanout]]
-        if not picks.size:
-            return []
-        pick_digests = cand_digests[picks]
-        state.resume_digest = int(pick_digests[-1])
-        state.sent_digests.update(int(d) for d in pick_digests)
-        targets = list(view.nodes[idx[picks]])
-        # Mirror the identity-space cursor too: the picks are already
-        # materialized, introspection (tests, reports) reads these
-        # fields, and a table that shrinks switches back to the scan.
-        state.sent_to.update(targets)
-        state.resume_after = targets[-1]
         return targets

@@ -108,26 +108,12 @@ class OperationRunner:
         engine = simulation.engine
         start = sim.now
         outcomes: List[Tuple[int, float, Optional[Record]]] = []
-        # Launch slots sharing one instant form a wavefront cohort: the
-        # engine holds their first-hop dispatches while the cohort
-        # launches and flushes them as one batch when the clock is about
-        # to advance (identical records to per-slot dispatch — the
-        # ordering and latency streams are consumed in the same
-        # per-stream order; see docs/architecture.md §"Anycast
-        # wavefront").
-        holding = False
         telemetry = self._telemetry
         for k in range(len(schedule)):
             launch_at = start + float(schedule.times[k])
             if launch_at > sim.now:
-                if holding:
-                    engine.release_wavefront()
-                    holding = False
                 with telemetry.span("ops.advance"):
                     sim.run_until(launch_at)
-            if not holding:
-                engine.hold_wavefront()
-                holding = True
             item_index = int(schedule.item_index[k])
             item = plan.items[item_index]
             initiator = self._resolve_initiator(item)
@@ -159,8 +145,6 @@ class OperationRunner:
                     retry=item.retry,
                 )
             outcomes.append((item_index, record.started_at, record))
-        if holding:
-            engine.release_wavefront()
         drain_until = start + schedule.horizon
         if drain_until > sim.now:
             sim.run_until(drain_until)

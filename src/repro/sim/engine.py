@@ -166,16 +166,6 @@ class Simulator:
         heapq.heappush(self._queue, (event.time, next(self._counter), event))
         return event
 
-    def defer(self, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at the *current* instant.
-
-        The event fires after every already-queued event at this time
-        (equal-time events tie-break by scheduling order) — the hook the
-        wavefront dispatcher uses to coalesce all work arriving at one
-        simulated instant into a single flush.
-        """
-        return self.schedule_at(self._now, callback, *args)
-
     def schedule_at_many(
         self,
         times: Sequence[float],
@@ -184,11 +174,12 @@ class Simulator:
     ) -> List[ScheduledEvent]:
         """Schedule ``callback(*args_seq[k])`` at ``times[k]`` for every k.
 
-        The batched-dispatch sibling of :meth:`schedule_at`: validation
-        runs once for the whole cohort and heap entries are pushed
-        directly, so enqueueing a delivery cohort costs one Python call
-        plus one push per event instead of one full ``schedule_at`` round
-        trip each.  Events fire in time order with the same deterministic
+        The cohort form of :meth:`schedule_at`, used by
+        ``Network.send_batch`` for a cohort's ``_deliver`` events:
+        validation runs once for the whole cohort and heap entries are
+        pushed directly, so enqueueing it costs one Python call plus one
+        push per event instead of one full ``schedule_at`` round trip
+        each.  Events fire in time order with the same deterministic
         tie-breaking (scheduling order) as individually scheduled ones.
         """
         if len(times) != len(args_seq):

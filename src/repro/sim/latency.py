@@ -27,11 +27,12 @@ __all__ = [
 class LatencyModel(abc.ABC):
     """Strategy producing a one-way delivery latency per message, in seconds.
 
-    Models implement the vectorized :meth:`sample_array` (the batched
-    dispatch layer draws whole send cohorts in one call); the scalar
-    :meth:`sample` delegates to it, so a cohort of ``n`` draws consumes
-    the rng stream exactly like ``n`` successive scalar draws — which
-    keeps :class:`~repro.sim.network.Network`'s size-based choice unseen.
+    Models implement the vectorized :meth:`sample_array`
+    (:meth:`Network.send_batch <repro.sim.network.Network.send_batch>`
+    draws a whole send cohort in one call); the scalar :meth:`sample`
+    delegates to it, so a cohort of ``n`` draws consumes the rng stream
+    exactly like ``n`` successive scalar draws — which is what makes
+    ``send_batch`` a loop of ``send``.
     """
 
     def sample(self, rng: np.random.Generator) -> float:

@@ -22,10 +22,10 @@ The four primitives:
   ``net.drop.dst_offline``);
 * **gauges** — last-write-wins samples (``sim.queue_depth``);
 * **histograms** — numpy-backed power-of-two bucket tallies for
-  non-negative sizes (dispatch cohort sizes, wavefront lengths);
+  non-negative sizes (``sim.schedule_cohort_size``);
 * **spans** — nested wall-clock intervals aggregated into a tree keyed
-  by the span-name path (``ops.execute`` → ``ops.advance`` →
-  ``dispatch.flush``), with per-path call counts and total seconds.
+  by the span-name path (``ops.run`` → ``ops.execute`` →
+  ``ops.advance``), with per-path call counts and total seconds.
 
 Freeze everything with :meth:`TelemetryRecorder.snapshot` — a
 :class:`~repro.telemetry.snapshot.TelemetrySnapshot` with exact JSON

@@ -1,16 +1,12 @@
-"""Tests for the batched network-dispatch layer.
+"""Tests for the message plane: one simulator event per on-wire message.
 
-The load-bearing property is **vector-vs-scalar equivalence**: the
-cohort path (vectorized latency draws, one batched arrival-instant
-presence query, one simulator event per arrival-time cohort) must be
-behaviourally indistinguishable from the sub-threshold loop of scalar
-``Network.send`` calls (one event per message) — same rng stream
-consumption, same delivery times and handler order, same accounting
-totals, and (end to end) identical operation records on
-identically-seeded simulations across forwarding policies and multicast
-modes.  ``Network.batch_threshold`` is the only selection between the
-two, so ``1`` vs ``10**9`` (:data:`SCALAR`) exercises both live; what
-the records must *be* is held by ``tests/test_golden_logs.py``.
+The load-bearing property is that ``Network.send_batch`` is **exactly a
+loop of** ``Network.send`` — same rng stream consumption, same events,
+delivery times and handler order, same accounting totals — at the
+network level (scripted presence, hypothesis) and end to end (seeded
+plans replayed with ``send_batch`` swapped for the loop kept here as the
+reference).  What the records must *be* is held by
+``tests/test_golden_logs.py``.
 """
 
 from __future__ import annotations
@@ -22,26 +18,24 @@ from hypothesis import strategies as st
 
 from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.ids import make_node_ids
+from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, LogNormalLatency, UniformLatency
 from repro.sim.network import DropReason, Network
+from repro.telemetry import TelemetryRecorder, use_recorder
 
 from reference.anycast_order import order_candidates_entries
+from test_ops_engine import build_system
 from test_golden_logs import (
     POLICIES,
     TIMINGS,
     assert_same_records,
     build_sim,
-    duplicate_receptions,
     parity_plan,
     run_plan,
-    suppression_plan,
     wavefront_plan,
 )
-
-#: a threshold above any cohort: every message takes a scalar Network.send
-SCALAR = 10**9
 
 
 # ----------------------------------------------------------------------
@@ -102,29 +96,21 @@ class ScriptedPresence:
         return any(start <= time < end for start, end in self.windows.get(node, []))
 
 
-def recording_network(sim, latency, presence=None, nodes=("a", "b", "c", "d"),
-                      batch_threshold=1):
-    # batch_threshold=1 forces even tiny cohorts through the vector path
-    # (the production default routes sub-dozen cohorts through the
-    # scalar loop purely for speed); SCALAR forces the scalar loop.
-    net = Network(sim, latency=latency, presence=presence,
-                  batch_threshold=batch_threshold, rng=np.random.default_rng(42))
+def recording_network(sim, latency, presence=None, nodes=("a", "b", "c", "d")):
+    net = Network(sim, latency=latency, presence=presence, rng=np.random.default_rng(42))
     inbox = []
     for node in nodes:
         net.attach(node, lambda env: inbox.append((env.dst, env.delivered_at)))
     return net, inbox
 
 
-class TestSendBatch:
-    def test_one_event_per_arrival_cohort(self, sim):
-        """Equal latencies collapse the whole cohort into one event."""
-        net, inbox = recording_network(sim, ConstantLatency(0.05))
-        assert net.send_batch("a", ["b", "c", "d"], "x") == 3
-        before = sim.events_processed
-        sim.run()
-        assert sim.events_processed - before == 1  # one cohort event
-        assert inbox == [("b", 0.05), ("c", 0.05), ("d", 0.05)]
+def send_batch_as_loop(network, src, dsts, payload):
+    """The reference ``send_batch`` is held to: one ``send`` per
+    destination, in order."""
+    return sum(network.send(src, dst, payload) for dst in dsts)
 
+
+class TestSendBatch:
     def test_distinct_latencies_deliver_at_own_instants(self, sim):
         net, inbox = recording_network(sim, UniformLatency(0.02, 0.08))
         net.send_batch("a", ["b", "c", "d"], "x")
@@ -146,12 +132,10 @@ class TestSendBatch:
         assert inbox == []
 
     def test_sub_threshold_offline_sender_draws_nothing(self, sim):
-        """Below the threshold too: one sender check for the cohort,
-        SRC_OFFLINE x n, no latency draw, no event."""
+        """One sender check for the cohort, a repeated destination
+        included: SRC_OFFLINE x n, no latency draw, no event."""
         presence = ScriptedPresence({"b": [(0, 100)], "c": [(0, 100)]})
-        net, inbox = recording_network(
-            sim, UniformLatency(), presence=presence, batch_threshold=SCALAR
-        )
+        net, inbox = recording_network(sim, UniformLatency(), presence=presence)
         state = net.rng.bit_generator.state
         assert net.send_batch("a", ["b", "c", "b"], "x") == 0
         assert net.rng.bit_generator.state == state
@@ -161,10 +145,11 @@ class TestSendBatch:
 
     @pytest.mark.parametrize("model", [UniformLatency(0.02, 0.08), ConstantLatency(0.05)])
     def test_sub_threshold_cohort_is_one_send_per_destination(self, model):
-        """Below the threshold a cohort enqueues exactly what a loop of
-        scalar sends would: one event per message at the same instants
-        in the same order, arrival-time presence checked at delivery,
-        the latency stream left at the same position."""
+        """A cohort enqueues exactly what a loop of sends would: one
+        event per message at the same instants in the same order (equal
+        instants included — constant latency), arrival-time presence
+        checked at delivery, the latency stream left at the same
+        position."""
         windows = {
             "a": [(0, 100)], "b": [(0, 100)],
             "c": [(0.0, 0.03)],  # offline by the time its message lands
@@ -173,15 +158,13 @@ class TestSendBatch:
         runs = []
         for cohort in (True, False):
             sim = Simulator()
-            net, inbox = recording_network(
-                sim, model, presence=ScriptedPresence(windows), batch_threshold=SCALAR
-            )
+            net, inbox = recording_network(sim, model, presence=ScriptedPresence(windows))
             net.detach("d")  # NO_HANDLER resolved at delivery on both
             for dsts in (["b", "c", "d"], ["c"], ["d", "b"]):
                 if cohort:
                     assert net.send_batch("a", dsts, "payload") == len(dsts)
                 else:
-                    assert all(net.send("a", dst, "payload") for dst in dsts)
+                    assert send_batch_as_loop(net, "a", dsts, "payload") == len(dsts)
             depth = sim.queue_depth
             sim.run()
             runs.append(
@@ -190,14 +173,6 @@ class TestSendBatch:
             )
         assert runs[0] == runs[1]
         assert runs[0][2] == 6  # one event per message
-
-    def test_offline_destination_dropped_without_event(self, sim):
-        presence = ScriptedPresence({"a": [(0, 100)], "b": [(0, 100)], "c": []})
-        net, inbox = recording_network(sim, ConstantLatency(0.05), presence=presence)
-        assert net.send_batch("a", ["b", "c"], "x") == 2
-        assert net.stats.dropped[DropReason.DST_OFFLINE] == 1
-        sim.run()
-        assert inbox == [("b", 0.05)]
 
     def test_destination_going_offline_mid_flight(self, sim):
         """Presence is evaluated at the arrival instant, not send time."""
@@ -221,31 +196,100 @@ class TestSendBatch:
         assert net.send_batch("a", [], "x") == 0
         assert net.stats.sent == 0
 
-    @pytest.mark.parametrize("batch_threshold", [1, Network.DEFAULT_BATCH_THRESHOLD])
-    def test_cohort_vs_singleton_stats_parity(self, batch_threshold):
+    @pytest.mark.parametrize("largest", [1, 12])
+    def test_cohort_vs_singleton_stats_parity(self, largest):
         """Identically-seeded networks produce the same accounting
-        totals, delivery order, and delivery times whether cohorts take
-        the vector path (threshold 1), mix vector and scalar dispatch
-        (the default threshold), or all take the scalar loop."""
-        windows = {
-            "a": [(0, 100)], "b": [(0, 100)],
-            "c": [(0.0, 0.03)],  # will be offline at most arrivals
-            "d": [(0, 100)],
-        }
+        totals, delivery order and delivery times whether a run of
+        cohorts (all singletons, or sizes cycling up to a dozen) goes
+        through ``send_batch`` or message by message."""
+        nodes = tuple(f"n{k}" for k in range(13))
+        windows = {node: [(0, 100)] for node in nodes}
+        windows["n2"] = [(0.0, 0.03)]  # will be offline at most arrivals
         runs = []
-        for threshold in (batch_threshold, SCALAR):
+        for batched in (True, False):
             sim = Simulator()
             net, inbox = recording_network(
                 sim, UniformLatency(0.02, 0.08),
-                presence=ScriptedPresence(windows), batch_threshold=threshold,
+                presence=ScriptedPresence(windows), nodes=nodes,
             )
-            for size in (3, 1, 2, 3, 3, 1, 3, 2, 3, 3):  # straddles any threshold
-                net.send_batch("a", ["b", "c", "d"][:size], "payload")
-            net.send("a", "b", "single")  # singleton sends interleave fine
+            for k in range(20):
+                dsts = list(nodes[1 : 2 + k % largest])
+                if batched:
+                    net.send_batch("n0", dsts, "payload")
+                else:
+                    send_batch_as_loop(net, "n0", dsts, "payload")
+            net.send("n0", "n1", "single")  # singleton sends interleave fine
             sim.run()
             runs.append((net.stats.snapshot(), inbox))
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
+        assert runs[0] == runs[1]
+
+
+class TestMessageConservation:
+    """Every on-wire message is exactly one ``_deliver`` event, and ends
+    delivered or dropped at its arrival — the network half of the
+    cross-layer audit (ROADMAP item 5a)."""
+
+    NODES = tuple(f"n{k}" for k in range(8))
+
+    @given(
+        windows=st.lists(
+            st.lists(
+                st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4)).map(
+                    lambda p: (p[0], p[0] + p[1])
+                ),
+                max_size=2,
+            ),
+            min_size=8, max_size=8,
+        ),
+        calls=st.lists(
+            st.tuples(
+                st.floats(0.0, 0.3),  # when
+                st.integers(0, 7),  # sender
+                st.lists(st.integers(0, 7), max_size=20),  # [] = send, else cohort
+                st.integers(0, 7),  # send destination
+            ),
+            min_size=1, max_size=12,
+        ),
+        detach=st.tuples(st.floats(0.0, 0.4), st.integers(0, 7)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sent_equals_delivered_plus_arrival_drops(self, windows, calls, detach, seed):
+        sim = Simulator()
+        presence = ScriptedPresence(dict(zip(self.NODES, windows)))
+        recorder = TelemetryRecorder(enabled=True)
+        with use_recorder(recorder):
+            net = Network(
+                sim, latency=UniformLatency(0.02, 0.08), presence=presence,
+                rng=np.random.default_rng(seed),
+            )
+        received = []
+        for node in self.NODES:
+            net.attach(node, received.append)
+        for when, src, cohort, dst in calls:
+            if cohort:
+                sim.schedule_at(
+                    when, net.send_batch, self.NODES[src], [self.NODES[k] for k in cohort], "x"
+                )
+            else:
+                sim.schedule_at(when, net.send, self.NODES[src], self.NODES[dst], "x")
+        sim.schedule_at(detach[0], net.detach, self.NODES[detach[1]])  # mid-flight
+        sim.run()
+        stats = net.stats
+        assert stats.sent == (
+            stats.delivered
+            + stats.dropped.get(DropReason.DST_OFFLINE, 0)
+            + stats.dropped.get(DropReason.NO_HANDLER, 0)
+        )
+        assert len(received) == stats.delivered
+        scripted = len(calls) + 1
+        assert sim.events_processed - scripted == stats.sent
+        counted = {
+            name[len("net.drop."):]: value
+            for name, value in recorder.snapshot().counters.items()
+            if name.startswith("net.drop.")
+        }
+        assert counted == stats.dropped  # src_offline included
 
 
 # ----------------------------------------------------------------------
@@ -306,19 +350,18 @@ class TestTraceBatchPresence:
 
 
 # ----------------------------------------------------------------------
-# End-to-end record parity: every cohort vectorized vs every message scalar
+# End-to-end record parity: send_batch vs the loop of send
 # ----------------------------------------------------------------------
-def assert_vector_matches_scalar(seed, plan):
-    """One seeded plan at ``batch_threshold`` 1 and at :data:`SCALAR`:
-    identical records and network totals; the vector run hands off no
-    more multicast envelopes, the gap bounded by the duplicates the
-    dispatch layer absorbed."""
-    vector = run_plan(seed, plan, 1)
-    scalar = run_plan(seed, plan, SCALAR)
-    assert_same_records(vector, scalar)
-    saved = scalar["multicast_handoffs"] - vector["multicast_handoffs"]
-    assert 0 <= saved <= duplicate_receptions(scalar)
-    return saved
+def assert_batch_matches_loop(seed, plan):
+    """One seeded plan with ``Network.send_batch`` as shipped and with
+    the reference loop in its place: identical records, network totals
+    and multicast hand-offs."""
+    batched = run_plan(seed, plan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "send_batch", send_batch_as_loop)
+        looped = run_plan(seed, plan)
+    assert_same_records(batched, looped)
+    assert batched["multicast_handoffs"] == looped["multicast_handoffs"]
 
 
 class TestDispatchRecordParity:
@@ -329,16 +372,16 @@ class TestDispatchRecordParity:
     )
     @settings(max_examples=6, deadline=None)
     def test_batched_matches_per_hop(self, seed, policy, mode):
-        """A seeded plan with every cohort vectorized is record-identical
-        (status, hops, transmissions, latencies, multicast tallies,
-        network totals) to the same plan with every message sent per
-        hop through scalar ``Network.send``."""
-        assert_vector_matches_scalar(seed, parity_plan(policy, mode))
+        """A seeded plan whose fan-out cohorts go through ``send_batch``
+        is record-identical (status, hops, transmissions, latencies,
+        multicast tallies, network totals) to the same plan with every
+        message sent through ``Network.send``."""
+        assert_batch_matches_loop(seed, parity_plan(policy, mode))
 
     def test_eligible_nodes_scalar_batch_parity(self):
         """The vectorized eligibility snapshot equals the scalar loop's
         set at several instants and targets."""
-        simulation = build_sim(5, 1)
+        simulation = build_sim(5)
         engine = simulation.engine
         assert engine.truth_eligible is not None
         for target in (
@@ -368,153 +411,6 @@ class TestDispatchRecordParity:
                 if InitiatorBand.contains(band, simulation.true_availability(node))
             ]
             assert simulation.band_initiator_candidates(band) == want
-
-
-# ----------------------------------------------------------------------
-# send_many: heterogeneous wavefront cohorts
-# ----------------------------------------------------------------------
-class TestSendMany:
-    ITEMS = [
-        ("a", "b", "p0"),
-        ("ghost", "c", "p1"),  # offline sender: wired False, no draw
-        ("b", "d", "p2"),
-        ("c", "gone", "p3"),  # destination never online: dropped at send
-        ("d", "a", "p4"),
-    ]
-    WINDOWS = {
-        "a": [(0, 100)], "b": [(0, 100)], "c": [(0, 100)], "d": [(0, 100)],
-    }
-
-    def run_one(self, batch_threshold):
-        sim = Simulator()
-        net, inbox = recording_network(
-            sim, UniformLatency(0.02, 0.08),
-            presence=ScriptedPresence(self.WINDOWS),
-            batch_threshold=batch_threshold,
-        )
-        wired = net.send_many(self.ITEMS)
-        state = net.rng.bit_generator.state
-        sim.run()
-        return wired, net.stats.snapshot(), inbox, state
-
-    def test_matches_sequential_sends(self):
-        """One send_many call is indistinguishable from a loop of scalar
-        sends: same wired flags, accounting totals, delivery order and
-        instants, and the same latency-stream position afterwards."""
-        got = self.run_one(1)
-        want = self.run_one(SCALAR)
-        assert got == want
-
-    def test_threshold_routes_small_cohorts_to_scalar(self, sim):
-        """A cohort under the threshold is exactly a loop of ``send``."""
-        net, inbox = recording_network(
-            sim, UniformLatency(0.02, 0.08),
-            presence=ScriptedPresence(self.WINDOWS), batch_threshold=50,
-        )
-        wired = [net.send(*item) for item in self.ITEMS]
-        state = net.rng.bit_generator.state
-        sim.run()
-        assert (wired, net.stats.snapshot(), inbox, state) == self.run_one(50)
-
-    def test_offline_sender_consumes_no_latency_draws(self, sim):
-        """An offline sender's item draws nothing — the stream position
-        afterwards equals two scalar draws, not three."""
-        net, _ = recording_network(
-            sim, UniformLatency(0.02, 0.08),
-            presence=ScriptedPresence(self.WINDOWS),
-        )
-        reference = np.random.default_rng(42)  # recording_network's seed
-        UniformLatency(0.02, 0.08).sample_array(reference, 2)
-        wired = net.send_many([("a", "b", 1), ("ghost", "c", 2), ("b", "d", 3)])
-        assert wired == [True, False, True]
-        assert net.stats.sent == 2
-        assert net.stats.dropped[DropReason.SRC_OFFLINE] == 1
-        assert net.rng.bit_generator.state == reference.bit_generator.state
-
-    def test_heterogeneous_payloads_deliver_to_own_destinations(self, sim):
-        net, inbox = recording_network(sim, ConstantLatency(0.05))
-        payloads = {}
-        for node in ("a", "b", "c", "d"):
-            net.detach(node)
-            net.attach(node, lambda env, n=node: payloads.setdefault(n, env.payload))
-        net.send_many([("a", "b", "for-b"), ("b", "c", "for-c"), ("c", "d", "for-d")])
-        before = sim.events_processed
-        sim.run()
-        # Equal arrival instants collapse the whole wavefront into one
-        # cohort event.
-        assert sim.events_processed - before == 1
-        assert payloads == {"b": "for-b", "c": "for-c", "d": "for-d"}
-
-    def test_empty_is_noop(self, sim):
-        net, _ = recording_network(sim, UniformLatency())
-        assert net.send_many([]) == []
-        assert net.stats.sent == 0
-
-
-# ----------------------------------------------------------------------
-# Dispatch-layer duplicate suppression
-# ----------------------------------------------------------------------
-class TestSendBatchSuppressing:
-    def test_suppressed_delivers_without_event(self, sim):
-        """A suppressed destination is credited delivered but no
-        simulator event is scheduled for it."""
-        net, inbox = recording_network(sim, ConstantLatency(0.05))
-        on_wire, dup = net.send_batch_suppressing(
-            "a", ["b", "c"], "x", np.array([False, True])
-        )
-        assert (on_wire, dup) == (2, 1)
-        assert net.stats.sent == 2
-        assert net.stats.delivered == 1  # the suppressed one, pre-credited
-        sim.run()
-        assert inbox == [("b", 0.05)]  # only the unsuppressed traveled
-        assert net.stats.delivered == 2
-
-    def test_suppressed_offline_destination_counts_as_drop(self, sim):
-        """Suppression still answers presence at the arrival instant: an
-        offline duplicate is a DST_OFFLINE drop, not a reception."""
-        windows = {"a": [(0, 100)], "b": [(0, 100)], "c": [(0.0, 0.02)]}
-        net, inbox = recording_network(
-            sim, ConstantLatency(0.05), presence=ScriptedPresence(windows)
-        )
-        on_wire, dup = net.send_batch_suppressing(
-            "a", ["b", "c"], "x", np.array([False, True])
-        )
-        assert (on_wire, dup) == (2, 0)
-        assert net.stats.dropped[DropReason.DST_OFFLINE] == 1
-        sim.run()
-        assert inbox == [("b", 0.05)]
-
-    def test_suppressed_detached_destination_is_no_handler(self, sim):
-        net, _ = recording_network(sim, ConstantLatency(0.05), nodes=("a", "b"))
-        on_wire, dup = net.send_batch_suppressing(
-            "a", ["b", "zz"], "x", np.array([False, True])
-        )
-        assert (on_wire, dup) == (2, 0)
-        assert net.stats.dropped[DropReason.NO_HANDLER] == 1
-
-    def test_latency_stream_unchanged_by_suppression(self):
-        """The suppression mask must not perturb the latency draws — the
-        stream position matches an unsuppressed batch of equal size."""
-        states = []
-        for suppress in (None, np.array([False, True, True])):
-            sim = Simulator()
-            net, _ = recording_network(sim, UniformLatency(0.02, 0.08))
-            net.send_batch_suppressing("a", ["b", "c", "d"], "x", suppress)
-            states.append(net.rng.bit_generator.state)
-        assert states[0] == states[1]
-
-    def test_scalar_fallback_suppresses_nothing(self, sim):
-        """Below the batch threshold duplicates travel and are accounted
-        at reception."""
-        net, inbox = recording_network(
-            sim, ConstantLatency(0.05), batch_threshold=50
-        )
-        on_wire, dup = net.send_batch_suppressing(
-            "a", ["b", "c"], "x", np.array([True, True])
-        )
-        assert (on_wire, dup) == (2, 0)
-        sim.run()
-        assert len(inbox) == 2
 
 
 # ----------------------------------------------------------------------
@@ -616,14 +512,13 @@ class TestColumnarOrderingStreamParity:
 
 
 # ----------------------------------------------------------------------
-# Wavefront cohorts: end-to-end record parity across policies × timings
+# Same-instant launches: end-to-end record parity across policies × timings
 # ----------------------------------------------------------------------
 class TestWavefrontRecordParity:
-    """Wavefront dispatch (launch cohorts held by the runner, delivery
-    cohorts bracketed by the network hooks, columnar candidate ordering,
-    dispatch-layer duplicate suppression) with every cohort vectorized
-    is record-identical to the same wavefronts sent one scalar message
-    per hop, on seeded runs whose launches straddle churn events."""
+    """Plans whose anycasts, retried anycasts and multicasts share launch
+    instants straddling churn events: ``send_batch`` against the loop of
+    ``send``, with ack timers, stage-2 floods and gossip rounds
+    interleaved at one simulated instant."""
 
     @given(
         seed=st.integers(0, 2**16),
@@ -633,53 +528,21 @@ class TestWavefrontRecordParity:
     )
     @settings(max_examples=5, deadline=None)
     def test_wavefront_matches_per_hop(self, seed, policy, timing_name, mode):
-        assert_vector_matches_scalar(seed, wavefront_plan(policy, timing_name, mode))
+        assert_batch_matches_loop(seed, wavefront_plan(policy, timing_name, mode))
 
 
 # ----------------------------------------------------------------------
-# Duplicate suppression: accounting parity, fewer handler invocations
-# ----------------------------------------------------------------------
-class TestDuplicateSuppression:
-    """Seen-at-send duplicates are absorbed at the dispatch layer — the
-    envelope never becomes a simulator event — while every tally
-    (``duplicate_receptions``, network stats) stays identical to the
-    scalar loop, where duplicates travel and are counted at reception.
-    The strict handler-invocation inequality fails without suppression
-    (both thresholds would deliver every duplicate envelope)."""
-
-    @pytest.mark.parametrize("mode", ["flood", "gossip"])
-    def test_suppression_preserves_tallies_and_skips_handoffs(self, mode):
-        saved = assert_vector_matches_scalar(11, suppression_plan(mode))
-        # The point of the seen-mask: duplicate envelopes seen at send
-        # time never reach a handler on the vector path.
-        assert saved > 0
-
-
-# ----------------------------------------------------------------------
-# Status races survive the vector path (PR 5 fix under the seen-mask move)
+# Status races on the engine's direct first hop
 # ----------------------------------------------------------------------
 class TestStatusRaceUnderVectorDispatch:
     """The DELIVERY_OVERRIDABLE fix (a premature NO_NEIGHBOR /
     RETRY_EXPIRED verdict yields to a genuine delivery by a copy still
-    in flight) must survive wavefront dispatch: singleton flushes route
-    through ``send_many`` and acks/data through the batched presence
-    path once ``batch_threshold`` is 1."""
-
-    @staticmethod
-    def vector_system(avs, rng, latency, **kwargs):
-        from test_ops_engine import build_system
-
-        sim, network, nodes, engine, ids = build_system(
-            avs, rng=rng, latency=latency, **kwargs
-        )
-        network.batch_threshold = 1  # force every cohort down the vector path
-        return sim, network, nodes, engine, ids
+    in flight) on the path every operation takes: the initiator's first
+    hop is ``_try_next_candidate`` on a fresh attempt."""
 
     def test_delivery_overrides_no_neighbor(self, rng):
-        from repro.ops.results import AnycastStatus
-
-        sim, network, nodes, engine, ids = self.vector_system(
-            [0.5, 0.9], rng, ConstantLatency(1.0)
+        sim, network, nodes, engine, ids = build_system(
+            [0.5, 0.9], rng=rng, latency=ConstantLatency(1.0)
         )
         record = engine.anycast(
             ids[0], TargetSpec.range(0.85, 0.95), policy="retry-greedy"
@@ -693,10 +556,8 @@ class TestStatusRaceUnderVectorDispatch:
         assert record.retries_used == 0
 
     def test_delivery_overrides_retry_expired(self, rng):
-        from repro.ops.results import AnycastStatus
-
-        sim, network, nodes, engine, ids = self.vector_system(
-            [0.5, 0.9, 0.8, 0.7], rng, ConstantLatency(1.2), offline={2, 3}
+        sim, network, nodes, engine, ids = build_system(
+            [0.5, 0.9, 0.8, 0.7], rng=rng, latency=ConstantLatency(1.2), offline={2, 3}
         )
         record = engine.anycast(
             ids[0], TargetSpec.range(0.85, 0.95), policy="retry-greedy", retry=1
@@ -708,10 +569,8 @@ class TestStatusRaceUnderVectorDispatch:
         assert record.retries_used == 1
 
     def test_first_delivery_still_wins(self, rng):
-        from repro.ops.results import AnycastStatus
-
-        sim, network, nodes, engine, ids = self.vector_system(
-            [0.5, 0.9, 0.9], rng, ConstantLatency(1.2)
+        sim, network, nodes, engine, ids = build_system(
+            [0.5, 0.9, 0.9], rng=rng, latency=ConstantLatency(1.2)
         )
         record = engine.anycast(
             ids[0], TargetSpec.range(0.85, 0.95), policy="retry-greedy", retry=3

@@ -91,7 +91,7 @@ class TestDuplicateSuppressionAccounting:
         assert receptions - 1 <= record.data_messages
 
     def test_seen_set_is_exactly_first_receptions(self, small_simulation):
-        """``_mcast_seen`` (what the dispatch-layer mask consults) grows
+        """``_mcast_seen`` (where duplicates are told from first receptions) grows
         by exactly the first receptions — deliveries plus spam — and
         duplicates never enter it."""
         s = small_simulation

@@ -201,13 +201,14 @@ class TestRunControls:
         assert order == [1] and sim.now == 2.0
 
     def test_equal_time_fifo_across_schedule_forms(self, sim):
-        """schedule, schedule_at_many, defer and schedule_at share one
-        sequence counter: equal-time events fire in scheduling order."""
+        """schedule, schedule_at_many and schedule_at (also at the
+        current instant, from inside a callback) share one sequence
+        counter: equal-time events fire in scheduling order."""
         order = []
         sim.schedule(5.0, order.append, "a")
         sim.schedule_at_many([5.0, 5.0], order.append, [("b",), ("c",)])
         sim.schedule_at(5.0, order.append, "d")
-        sim.schedule(5.0, lambda: sim.defer(order.append, "f"))
+        sim.schedule(5.0, lambda: sim.schedule_at(sim.now, order.append, "f"))
         sim.schedule(5.0, order.append, "e")
         sim.run()
         assert order == ["a", "b", "c", "d", "e", "f"]

@@ -437,6 +437,21 @@ class TestNoPerturbation:
         assert f"snapshot  rebuilds={counters['churn.snapshot.rebuilds']}" in rendered
         assert f"view     rebuilds={counters['membership.view.rebuilds']}" in rendered
 
+    def test_drop_counters_equal_network_stats(self, global_telemetry):
+        """Every drop is recorded through one ``Network`` helper: after
+        a seeded plan straddling epoch boundaries the three
+        ``net.drop.<reason>`` counters equal ``Network.stats.dropped``."""
+        from repro.sim.network import DropReason
+        from test_golden_logs import build_sim, parity_plan
+
+        simulation = build_sim(5, shape=(600, "off", 600.0))
+        simulation.ops.run(parity_plan("greedy", "flood"))
+        counters = global_telemetry.snapshot().counters
+        dropped = simulation.network.stats.dropped
+        assert dropped[DropReason.DST_OFFLINE] > 0
+        for reason in (DropReason.SRC_OFFLINE, DropReason.DST_OFFLINE, DropReason.NO_HANDLER):
+            assert counters.get(f"net.drop.{reason}", 0) == dropped.get(reason, 0), reason
+
 
 class TestRss:
     def test_linux_units_kilobytes(self):
