@@ -15,6 +15,7 @@ from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
 from repro.core.node import AvmemNode
+from repro.core.population import Population
 from repro.core.predicates import NodeDescriptor, paper_predicate
 from repro.experiments.report import format_table
 from repro.monitor.cache import CachedAvailabilityView
@@ -38,20 +39,25 @@ def _discovery_progress(view_size: int, seed: int = 0) -> float:
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     avs = rng.uniform(0.05, 0.95, POPULATION)
+    population = Population.from_ids(ids, avs)
     pdf = AvailabilityPdf.from_samples(avs, online_weighted=False)
     predicate = paper_predicate(pdf)
 
     class Fixed:
         def query(self, node):
-            return float(avs[ids.index(node)])
+            return float(avs[population.row_of(node)])
+
+        def query_array(self, rows):
+            return avs[rows]
 
     service = Fixed()
     coarse = GlobalSampleView(
         sim, ids, view_size, rng=rng, presence=trace, period=60.0, stale_fraction=0.0
     )
     node = AvmemNode(
-        ids[0], sim, network, predicate, AvmemConfig(),
-        CachedAvailabilityView(service, sim), coarse, rng=rng,
+        sim, network, predicate, AvmemConfig(),
+        CachedAvailabilityView(service, sim, population), coarse, rng=rng,
+        population=population, row=0,
     )
     me = NodeDescriptor(ids[0], service.query(ids[0]))
     truth = sum(

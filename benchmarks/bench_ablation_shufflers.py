@@ -15,6 +15,7 @@ from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
 from repro.core.node import AvmemNode
+from repro.core.population import Population
 from repro.core.predicates import NodeDescriptor, paper_predicate
 from repro.experiments.report import format_table
 from repro.monitor.cache import CachedAvailabilityView
@@ -36,23 +37,27 @@ def _run_with(make_provider, seed=0):
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     avs = rng.uniform(0.05, 0.95, POPULATION)
-    index = {node: i for i, node in enumerate(ids)}
+    population = Population.from_ids(ids, avs)
     pdf = AvailabilityPdf.from_samples(avs, online_weighted=False)
     predicate = paper_predicate(pdf)
 
     class Fixed:
         def query(self, node):
-            return float(avs[index[node]])
+            return float(avs[population.row_of(node)])
+
+        def query_array(self, rows):
+            return avs[rows]
 
     provider, advance = make_provider(sim, ids, rng, trace)
     service = Fixed()
     probes = ids[:10]
     nodes = [
         AvmemNode(
-            node_id, sim, network, predicate, AvmemConfig(),
-            CachedAvailabilityView(service, sim), provider, rng=rng,
+            sim, network, predicate, AvmemConfig(),
+            CachedAvailabilityView(service, sim, population), provider, rng=rng,
+            population=population, row=row,
         )
-        for node_id in probes
+        for row in range(len(probes))
     ]
     truths = []
     for node_id in probes:

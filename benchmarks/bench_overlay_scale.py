@@ -20,7 +20,7 @@ N ≤ 5k.
 refresh sub-protocol exercise:
 
 * ``install`` — populate every node's membership table from its
-  OverlayGraph CSR row, one columnar ``upsert_many`` per node;
+  OverlayGraph CSR row, one columnar ``upsert_rows`` per node;
 * ``refresh`` — one full refresh round (re-evaluate the predicate for
   every neighbor against perturbed availabilities, evict non-members,
   re-cache the rest): ``evaluate_many`` + one masked ``refresh_round``
@@ -110,16 +110,13 @@ def make_row_population(n: int, seed: int = 0):
 # Membership-table paths (bootstrap install + refresh round)
 # ----------------------------------------------------------------------
 def batched_install(overlay: OverlayGraph) -> Dict[NodeId, MembershipTable]:
-    """The columnar bootstrap sink: one ``upsert_many`` per CSR row."""
+    """The columnar bootstrap sink: one ``upsert_rows`` per CSR row."""
     tables: Dict[NodeId, MembershipTable] = {}
     avs = overlay.availabilities
-    id_arr, digests = overlay.id_array, overlay.digest64_array
     for i, owner in enumerate(overlay.ids):
-        table = MembershipTable(owner)
+        table = MembershipTable(owner, overlay.population)
         dsts, horizontal = overlay.row(i)
-        table.upsert_many(
-            id_arr[dsts], avs[dsts], horizontal, now=0.0, digests=digests[dsts]
-        )
+        table.upsert_rows(dsts, avs[dsts], horizontal, now=0.0)
         tables[owner] = table
     return tables
 
@@ -145,19 +142,13 @@ def batched_refresh(
     """The columnar refresh round: ``evaluate_many`` + one masked
     ``refresh_round`` pass per node (what ``AvmemNode.refresh_step``
     runs)."""
-    pop_digests = overlay.digest64_array
-    order = np.argsort(pop_digests)
-    sorted_digests = pop_digests[order]
     evicted = 0
     for i, owner in enumerate(overlay.ids):
         table = tables[owner]
         view = table.neighbor_arrays()
         if view.slots.size == 0:
             continue
-        # Locate each neighbor's population index from its digest —
-        # one vectorized searchsorted instead of a dict lookup per entry.
-        neighbor_idx = order[np.searchsorted(sorted_digests, view.digests)]
-        neighbor_avs = new_avs[neighbor_idx]
+        neighbor_avs = new_avs[view.rows]
         me = NodeDescriptor(owner, float(new_avs[i]))
         member, horizontal = predicate.evaluate_many(
             me, view.nodes, neighbor_avs, digests=view.digests

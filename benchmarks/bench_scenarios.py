@@ -9,10 +9,9 @@ Two families of timings, swept over N ∈ {1k, 5k, 20k} (override with
   :meth:`~repro.churn.trace.ChurnTrace.availability_array` call through
   the columnar :class:`~repro.churn.timeline.ChurnTimeline`.
 
-* **Refresh rounds through the oracle** — the protocol hot path this PR
-  closes (ROADMAP: "refresh rounds still query the availability oracle
-  per neighbor inside ``fetch_array``").  Every node refreshes its
-  ``--neighbors`` cached availabilities:
+* **Refresh rounds through the oracle** — the protocol hot path (refresh
+  rounds once queried the availability oracle per neighbor).  Every node
+  refreshes its ``--neighbors`` cached availabilities:
 
   - ``seed``    — the seed per-neighbor path, preserved verbatim as
     :class:`SeedOracleAvailability` (the same convention
@@ -23,9 +22,10 @@ Two families of timings, swept over N ∈ {1k, 5k, 20k} (override with
     :meth:`~repro.monitor.oracle.OracleAvailability.query` per neighbor
     (modernized noise, still per-neighbor — isolates the batching win);
   - ``batched`` — the current
-    :meth:`~repro.monitor.cache.CachedAvailabilityView.fetch_array`:
+    :meth:`~repro.monitor.cache.CachedAvailabilityView.fetch_rows`:
     one :meth:`~repro.monitor.oracle.OracleAvailability.query_array`
-    per owner, answered by one vectorized timeline pass.
+    per owner over the neighbors' rows, answered by one vectorized
+    timeline pass.
 
 Per-entry parity is asserted on every run: batched answers must match
 the current scalar path (same oracle, noise on), and with noise
@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.churn.trace import ChurnTrace
 from repro.core.ids import make_node_ids
+from repro.core.population import Population
 from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.oracle import OracleAvailability
 from repro.scenarios.registry import get_scenario
@@ -129,7 +130,7 @@ class SeedOracleAvailability:
 
 
 def scalar_fetch_array(view: CachedAvailabilityView, nodes) -> np.ndarray:
-    """The seed ``fetch_array``: one scalar service query per neighbor."""
+    """One scalar service query per neighbor, by id (the seed shape)."""
     return np.fromiter(
         (view.fetch(node) for node in nodes), dtype=float, count=len(nodes)
     )
@@ -157,17 +158,18 @@ def sweep_size(n: int, seed: int, neighbors: int) -> Dict[str, object]:
     sim = Simulator()
     sim.run_until(t)
     rng = np.random.default_rng(seed)
-    neighbor_lists = [
-        [nodes[j] for j in rng.choice(n, size=min(neighbors, n), replace=False)]
-        for _ in range(n)
+    neighbor_rows = [
+        rng.choice(n, size=min(neighbors, n), replace=False) for _ in range(n)
     ]
+    neighbor_lists = [[nodes[j] for j in rows] for rows in neighbor_rows]
+    population = Population.from_ids(nodes, np.zeros(n))
     oracle = OracleAvailability(trace, sim, window=WINDOW, noise_std=0.02, seed=seed)
     seed_oracle = SeedOracleAvailability(
         trace, sim, window=WINDOW, noise_std=0.02, seed=seed
     )
-    seed_views = [CachedAvailabilityView(seed_oracle, sim) for _ in range(n)]
-    scalar_views = [CachedAvailabilityView(oracle, sim) for _ in range(n)]
-    batch_views = [CachedAvailabilityView(oracle, sim) for _ in range(n)]
+    seed_views = [CachedAvailabilityView(seed_oracle, sim, population) for _ in range(n)]
+    scalar_views = [CachedAvailabilityView(oracle, sim, population) for _ in range(n)]
+    batch_views = [CachedAvailabilityView(oracle, sim, population) for _ in range(n)]
     _, refr_seed_s = timed(
         refresh_round, seed_views, neighbor_lists, scalar_fetch_array
     )
@@ -175,8 +177,8 @@ def sweep_size(n: int, seed: int, neighbors: int) -> Dict[str, object]:
         refresh_round, scalar_views, neighbor_lists, scalar_fetch_array
     )
     batch_vals, refr_batch_s = timed(
-        refresh_round, batch_views, neighbor_lists,
-        CachedAvailabilityView.fetch_array,
+        refresh_round, batch_views, neighbor_rows,
+        CachedAvailabilityView.fetch_rows,
     )
     for row_scalar, row_batch in zip(scalar_vals, batch_vals):
         assert np.allclose(row_scalar, row_batch, rtol=0.0, atol=1e-9), (
@@ -186,12 +188,12 @@ def sweep_size(n: int, seed: int, neighbors: int) -> Dict[str, object]:
     # -- ground truth: noise off, every path must equal the trace -------
     exact = OracleAvailability(trace, sim, window=WINDOW, noise_std=0.0)
     exact_seed = SeedOracleAvailability(trace, sim, window=WINDOW, noise_std=0.0)
-    exact_view = CachedAvailabilityView(exact, sim)
+    exact_view = CachedAvailabilityView(exact, sim, population)
     probe = neighbor_lists[0]
     truth = np.array(
         [trace.windowed_availability(node, sim.now, WINDOW) for node in probe]
     )
-    assert np.allclose(exact_view.fetch_array(probe), truth, rtol=0.0, atol=1e-9), (
+    assert np.allclose(exact_view.fetch_rows(neighbor_rows[0]), truth, rtol=0.0, atol=1e-9), (
         "batched oracle diverges from ChurnTrace ground truth"
     )
     assert np.allclose(

@@ -56,7 +56,7 @@ def spray_attack(
     Each online target verifies the claimed relationship.
     """
     known: Set[NodeId] = set(attacker.lists.neighbor_ids())
-    known.update(attacker.coarse_view.view(attacker.id))
+    known.update(attacker.population.ids_of(attacker.coarse_view.view_rows(attacker.row)))
     if extra_known is not None:
         known.update(extra_known)
     known.discard(attacker.id)

@@ -363,16 +363,6 @@ class ChurnTrace:
         schedule = self._schedules.get(node)
         return schedule.is_online(time) if schedule is not None else False
 
-    def is_online_array(self, nodes: Sequence[NodeKey], times) -> np.ndarray:
-        """Batched :meth:`is_online`: presence of ``nodes[k]`` at
-        ``times`` (a scalar or a parallel array of instants) in one
-        vectorized timeline query (what
-        :meth:`repro.sim.network.Network.online_array` asks).  Raises
-        ``KeyError`` on unknown nodes (callers that want the scalar
-        protocol's False-for-unknowns fall back to :meth:`is_online`).
-        """
-        return self.timeline.is_online_array(self.node_indices(nodes), times)
-
     def presence_snapshot(self, time: float) -> np.ndarray:
         """Row-space presence of every node at ``time`` (aligned to
         :attr:`nodes`): the mask of the timeline's shared read-only

@@ -17,9 +17,10 @@ cached availability, sliver kind, and the added/checked timestamps —
 instead of the seed's dict-of-dataclasses.  Scalar callers see the exact
 same API as before (``upsert`` / ``remove`` / ``entries`` / ...,
 returning :class:`MemberEntry` values materialized on demand), while the
-bootstrap and refresh hot paths use the bulk operations:
+bootstrap, discovery and refresh hot paths use the bulk operations, which
+address neighbors by population row:
 
-* :meth:`MembershipTable.upsert_many` — install a whole batch of
+* :meth:`MembershipTable.upsert_rows` — install a whole batch of
   already-evaluated predicate matches in a handful of array writes; fed
   directly from :class:`~repro.overlays.graphs.OverlayGraph` CSR rows
   during ``bootstrap="direct"``.
@@ -37,11 +38,12 @@ birthday bound is ~2^-17 across the whole population).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ids import NodeId, digest_array
+from repro.core.ids import NodeId
+from repro.core.population import Population
 from repro.core.predicates import NodeDescriptor, SliverKind
 from repro.telemetry import current as current_telemetry
 
@@ -115,7 +117,7 @@ class NeighborView(NamedTuple):
     availabilities: np.ndarray  #: float array of cached availabilities
     horizontal: np.ndarray  #: bool array, True = HORIZONTAL sliver
     digests: np.ndarray  #: uint64 endpoint digests (for vectorized hashing)
-    rows: Optional[np.ndarray] = None  #: int64 population rows (-1 unknown; None for object-backed tables)
+    rows: np.ndarray  #: int64 population rows
 
 
 class MembershipTable:
@@ -127,8 +129,13 @@ class MembershipTable:
     exactly like the historical dict-of-dataclasses implementation —
     including the detail that *every* upsert moves the entry to the tail
     of its (possibly new) sliver's listing order — and the bulk
-    operations (:meth:`upsert_many`, :meth:`refresh_round`) replicate a
+    operations (:meth:`upsert_rows`, :meth:`refresh_round`) replicate a
     scalar loop entry-for-entry while doing only O(1) numpy calls.
+
+    Every neighbor is a row of ``population`` (the owner's
+    :class:`~repro.core.population.Population`): bulk installs are
+    keyed by row, scalar ones resolve the row of the id they are given
+    (and refuse a node outside the population).
 
     The NodeId→slot index and the :class:`MemberEntry` materializations
     are caches built lazily on the first scalar access after a bulk
@@ -138,12 +145,10 @@ class MembershipTable:
 
     _INITIAL_CAPACITY = 8
 
-    def __init__(self, owner: NodeId, population=None):
+    def __init__(self, owner: NodeId, population: Population):
         self.owner = owner
-        #: optional :class:`~repro.core.population.Population` backing —
-        #: enables row-keyed bulk installs (:meth:`upsert_rows`) with
-        #: identities materialized lazily only when scalar accessors or
-        #: the nodes column of :meth:`neighbor_arrays` need them.
+        #: identities are materialized from it lazily, only when scalar
+        #: accessors or the nodes column of :meth:`neighbor_arrays` need them
         self.population = population
         capacity = self._INITIAL_CAPACITY
         self._capacity = capacity
@@ -175,12 +180,7 @@ class MembershipTable:
         never been touched by a scalar accessor."""
         for slot in slots:
             if self._ids[slot] is None:
-                row = int(self._rows[slot])
-                if row < 0 or self.population is None:
-                    raise RuntimeError(
-                        f"slot {int(slot)} has neither an id nor a population row"
-                    )
-                self._ids[slot] = self.population.id_of(row)
+                self._ids[slot] = self.population.id_of(int(self._rows[slot]))
 
     def _ensure_index(self) -> Dict[NodeId, int]:
         if self._slot_of is None:
@@ -256,14 +256,6 @@ class MembershipTable:
         slots = np.flatnonzero(mask)
         return slots[np.argsort(self._seq[slots], kind="stable")]
 
-    @staticmethod
-    def _as_object_array(nodes: Sequence[NodeId]) -> np.ndarray:
-        if isinstance(nodes, np.ndarray) and nodes.dtype == object:
-            return nodes
-        out = np.empty(len(nodes), dtype=object)
-        out[:] = list(nodes)
-        return out
-
     # ------------------------------------------------------------------
     # Scalar mutation
     # ------------------------------------------------------------------
@@ -271,12 +263,15 @@ class MembershipTable:
         self, node: NodeId, availability: float, kind: SliverKind, now: float
     ) -> MemberEntry:
         """Insert or update a neighbor, moving it between slivers if its
-        classification changed (``added_at`` is preserved on update)."""
+        classification changed (``added_at`` is preserved on update).
+        Raises ``KeyError`` (leaving the table as it was) for a node
+        outside the population."""
         if node == self.owner:
             raise ValueError("a node cannot be its own neighbor")
         index = self._ensure_index()
         slot = index.get(node)
         if slot is None:
+            row = self.population.row_of(node)
             self._grow_to(self._size + 1)
             slot = self._size
             self._size += 1
@@ -285,9 +280,7 @@ class MembershipTable:
             self._digests[slot] = node.digest64
             self._added[slot] = now
             self._alive[slot] = True
-            self._rows[slot] = (
-                self.population.find_row(node) if self.population is not None else -1
-            )
+            self._rows[slot] = row
             index[node] = slot
         self._avail[slot] = availability
         self._horiz[slot] = kind is SliverKind.HORIZONTAL
@@ -333,80 +326,6 @@ class MembershipTable:
     # ------------------------------------------------------------------
     # Bulk mutation (array hot paths)
     # ------------------------------------------------------------------
-    def upsert_many(
-        self,
-        nodes: Sequence[NodeId],
-        availabilities: np.ndarray,
-        horizontal_flags: np.ndarray,
-        now: float,
-        digests: Optional[np.ndarray] = None,
-    ) -> int:
-        """Install a batch of neighbors in one columnar pass.
-
-        Equivalent to calling :meth:`upsert` for each position in batch
-        order (``added_at`` preserved for existing entries, every touched
-        entry moved to the tail of its sliver), but with O(1) numpy calls
-        instead of per-entry Python — the direct-bootstrap sink fed from
-        :class:`~repro.overlays.graphs.OverlayGraph` CSR rows.
-
-        Parameters
-        ----------
-        nodes, availabilities, horizontal_flags:
-            Parallel per-neighbor data; ``horizontal_flags`` gives the
-            sliver classification (True = HORIZONTAL).  Nodes must be
-            unique within one batch.
-        now:
-            Timestamp recorded as ``checked_at`` (and ``added_at`` for
-            new entries).
-        digests:
-            Optional precomputed ``uint64`` endpoint digests parallel to
-            ``nodes`` (e.g. a fancy-indexed slice of a population-wide
-            digest array); computed from the nodes when omitted.
-
-        Returns the number of entries written.
-        """
-        nodes = self._as_object_array(nodes)
-        batch = nodes.size
-        if batch == 0:
-            return 0
-        availabilities = np.asarray(availabilities, dtype=float)
-        horizontal_flags = np.asarray(horizontal_flags, dtype=bool)
-        if digests is None:
-            digests = digest_array(nodes)
-        else:
-            digests = np.asarray(digests, dtype=np.uint64)
-        if not (availabilities.size == horizontal_flags.size == digests.size == batch):
-            raise ValueError(
-                f"parallel batch arrays must share length {batch}, got "
-                f"{availabilities.size}/{horizontal_flags.size}/{digests.size}"
-            )
-        if np.unique(digests).size != batch:
-            raise ValueError("nodes must be unique within one upsert_many batch")
-        if np.any(digests == np.uint64(self.owner.digest64)):
-            raise ValueError("a node cannot be its own neighbor")
-        slots = self._match_slots(digests)
-        new_mask = slots < 0
-        fresh = int(np.count_nonzero(new_mask))
-        if fresh:
-            self._grow_to(self._size + fresh)
-            new_slots = np.arange(self._size, self._size + fresh, dtype=np.int64)
-            self._size += fresh
-            self._count += fresh
-            self._ids[new_slots] = nodes[new_mask]
-            self._digests[new_slots] = digests[new_mask]
-            self._added[new_slots] = now
-            self._alive[new_slots] = True
-            self._rows[new_slots] = -1
-            slots[new_mask] = new_slots
-        self._avail[slots] = availabilities
-        self._horiz[slots] = horizontal_flags
-        self._checked[slots] = now
-        self._seq[slots] = self._next_seq_block(batch)
-        self._materialized = {}
-        self._slot_of = None
-        self._drop_views()
-        return batch
-
     def upsert_rows(
         self,
         rows: np.ndarray,
@@ -414,18 +333,23 @@ class MembershipTable:
         horizontal_flags: np.ndarray,
         now: float,
     ) -> int:
-        """Row-keyed :meth:`upsert_many`: install neighbors by population
-        row index without touching any :class:`NodeId` objects.
+        """Install a batch of neighbors, addressed by population row, in
+        one columnar pass.
 
-        Requires a population-backed table.  Digests come straight from
-        the population's digest column; identities stay unmaterialized
-        until a scalar accessor (or the ``nodes`` column of
-        :meth:`neighbor_arrays`) asks for them — which is what keeps
-        whole-population bootstrap object-free at large N.  Semantics are
-        otherwise identical to :meth:`upsert_many` in batch order.
+        Equivalent to calling :meth:`upsert` for each position in batch
+        order (``added_at`` preserved for existing entries, every touched
+        entry moved to the tail of its sliver), but with O(1) numpy calls
+        instead of per-entry Python.  ``rows``, ``availabilities`` and
+        ``horizontal_flags`` are parallel (True = HORIZONTAL); rows must
+        be unique within one batch.  ``now`` is recorded as
+        ``checked_at`` (and ``added_at`` for new entries).
+
+        Digests come straight from the population's digest column;
+        identities stay unmaterialized until a scalar accessor (or the
+        ``nodes`` column of :meth:`neighbor_arrays`) asks for them —
+        which is what keeps whole-population bootstrap object-free at
+        large N.  Returns the number of entries written.
         """
-        if self.population is None:
-            raise ValueError("upsert_rows requires a population-backed table")
         rows = np.asarray(rows, dtype=np.int64)
         batch = rows.size
         if batch == 0:
@@ -492,13 +416,12 @@ class MembershipTable:
 
         The returned :class:`NeighborView` is cached: every call until
         the next mutation (:meth:`upsert`, :meth:`remove`, :meth:`clear`,
-        :meth:`upsert_many`, :meth:`upsert_rows`, :meth:`refresh_round`,
-        compaction) gets the same read-only arrays.  It carries the slot
-        handles :meth:`refresh_round` consumes; any mutation of the table
+        :meth:`upsert_rows`, :meth:`refresh_round`, compaction) gets the
+        same read-only arrays.  It carries the slot handles
+        :meth:`refresh_round` consumes; any mutation of the table
         invalidates them.  ``with_nodes=False`` skips :class:`NodeId`
-        materialization (``nodes`` is None) — row-space callers on a
-        population-backed table should prefer it so bulk flows never
-        instantiate identity objects.
+        materialization (``nodes`` is None) — row-space callers should
+        prefer it so bulk flows never instantiate identity objects.
         """
         view = self._view
         if view is None:
@@ -527,7 +450,7 @@ class MembershipTable:
             availabilities=self._avail[slots],
             horizontal=self._horiz[slots],
             digests=self._digests[slots],
-            rows=self._rows[slots] if self.population is not None else None,
+            rows=self._rows[slots],
         )
         for column in view:
             if column is not None:

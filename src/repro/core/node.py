@@ -21,12 +21,12 @@ within the measurement horizon.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, Dict, List, Optional, Type
 
 import numpy as np
 
 from repro.core.config import AvmemConfig
-from repro.core.ids import NodeId, digest_array
+from repro.core.ids import NodeId
 from repro.core.membership import MembershipTable
 from repro.core.population import Population
 from repro.core.predicates import AvmemPredicate, NodeDescriptor
@@ -48,9 +48,9 @@ class AvmemNode:
 
     Parameters
     ----------
-    node_id, sim, network:
-        Identity and substrate bindings.  The node attaches itself to the
-        network on construction.
+    sim, network:
+        Substrate bindings.  The node attaches itself to the network on
+        construction.
     predicate:
         The application-specified AVMEM predicate (shared, consistent).
     config:
@@ -63,22 +63,18 @@ class AvmemNode:
     rng:
         Stream for protocol randomness (start staggering, tie-breaking).
     population, row:
-        Optional struct-of-arrays binding.  When given, the node is a
-        lightweight view over ``population`` row ``row``: its membership
-        lists are population-backed (row-keyed installs stay object-free)
-        and ``node_id`` may be omitted — it is materialized lazily from
-        the population only when identity-object APIs need it.  A
-        population-backed node addresses its peers by row, so the
-        population's row order must be the order the churn trace (the
-        network's presence oracle and the monitoring service), the
-        coarse view and the availability cache were built over —
+        The struct-of-arrays binding: the node is a lightweight view
+        over ``population`` row ``row``, and its id is that row's.  It
+        addresses its peers by row throughout, so the population's row
+        order must be the order the churn trace (the network's presence
+        oracle and the monitoring service), the coarse view and the
+        availability cache were built over —
         :class:`~repro.simulation.AvmemSimulation` builds all of them
         from one id list.
     """
 
     def __init__(
         self,
-        node_id: Optional[NodeId],
         sim: Simulator,
         network: Network,
         predicate: AvmemPredicate,
@@ -86,14 +82,13 @@ class AvmemNode:
         availability_view: CachedAvailabilityView,
         coarse_view: CoarseViewProvider,
         rng: Optional[np.random.Generator] = None,
-        population: Optional["Population"] = None,
-        row: Optional[int] = None,
+        *,
+        population: Population,
+        row: int,
     ):
-        if node_id is None:
-            if population is None or row is None:
-                raise ValueError("node_id may only be omitted with population and row")
-            node_id = population.id_of(int(row))
-        self.id = node_id
+        self.population = population
+        self.row = int(row)
+        self.id = node_id = population.id_of(self.row)
         self.sim = sim
         self.network = network
         self.predicate = predicate
@@ -101,10 +96,6 @@ class AvmemNode:
         self.availability = availability_view
         self.coarse_view = coarse_view
         self.rng = rng if rng is not None else fallback_rng()
-        self.population = population
-        if population is not None and row is None:
-            row = population.row_of(node_id)
-        self.row = int(row) if row is not None else None
         self.lists = MembershipTable(node_id, population=population)
         self.verifier = InboundVerifier(
             node_id, predicate, availability_view, cushion=config.cushion
@@ -144,9 +135,7 @@ class AvmemNode:
 
     @property
     def online(self) -> bool:
-        if self.row is not None:
-            return bool(self.network.online_rows(self.row))
-        return self.network.is_online(self.id)
+        return bool(self.network.online_rows(self.row))
 
     # ------------------------------------------------------------------
     # Descriptors
@@ -169,54 +158,46 @@ class AvmemNode:
         """One discovery round.  Returns the number of neighbors added.
 
         The round is one batched pass in view order, the shape
-        :meth:`refresh_step` has: the coarse view → mask out this node,
-        entries already in the lists and (with
+        :meth:`refresh_step` has: the coarse view's rows → mask out this
+        node, entries already in the lists and (with
         ``config.discovery_liveness``) entries whose handshake fails →
         one bulk cache fetch for what is left → one vectorized predicate
-        evaluation → one bulk insert of the matches.  A
-        population-backed node addresses the candidates by row
-        throughout; a population-less one runs the same pass addressed
-        by id.
+        evaluation → one bulk insert of the matches.
         """
         if not self.online:
             return 0
         self.discovery_rounds += 1
         me = self.self_descriptor(fresh=True)
-        population = self.population
-        if population is not None:
-            candidates = self.coarse_view.view_rows(self.row)
-            digests = population.digests[candidates]
-            probe, fetch = self.network.online_rows, self.availability.fetch_rows
-        else:
-            view = self.coarse_view.view(self.id)
-            candidates = np.empty(len(view), dtype=object)
-            candidates[:] = view
-            digests = digest_array(view)
-            probe, fetch = self.network.online_array, self.availability.fetch_array
+        candidates = self.coarse_view.view_rows(self.row)
+        digests = self.population.digests[candidates]
         unknown = ~self.lists.contains_digests(digests)
-        unknown &= digests != np.uint64(self.id.digest64)
+        unknown &= candidates != self.row
         if self.config.discovery_liveness:
             # a candidate whose handshake fails is skipped unfetched
-            unknown[unknown] = probe(candidates[unknown])
+            unknown[unknown] = self.network.online_rows(candidates[unknown])
         candidates, digests = candidates[unknown], digests[unknown]
         added = 0
         if candidates.size:
-            availabilities = fetch(candidates)
-            ids = candidates if population is None else population.ids_of(candidates)
-            member, horizontal = self.predicate.evaluate_many(
-                me, ids, availabilities, digests=digests
+            availabilities, member, horizontal = self._evaluate_rows(me, candidates, digests)
+            added = self.install_member_rows(
+                candidates[member], availabilities[member], horizontal[member]
             )
-            matches = candidates[member], availabilities[member], horizontal[member]
-            if population is None:
-                added = self.install_members(*matches, digests=digests[member])
-            else:
-                added = self.install_member_rows(*matches)
         telemetry = self._telemetry
         if telemetry.enabled:
             telemetry.count("node.discovery.rounds")
             telemetry.count("node.discovery.candidates", int(candidates.size))
             telemetry.count("node.discovery.added", added)
         return added
+
+    def _evaluate_rows(self, me: NodeDescriptor, rows: np.ndarray, digests: np.ndarray):
+        """One bulk cache fetch for ``rows`` and one vectorized predicate
+        evaluation against it: ``(availabilities, member, horizontal)``,
+        parallel to ``rows``."""
+        availabilities = self.availability.fetch_rows(rows)
+        member, horizontal = self.predicate.evaluate_many(
+            me, self.population.ids_of(rows), availabilities, digests=digests
+        )
+        return availabilities, member, horizontal
 
     # ------------------------------------------------------------------
     # Refresh sub-protocol
@@ -230,14 +211,14 @@ class AvmemNode:
         lists through discovery once it is back and still satisfies the
         predicate.
 
-        The whole round is one batched pass: a columnar snapshot of the
-        lists (:meth:`~repro.core.membership.MembershipTable.neighbor_arrays`),
-        one bulk cache fetch for the live neighbors, one vectorized
-        predicate evaluation, and one masked
+        The whole round is the row-space pass discovery is: the
+        neighbors' rows from a columnar snapshot of the lists
+        (:meth:`~repro.core.membership.MembershipTable.neighbor_arrays`),
+        one presence lookup for all of them, one bulk cache fetch for the
+        live ones, one vectorized predicate evaluation, and one masked
         :meth:`~repro.core.membership.MembershipTable.refresh_round`
-        update — semantically identical to the scalar per-entry loop it
-        replaces (offline neighbors are evicted without an availability
-        fetch, exactly as the scalar probe short-circuited).
+        update.  Offline neighbors are evicted without an availability
+        fetch.
         """
         if not self.online:
             return 0
@@ -251,92 +232,44 @@ class AvmemNode:
 
     def _refresh_round(self) -> int:
         me = self.self_descriptor(fresh=True)
-        view = self.lists.neighbor_arrays()
+        view = self.lists.neighbor_arrays(with_nodes=False)
         total = view.slots.size
         if total == 0:
             return 0
-        neighbors = view.nodes.tolist()
         if self.config.refresh_liveness:
-            probed = np.fromiter(
-                (self.network.is_online(node) for node in neighbors),
-                dtype=bool,
-                count=total,
-            )
+            live = self.network.online_rows(view.rows)
         else:
-            probed = np.ones(total, dtype=bool)
+            live = np.ones(total, dtype=bool)
         availabilities = np.zeros(total, dtype=float)
         keep = np.zeros(total, dtype=bool)
         horizontal = np.zeros(total, dtype=bool)
-        live = np.flatnonzero(probed)
-        if live.size:
-            live_nodes = [neighbors[i] for i in live]
-            availabilities[live] = self.availability.fetch_array(live_nodes)
-            keep[live], horizontal[live] = self.predicate.evaluate_many(
-                me, live_nodes, availabilities[live], digests=view.digests[live]
+        if live.any():
+            availabilities[live], keep[live], horizontal[live] = self._evaluate_rows(
+                me, view.rows[live], view.digests[live]
             )
         return self.lists.refresh_round(
             view.slots, availabilities, horizontal, keep, now=self.sim.now
         )
 
     # ------------------------------------------------------------------
-    # Direct bootstrap (consistent-predicate shortcut)
+    # Bulk install
     # ------------------------------------------------------------------
-    def bootstrap_from(self, candidates: Sequence[NodeDescriptor]) -> int:
-        """Fill the lists by evaluating the predicate against a candidate
-        set directly.
-
-        Because the predicate is *consistent*, the overlay it spans is a
-        pure function of (ids, availabilities); this shortcut produces
-        exactly the graph the discovery protocol converges to, and is
-        used by ``bootstrap="direct"`` simulations to skip warm-up
-        (docs/architecture.md §"Bootstrap modes").  Returns the number of
-        neighbors installed.
-        """
-        me = self.self_descriptor(fresh=True)
-        ids = np.empty(len(candidates), dtype=object)
-        ids[:] = [c.node for c in candidates]
-        avs = np.array([c.availability for c in candidates], dtype=float)
-        member, horizontal = self.predicate.evaluate_many(me, ids, avs)
-        selected = np.flatnonzero(member)
-        return self.install_members(
-            ids[selected], avs[selected], horizontal[selected]
-        )
-
-    def install_members(
-        self,
-        ids: Sequence[NodeId],
-        availabilities: np.ndarray,
-        horizontal_flags: np.ndarray,
-        digests: Optional[np.ndarray] = None,
-    ) -> int:
-        """Bulk-install already-evaluated predicate matches.
-
-        The sequences are parallel: one neighbor per entry, with
-        ``horizontal_flags`` giving the sliver classification and
-        ``digests`` optionally carrying precomputed endpoint digests
-        (sliced from a population-wide array).  This is the shared sink
-        for :meth:`bootstrap_from` and for the batched whole-population
-        bootstrap the simulation feeds from
-        :class:`~repro.overlays.graphs.OverlayGraph` CSR rows — the
-        predicate work is already done, and the install itself is one
-        columnar :meth:`~repro.core.membership.MembershipTable.upsert_many`
-        pass.  Returns the number of neighbors installed.
-        """
-        return self.lists.upsert_many(
-            ids, availabilities, horizontal_flags, now=self.sim.now, digests=digests
-        )
-
     def install_member_rows(
         self,
         rows: np.ndarray,
         availabilities: np.ndarray,
         horizontal_flags: np.ndarray,
     ) -> int:
-        """Row-space :meth:`install_members` for population-backed nodes.
+        """Bulk-install already-evaluated predicate matches, addressed by
+        population row.
 
-        Same contract, but neighbors are addressed by population row, so
-        a whole-population bootstrap installs CSR slices without ever
-        materializing :class:`NodeId` objects.
+        The arrays are parallel, one neighbor per entry, with
+        ``horizontal_flags`` giving the sliver classification.  This is
+        the shared sink for discovery and for the whole-population
+        direct bootstrap, which feeds
+        :class:`~repro.overlays.graphs.OverlayGraph` CSR slices without
+        ever materializing :class:`NodeId` objects.  Returns the number
+        of neighbors installed.
         """
         return self.lists.upsert_rows(
             rows, availabilities, horizontal_flags, now=self.sim.now

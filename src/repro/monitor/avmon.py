@@ -94,6 +94,7 @@ class AvmonService:
         self.sim = sim
         self.trace = trace
         self.population: Tuple[NodeId, ...] = tuple(population)
+        self._row_of: Dict[NodeId, int] = dict(zip(self.population, range(len(self.population))))
         self.coarse_view = coarse_view
         self.n_star = check_positive(n_star, "n_star")
         self.config = config if config is not None else AvmonConfig()
@@ -143,7 +144,8 @@ class AvmonService:
             if not self.trace.is_online(monitor, now):
                 continue
             known = self._targets[monitor]
-            for candidate in self.coarse_view.view(monitor):
+            view = self.coarse_view.view_rows(self._row_of[monitor])
+            for candidate in map(self.population.__getitem__, view.tolist()):
                 if candidate not in known and self.should_monitor(monitor, candidate):
                     known.add(candidate)
 
@@ -183,23 +185,21 @@ class AvmonService:
             return 0.5
         return float(np.median(estimates))
 
-    def query_array(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Batched :meth:`query` — one call answers a whole refresh
-        round's neighbor set.
-
-        :meth:`~repro.monitor.cache.CachedAvailabilityView.fetch_array`
-        detects this method and stops falling back to one scalar query
-        per neighbor; answers are identical entry for entry (the parity
-        tests assert it).  Per-target monitor counts are small (the
-        paper's K ≈ 8), so each median runs over a handful of ping
-        ratios gathered through the per-target record index.
+    def query_array(self, rows: np.ndarray) -> np.ndarray:
+        """Batched :meth:`query` for the nodes at ``rows`` — positions in
+        :attr:`population`, which a row-addressed
+        :class:`~repro.monitor.cache.CachedAvailabilityView` hands over
+        as they are.  One call answers a whole round's neighbor set,
+        entry for entry as :meth:`query` would.  Per-target monitor
+        counts are small (the paper's K ≈ 8), so each median runs over
+        a handful of ping ratios gathered through the per-target record
+        index.
         """
+        nodes = [self.population[row] for row in rows.tolist()]
         out = np.empty(len(nodes), dtype=float)
         records_of = self._records_of_target
         for i, node in enumerate(nodes):
-            records = records_of.get(node)
-            if records is None:
-                raise KeyError(f"unknown node {node!r}")
+            records = records_of[node]
             estimates = np.fromiter(
                 (
                     estimate

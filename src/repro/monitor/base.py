@@ -25,13 +25,12 @@ __all__ = ["AvailabilityService", "CoarseViewProvider"]
 class AvailabilityService(Protocol):
     """Query interface for long-term node availability.
 
-    A service may also offer a batched ``query_array(nodes) -> float
-    array`` (both shipped services do); the availability cache asks it
-    once per round instead of once per node.  Behind a population-bound
-    cache (:meth:`~repro.monitor.cache.CachedAvailabilityView.fetch_rows`)
-    ``nodes`` arrives as an integer array of rows in the service's own
-    node order, which :class:`~repro.monitor.oracle.OracleAvailability`
-    accepts.
+    Two forms of the same question: :meth:`query` for one node by id,
+    and :meth:`query_array` for a batch addressed by *row* — the
+    position of a node in the service's own node order, which is the
+    population order of every cache built over it
+    (:meth:`~repro.monitor.cache.CachedAvailabilityView.fetch_rows`
+    asks once per discovery or refresh round).
     """
 
     def query(self, node: NodeId) -> float:
@@ -39,6 +38,11 @@ class AvailabilityService(Protocol):
 
         Must never raise for known nodes; unknown nodes raise KeyError.
         """
+        ...
+
+    def query_array(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`query` for the nodes at ``rows`` (an integer array), as
+        a float array parallel to it."""
         ...
 
 
@@ -50,22 +54,14 @@ class CoarseViewProvider(Protocol):
     random list of some of the nodes in the system … continuously changed
     by the underlying shuffling protocol" (Section 3.1).
 
-    A provider is built over a sequence of nodes and answers in either
-    addressing: by id (:meth:`view`, all that population-less nodes
-    call) or by *row* — the position of a node in that sequence
-    (:meth:`view_rows`, all that population-backed nodes call).  A view
-    never repeats an entry; discovery walks it as one batch and relies
-    on that.
+    A provider is built over a sequence of nodes and answers by *row* —
+    the position of a node in that sequence, which is the population
+    order of the nodes that consume it.  A view never repeats an entry;
+    discovery walks it as one batch and relies on that.
     """
 
-    def view(self, node: NodeId) -> tuple:
-        """The current (weakly consistent, possibly stale) partial view
-        of ``node``: a tuple of distinct NodeIds."""
-        ...
-
     def view_rows(self, row: int) -> np.ndarray:
-        """The same view for the node at ``row``, as an integer array of
-        rows in view order — what population-backed nodes (whose
-        population is the provider's sequence) consume without
-        materializing any id."""
+        """The current (weakly consistent, possibly stale) partial view
+        of the node at ``row``: an integer array of distinct rows in
+        view order."""
         ...

@@ -14,7 +14,7 @@ fetch/read split so protocol code can only read what it has fetched.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,11 +46,10 @@ class CachedAvailabilityView:
     sits on the hot path; :meth:`entry` materializes the public
     :class:`CacheEntry` on demand.
 
-    ``population`` optionally binds the cache to a
-    :class:`~repro.core.population.Population` whose rows are the
-    service's rows; it enables :meth:`fetch_rows`, which fetches a batch
-    addressed by row and materializes the ids only if a read ever needs
-    them.
+    ``population`` is the :class:`~repro.core.population.Population`
+    whose rows are the service's rows: :meth:`fetch_rows` fetches a
+    batch addressed by row and materializes the ids only if a read ever
+    needs them.
     """
 
     #: deferred batches are folded into the entry dict once this many
@@ -62,18 +61,18 @@ class CachedAvailabilityView:
         self,
         service: AvailabilityService,
         sim: Simulator,
-        population: Optional["Population"] = None,
+        population: "Population",
     ):
         self._service = service
         self._sim = sim
         self._population = population
         self._entries: Dict[NodeId, Tuple[float, float]] = {}
         #: batches fetched but not yet folded into ``_entries``, oldest
-        #: first: ``(keys, values, fetched_at)`` with ``keys`` a list of
-        #: ids or an integer array of population rows.  Rounds overwrite
-        #: whole neighbor sets every period while reads happen
-        #: sporadically, so batch results are folded in lazily (last
-        #: write wins, same observable state).
+        #: first: ``(keys, values, fetched_at)`` with ``keys`` an integer
+        #: array of population rows, or a one-id list for a scalar fetch
+        #: queued behind them.  Rounds overwrite whole neighbor sets
+        #: every period while reads happen sporadically, so batch results
+        #: are folded in lazily (last write wins, same observable state).
         self._pending: list = []
         self.fetch_count = 0
         self.hit_count = 0
@@ -93,41 +92,17 @@ class CachedAvailabilityView:
         self.fetch_count += 1
         return value
 
-    def fetch_many(self, nodes: Iterable[NodeId]) -> None:
-        for node in nodes:
-            self.fetch(node)
-
-    def fetch_array(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """:meth:`fetch` every node and return the values as a float
-        array parallel to ``nodes`` (the refresh hot path).
-
-        Services exposing a batched ``query_array`` (e.g. the trace
-        oracle answering through the columnar
-        :class:`~repro.churn.timeline.ChurnTimeline`) are asked once for
-        the whole batch; others fall back to one scalar query per node.
-        Either way every answer lands in the cache, stamped now.
-        """
-        query_array = getattr(self._service, "query_array", None)
-        if query_array is None:
-            return np.fromiter(
-                (self.fetch(node) for node in nodes), dtype=float, count=len(nodes)
-            )
-        values = np.asarray(query_array(nodes), dtype=float)
-        self._defer(list(nodes), values)
-        self.fetch_count += len(nodes)
-        return values
-
     def fetch_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Row-addressed :meth:`fetch_array` (the discovery hot path):
-        ``rows`` is an integer array of population rows, passed to the
-        service's ``query_array`` as it is.  No :class:`NodeId` is
-        touched unless a later read folds the batch."""
-        if self._population is None:
-            raise ValueError("fetch_rows requires a population-backed cache")
-        query_array = getattr(self._service, "query_array", None)
-        if query_array is None:
-            return self.fetch_array(self._population.ids_of(rows))
-        values = np.asarray(query_array(rows), dtype=float)
+        """:meth:`fetch` a batch addressed by population row (the
+        discovery and refresh hot path) and return the values as a float
+        array parallel to ``rows``.
+
+        ``rows`` is an integer array, handed to the service's
+        ``query_array`` as it is: one call for the whole batch.  Every
+        answer lands in the cache stamped now, but no :class:`NodeId` is
+        touched unless a later read folds the batch.
+        """
+        values = np.asarray(self._service.query_array(rows), dtype=float)
         self._defer(rows, values)
         self.fetch_count += rows.size
         return values

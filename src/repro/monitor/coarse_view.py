@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.churn.trace import ChurnTrace
 from repro.core.ids import NodeId
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.network import PresenceOracle
@@ -35,20 +36,6 @@ def _row_index(population: Tuple[NodeId, ...]) -> Dict[NodeId, int]:
     if len(row_of) != len(population):
         raise ValueError("population must not contain duplicates")
     return row_of
-
-
-def _presence_rows(
-    presence: Optional[PresenceOracle], population: Tuple[NodeId, ...]
-) -> Optional[np.ndarray]:
-    """The presence oracle's row of every population member, when the
-    oracle answers in row space (``presence_snapshot`` over its own node
-    order, as a churn trace does) and knows them all; else None."""
-    if not hasattr(presence, "presence_snapshot"):
-        return None
-    try:
-        return presence.node_indices(population)
-    except KeyError:
-        return None  # a member the oracle has never heard of is offline
 
 
 class GlobalSampleView:
@@ -68,9 +55,10 @@ class GlobalSampleView:
     modeling the stale entries a real view accumulates.
 
     Sampling runs in index space: a node is its position (*row*) in
-    ``population``, the online pool is one sorted row array per period,
-    and the two draws of a sample are mapped onto their pools by
-    arithmetic (:meth:`view_rows`), so no sample walks the population.
+    ``population``, the online pool is one sorted row array per period
+    (from the ``presence`` trace's row-space snapshot), and the two draws
+    of a sample are mapped onto their pools by arithmetic
+    (:meth:`view_rows`), so no sample walks the population.
     """
 
     def __init__(
@@ -79,7 +67,7 @@ class GlobalSampleView:
         population: Sequence[NodeId],
         view_size: int,
         rng: np.random.Generator,
-        presence: Optional[PresenceOracle] = None,
+        presence: Optional[ChurnTrace] = None,
         period: float = 60.0,
         stale_fraction: float = 0.05,
     ):
@@ -89,15 +77,14 @@ class GlobalSampleView:
             raise ValueError(f"stale_fraction must be in [0, 1], got {stale_fraction}")
         self.sim = sim
         self.population: Tuple[NodeId, ...] = tuple(population)
-        self._row_of: Dict[NodeId, int] = _row_index(self.population)
         self.view_size = min(view_size, max(1, len(self.population) - 1))
         self.rng = rng
         self.presence = presence
         self.period = period
         self.stale_fraction = stale_fraction
-        self._ids = np.empty(len(self.population), dtype=object)
-        self._ids[:] = self.population
-        self._presence_rows = _presence_rows(presence, self.population)
+        #: the trace row of every population member (KeyError if the
+        #: trace does not know one)
+        self._presence_rows = None if presence is None else presence.node_indices(self.population)
         #: row -> (period bucket it was sampled in, the sampled rows)
         self._views: Dict[int, Tuple[int, np.ndarray]] = {}
         # Online-pool cache (sorted rows), refreshed once per period bucket.
@@ -113,22 +100,12 @@ class GlobalSampleView:
         if bucket != self._pool_bucket:
             self._pool = self._all_rows
             if self.presence is not None:
-                online = np.flatnonzero(self._presence_mask(self.sim.now))
+                snapshot = self.presence.presence_snapshot(self.sim.now)
+                online = np.flatnonzero(snapshot[self._presence_rows])
                 if online.size:
                     self._pool = online
             self._pool_bucket = bucket
         return self._pool
-
-    def _presence_mask(self, now: float) -> np.ndarray:
-        """Presence of every population row at ``now``."""
-        if self._presence_rows is not None:
-            return self.presence.presence_snapshot(now)[self._presence_rows]
-        presence = self.presence
-        return np.fromiter(
-            (presence.is_online(member, now) for member in self.population),
-            dtype=bool,
-            count=len(self.population),
-        )
 
     def _sample_rows(self, row: int) -> np.ndarray:
         """One period's view: live picks plus stale picks, all distinct.
@@ -183,11 +160,10 @@ class GlobalSampleView:
             sampled = self._views[row] = (bucket, self._sample_rows(row))
         return sampled[1]
 
-    def view(self, node: NodeId) -> Tuple[NodeId, ...]:
-        row = self._row_of.get(node)
-        if row is None:
-            raise KeyError(f"unknown node {node!r}")
-        return tuple(self._ids[self.view_rows(row)].tolist())
+    # benchmarks/e2e/tracer.py (frozen here) wraps this name by
+    # GlobalSampleView.__dict__ lookup; nothing calls it.  ROADMAP item 4
+    # re-points the tracer at view_rows and removes it.
+    view = view_rows
 
     def stop(self) -> None:
         """No background tasks to stop (lazy implementation); kept for
@@ -301,14 +277,8 @@ class ShuffledCoarseView:
     # ------------------------------------------------------------------
     # CoarseViewProvider protocol
     # ------------------------------------------------------------------
-    def view(self, node: NodeId) -> Tuple[NodeId, ...]:
-        try:
-            return tuple(self._views[node])
-        except KeyError:
-            raise KeyError(f"unknown node {node!r}") from None
-
     def view_rows(self, row: int) -> np.ndarray:
-        """:meth:`view` of the node at ``row``, as population rows."""
+        """The current view of the node at ``row``, as population rows."""
         row_of = self._row_of
         entries = self._views[self.population[row]]
         return np.fromiter(

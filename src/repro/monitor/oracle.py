@@ -94,8 +94,9 @@ class OracleAvailability:
         """Batched :meth:`query`: one vectorized timeline pass for the
         whole batch (the refresh- and discovery-round hot path).
 
-        ``nodes`` is a sequence of ids or an integer array of trace rows
-        (what population-backed callers hold; no id is materialized).
+        ``nodes`` is an integer array of trace rows (what the
+        availability caches hand over; no id is materialized) or a
+        sequence of ids.
 
         Answers match per-node :meth:`query` calls — same branch
         semantics, same per-bucket noise vector, same quantization and

@@ -83,18 +83,17 @@ class OperationEngine:
         truth_availability: TruthFn,
         rng: Optional[np.random.Generator] = None,
         verify_inbound: bool = False,
-        truth_eligible: Optional[TruthEligibleFn] = None,
+        *,
+        truth_eligible: TruthEligibleFn,
     ):
         self.sim = sim
         self.network = network
         self.nodes = nodes
         self.config = config
         self.truth_availability = truth_availability
-        #: optional vectorized eligibility snapshot — "which online nodes are
-        #: truly in this target right now" answered in one vectorized pass
-        #: (the simulation answers straight from its churn timeline);
-        #: None (an engine built without a timeline) falls back to the
-        #: scalar O(N) loop over truth_availability
+        #: the eligibility snapshot — "which online nodes are truly in
+        #: this target right now", answered in one row-space pass (the
+        #: simulation answers straight from its churn timeline)
         self.truth_eligible = truth_eligible
         self.rng = rng if rng is not None else fallback_rng()
         self.verify_inbound = verify_inbound
@@ -214,23 +213,8 @@ class OperationEngine:
 
     def _eligible_nodes(self, target: TargetSpec) -> Set[NodeId]:
         """Online nodes whose *true* availability is in the target — the
-        Fig 12/13 denominator.
-
-        With a ``truth_eligible`` snapshot function the whole question is
-        answered in a few vectorized passes over the ground-truth
-        timeline; the scalar loop serves engines built without one and
-        produces the same set — truth is only consulted for online nodes
-        either way.
-        """
-        if self.truth_eligible is not None:
-            return set(self.truth_eligible(target))
-        eligible: Set[NodeId] = set()
-        for node_id in self.nodes:
-            if self.network.is_online(node_id) and target.contains(
-                self.truth_availability(node_id)
-            ):
-                eligible.add(node_id)
-        return eligible
+        Fig 12/13 denominator, from the ``truth_eligible`` snapshot."""
+        return set(self.truth_eligible(target))
 
     # ------------------------------------------------------------------
     # Finalization

@@ -16,8 +16,8 @@ simplified swap in :class:`repro.monitor.coarse_view.ShuffledCoarseView`:
 The exchange is performed synchronously on the shared state (the paper
 consumes the shuffler as a black box; message-level simulation of it
 would only add cost), driven by one global periodic task.  Implements
-the id-addressed half of :class:`~repro.monitor.base.CoarseViewProvider`
-(``view``), which is what population-less nodes consume.
+:class:`~repro.monitor.base.CoarseViewProvider` (``view_rows``, rows of
+``population``) beside the id-addressed ``view`` analyses read.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class CyclonView:
             )
         self.sim = sim
         self.population: Tuple[NodeId, ...] = tuple(population)
+        self._row_of = dict(zip(self.population, range(len(self.population))))
         self.view_size = min(view_size, max(1, len(self.population) - 1))
         self.shuffle_length = min(shuffle_length, self.view_size)
         self.rng = rng
@@ -178,6 +179,11 @@ class CyclonView:
             return tuple(entry.node for entry in self._views[node])
         except KeyError:
             raise KeyError(f"unknown node {node!r}") from None
+
+    def view_rows(self, row: int) -> np.ndarray:
+        """:meth:`view` of the node at ``row``, as population rows."""
+        entries = self._views[self.population[row]]
+        return np.array([self._row_of[entry.node] for entry in entries], dtype=np.int64)
 
     def entry_ages(self, node: NodeId) -> Tuple[int, ...]:
         return tuple(entry.age for entry in self._views[node])

@@ -186,7 +186,7 @@ class OverlayGraph:
     @property
     def digest64_array(self) -> np.ndarray:
         """Per-node ``uint64`` endpoint digests, parallel to the row
-        space (feeds :meth:`~repro.core.membership.MembershipTable.upsert_many`)."""
+        space."""
         return self.population.digests
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:

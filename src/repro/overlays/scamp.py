@@ -17,9 +17,9 @@ subscription-forwarding rule:
   termination.
 
 As with the other substrates, joins execute synchronously on shared
-state (the paper consumes membership as a black box).  Implements
-the id-addressed half of :class:`~repro.monitor.base.CoarseViewProvider`
-(``view``), which is what population-less nodes consume.
+state (the paper consumes membership as a black box).  Views are
+id-addressed (``view``): a membership grown by joins has no fixed row
+order, so it is studied on its own rather than fed to AVMEM nodes.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class ScampMembership:
         return members[int(self.rng.integers(len(members)))]
 
     # ------------------------------------------------------------------
-    # CoarseViewProvider protocol + analysis
+    # Views + analysis
     # ------------------------------------------------------------------
     def view(self, node: NodeId) -> Tuple[NodeId, ...]:
         try:

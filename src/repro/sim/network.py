@@ -47,15 +47,11 @@ class PresenceOracle(Protocol):
     Implemented by :class:`repro.churn.trace.ChurnTrace` and by the
     always-on oracle used in unit tests.  The network asks about the
     sender at send time and about the destination when its message
-    arrives, always at the simulator's current instant.  Oracles may
-    optionally provide a vectorized
-    ``is_online_array(nodes, times) -> bool array`` (as
-    :class:`~repro.churn.trace.ChurnTrace` does);
-    :meth:`Network.online_array` batches through it when present and
-    falls back to scalar queries otherwise.
-    Row-addressed callers (population-backed nodes) additionally need
+    arrives, always at the simulator's current instant.  The nodes'
+    protocol rounds ask by row instead, through
     ``presence_snapshot(time) -> bool array`` over the oracle's own node
-    order (see :meth:`Network.online_rows`).
+    order (see :meth:`Network.online_rows`), which a churn trace
+    provides.
     """
 
     def is_online(self, node: NodeKey, time: float) -> bool:  # pragma: no cover
@@ -234,38 +230,14 @@ class Network:
         """Convenience: is ``node`` online right now?"""
         return self.presence.is_online(node, self.sim.now)
 
-    def online_array(self, nodes: Sequence[NodeKey]) -> np.ndarray:
-        """Presence of many nodes right now — one batched oracle query."""
-        return self._presence_array(nodes, self.sim.now)
-
     def online_rows(self, rows) -> np.ndarray:
         """Presence right now by *row* of the presence oracle (an index
         or an index array into its node order): one lookup in the
         oracle's ``presence_snapshot``, which a trace-backed oracle
-        reuses until the next session edge.  Population-backed nodes,
-        whose population rows are the trace's rows, gate their protocol
-        rounds and probe discovery candidates through this."""
+        reuses until the next session edge.  Nodes, whose population
+        rows are the trace's rows, gate their protocol rounds and probe
+        discovery candidates and refresh neighbors through this."""
         return self.presence.presence_snapshot(self.sim.now)[rows]
-
-    def _presence_array(self, nodes: Sequence[NodeKey], times) -> np.ndarray:
-        """Boolean presence of ``nodes[k]`` at ``times`` (scalar or
-        parallel array), batched through the oracle when it can.  Its
-        one caller is :meth:`online_array`, the id-addressed twin of
-        :meth:`online_rows` (ROADMAP item 3 folds the pair)."""
-        batch = getattr(self.presence, "is_online_array", None)
-        if batch is not None:
-            try:
-                return np.asarray(batch(nodes, times), dtype=bool)
-            except KeyError:
-                # A node the oracle doesn't know: the scalar protocol
-                # answers False for unknowns, so fall through to it.
-                pass
-        times_arr = np.broadcast_to(np.asarray(times, dtype=float), (len(nodes),))
-        return np.fromiter(
-            (self.presence.is_online(node, float(t)) for node, t in zip(nodes, times_arr)),
-            dtype=bool,
-            count=len(nodes),
-        )
 
     # ------------------------------------------------------------------
     # Delivery

@@ -301,7 +301,6 @@ class AvmemSimulation:
         for row, node_id in enumerate(self.node_ids):
             cache = CachedAvailabilityView(self.oracle, self.sim, population=self.population)
             self.nodes[node_id] = AvmemNode(
-                node_id,
                 self.sim,
                 self.network,
                 self.predicate,

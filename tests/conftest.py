@@ -7,7 +7,11 @@ import pytest
 
 from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
+from repro.core.node import AvmemNode
+from repro.core.population import Population
 from repro.core.predicates import NodeDescriptor, paper_predicate
+from repro.monitor.cache import CachedAvailabilityView
+from repro.ops.engine import OperationEngine
 from repro.ops.plan import OperationItem, OperationPlan, OperationTiming
 from repro.sim.engine import Simulator
 from repro.simulation import AvmemSimulation
@@ -31,6 +35,81 @@ def launch(simulation, kind, target, count=None, settle=30.0, **item_fields):
         **item_fields,
     )
     return simulation.ops.execute(OperationPlan.single(item, settle=settle)).launched
+
+
+class FixedAvailability:
+    """An availability service answering each node's fixed availability
+    in a population: by id (``query``) or by row (``query_array``)."""
+
+    def __init__(self, population: Population):
+        self.population = population
+
+    def query(self, node):
+        return float(self.population.availabilities[self.population.row_of(node)])
+
+    def query_array(self, rows):
+        return self.population.availabilities[rows]
+
+
+def row_nodes(sim, network, predicate, config, coarse, ids, availabilities,
+              service=None, rng=None):
+    """Hand-built AVMEM nodes over ``Population.from_ids(ids, availabilities)``.
+
+    One node per id, in ``ids`` order (which must be the row order of
+    the network's presence trace and of ``coarse``), each with its own
+    availability cache bound to the population.  ``service`` defaults to
+    :class:`FixedAvailability` over the population.  Returns
+    ``(population, service, nodes)`` with ``nodes`` keyed by id.
+    """
+    population = Population.from_ids(ids, availabilities)
+    if service is None:
+        service = FixedAvailability(population)
+    nodes = {
+        node_id: AvmemNode(
+            sim, network, predicate, config,
+            CachedAvailabilityView(service, sim, population), coarse,
+            rng=rng, population=population, row=row,
+        )
+        for row, node_id in enumerate(ids)
+    }
+    return population, service, nodes
+
+
+def install_matches(node, rows, availabilities):
+    """Evaluate ``node``'s predicate against ``rows`` at the given
+    availabilities and install the matches: a direct bootstrap of one
+    node.  Returns the number installed."""
+    me = node.self_descriptor(fresh=True)
+    member, horizontal = node.predicate.evaluate_many(
+        me, node.population.ids_of(rows), availabilities
+    )
+    return node.install_member_rows(
+        rows[member], availabilities[member], horizontal[member]
+    )
+
+
+def bootstrap_all(nodes, service):
+    """:func:`install_matches` of every node against every other row at
+    the service's current answers — the overlay discovery converges to."""
+    for node in nodes.values():
+        rows = np.delete(np.arange(len(node.population)), node.row)
+        install_matches(node, rows, service.query_array(rows))
+
+
+def row_engine(sim, network, nodes, config, population, service, rng=None, **options):
+    """An :class:`OperationEngine` whose ground truth is ``service``:
+    scalar truth by id, and multicast eligibility as one row-space
+    snapshot (online rows whose availability is in the target)."""
+    everyone = np.arange(len(population))
+
+    def truth_eligible(target):
+        rows = everyone[network.online_rows(everyone)]
+        return set(population.ids_of(rows[target.contains_array(service.query_array(rows))]))
+
+    return OperationEngine(
+        sim, network, nodes, config, truth_availability=service.query, rng=rng,
+        truth_eligible=truth_eligible, **options,
+    )
 
 
 @pytest.fixture

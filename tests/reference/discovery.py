@@ -1,14 +1,19 @@
-"""The coarse-view sampler and the discovery round as they shipped
-before both moved to row space, verbatim: ``_online_pool`` /
+"""The coarse-view sampler and the maintenance rounds as they shipped
+before they moved to row space, verbatim: ``_online_pool`` /
 ``_sample_for`` / ``view`` of ``GlobalSampleView`` (two list
-comprehensions over the whole population per sample) and the
+comprehensions over the whole population per sample), the
 per-candidate loop of ``AvmemNode.discovery_step`` (one scalar cache
-fetch, one ``evaluate_kind`` and one ``upsert`` per candidate).
+fetch, one ``evaluate_kind`` and one ``upsert`` per candidate) and the
+id-addressed ``AvmemNode._refresh_round`` (one scalar presence probe
+per neighbor).  Two lines differ from what shipped, because what they
+called is gone: discovery reads the coarse view by row and maps the
+rows to ids, and refresh's batch fetch by id is the per-node loop of
+scalar fetches that the deleted ``fetch_array`` fell back to.
 
 ``GlobalSampleView.view_rows`` must return the same view and leave the
-generator in the same state; ``AvmemNode.discovery_step`` must leave the
-table, the return value and the cache's ``fetch_count`` as the loop
-does."""
+generator in the same state; ``AvmemNode.discovery_step`` and
+``AvmemNode.refresh_step`` must leave the table, the return value and
+the cache's ``fetch_count`` as these rounds do."""
 
 from __future__ import annotations
 
@@ -103,7 +108,7 @@ def discovery_step(self: AvmemNode) -> int:
     self.discovery_rounds += 1
     me = self.self_descriptor(fresh=True)
     added = 0
-    for candidate in self.coarse_view.view(self.id):
+    for candidate in self.population.ids_of(self.coarse_view.view_rows(self.row)):
         if candidate == self.id or candidate in self.lists:
             continue
         if self.config.discovery_liveness and not self.network.is_online(candidate):
@@ -114,3 +119,41 @@ def discovery_step(self: AvmemNode) -> int:
             self.lists.upsert(candidate, av_candidate, kind, self.sim.now)
             added += 1
     return added
+
+
+def refresh_step(self: AvmemNode) -> int:
+    """One refresh round.  Returns the number of neighbors evicted."""
+    if not self.network.is_online(self.id):
+        return 0
+    self.refresh_rounds += 1
+    me = self.self_descriptor(fresh=True)
+    view = self.lists.neighbor_arrays()
+    total = view.slots.size
+    if total == 0:
+        return 0
+    neighbors = view.nodes.tolist()
+    if self.config.refresh_liveness:
+        probed = np.fromiter(
+            (self.network.is_online(node) for node in neighbors),
+            dtype=bool,
+            count=total,
+        )
+    else:
+        probed = np.ones(total, dtype=bool)
+    availabilities = np.zeros(total, dtype=float)
+    keep = np.zeros(total, dtype=bool)
+    horizontal = np.zeros(total, dtype=bool)
+    live = np.flatnonzero(probed)
+    if live.size:
+        live_nodes = [neighbors[i] for i in live]
+        availabilities[live] = np.fromiter(
+            (self.availability.fetch(node) for node in live_nodes),
+            dtype=float,
+            count=len(live_nodes),
+        )
+        keep[live], horizontal[live] = self.predicate.evaluate_many(
+            me, live_nodes, availabilities[live], digests=view.digests[live]
+        )
+    return self.lists.refresh_round(
+        view.slots, availabilities, horizontal, keep, now=self.sim.now
+    )

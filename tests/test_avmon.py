@@ -116,7 +116,7 @@ class TestQueryArray:
     def test_parity_with_scalar_query(self, avmon_setup):
         sim, _, ids, service = avmon_setup
         sim.run_until(3600.0 * 6)  # let discovery + pings accumulate
-        batch = service.query_array(ids)
+        batch = service.query_array(np.arange(len(ids)))
         scalar = np.array([service.query(node) for node in ids])
         np.testing.assert_allclose(batch, scalar)
         # At least some nodes should have real measurements by now.
@@ -124,26 +124,27 @@ class TestQueryArray:
 
     def test_unknown_node_raises(self, avmon_setup):
         _, _, ids, service = avmon_setup
-        stranger = make_node_ids(len(ids) + 1)[-1]
-        with pytest.raises(KeyError):
-            service.query_array([ids[0], stranger])
+        with pytest.raises(IndexError):
+            service.query_array(np.array([0, len(ids)]))  # a row past the population
 
     def test_unmeasured_nodes_answer_the_prior(self, avmon_setup):
         _, _, ids, service = avmon_setup
         # No time has passed: nobody has pinged anybody.
-        np.testing.assert_allclose(service.query_array(ids[:7]), 0.5)
+        np.testing.assert_allclose(service.query_array(np.arange(7)), 0.5)
 
     def test_cached_view_uses_the_batch_path(self, avmon_setup):
+        """A row-addressed cache hands AVMON rows of its own population."""
+        from repro.core.population import Population
         from repro.monitor.cache import CachedAvailabilityView
 
         sim, _, ids, service = avmon_setup
         sim.run_until(3600.0 * 6)
-        view = CachedAvailabilityView(service, sim)
-        values = view.fetch_array(ids[:25])
-        np.testing.assert_allclose(
-            values, [service.query(node) for node in ids[:25]]
-        )
+        view = CachedAvailabilityView(service, sim, Population.from_ids(ids, np.zeros(len(ids))))
+        rows = np.arange(len(ids))[::-6]
+        values = view.fetch_rows(rows)
+        assert values.tolist() == [service.query(ids[r]) for r in rows]
+        assert (values != 0.5).any()
         # The batch lands in the cache (folded lazily on first read).
-        assert view.fetch_count == 25
-        for node, value in zip(ids[:25], values):
-            assert view.get(node) == pytest.approx(value)
+        assert view.fetch_count == rows.size
+        for row, value in zip(rows, values):
+            assert view.get(ids[row]) == value

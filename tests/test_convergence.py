@@ -14,12 +14,12 @@ from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
-from repro.core.node import AvmemNode
 from repro.core.predicates import NodeDescriptor, paper_predicate
-from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.coarse_view import GlobalSampleView
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+
+from conftest import row_nodes
 
 
 @pytest.fixture(scope="module")
@@ -32,27 +32,15 @@ def static_system():
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     avs = rng.uniform(0.05, 0.95, 120)
-    index = {node: i for i, node in enumerate(ids)}
     pdf = AvailabilityPdf.from_samples(avs, online_weighted=False)
     predicate = paper_predicate(pdf)
-
-    class Fixed:
-        def query(self, node):
-            return float(avs[index[node]])
-
-    service = Fixed()
     coarse = GlobalSampleView(
         sim, ids, view_size=12, rng=rng, presence=trace, period=60.0,
         stale_fraction=0.0,
     )
-    config = AvmemConfig()
-    nodes = {
-        node_id: AvmemNode(
-            node_id, sim, network, predicate, config,
-            CachedAvailabilityView(service, sim), coarse, rng=rng,
-        )
-        for node_id in ids
-    }
+    _, service, nodes = row_nodes(
+        sim, network, predicate, AvmemConfig(), coarse, ids, avs, rng=rng
+    )
     # Run discovery for ~4x the expected N/v coverage time.
     rounds = 4 * (120 // 12)
     for _ in range(rounds):

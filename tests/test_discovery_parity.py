@@ -1,10 +1,11 @@
-"""Row-space discovery against the code it replaced.
+"""Row-space maintenance against the code it replaced.
 
-``tests/reference/discovery.py`` holds the population-walking sampler
-and the per-candidate discovery loop verbatim.  The shipped sampler must
-return the reference's views *and* leave the generator where the
-reference leaves it; a shipped discovery round must leave the table,
-the return value and the cache accounting exactly as the loop does.
+``tests/reference/discovery.py`` holds the population-walking sampler,
+the per-candidate discovery loop and the id-addressed refresh round.
+The shipped sampler must return the reference's views *and* leave the
+generator where the reference leaves it; a shipped discovery or refresh
+round must leave the table, the return value and the cache accounting
+exactly as the reference round does.
 """
 
 from __future__ import annotations
@@ -17,32 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.churn.trace import ChurnTrace
-from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
 from repro.core.node import AvmemNode
-from repro.core.predicates import paper_predicate
-from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.coarse_view import GlobalSampleView, ShuffledCoarseView
-from repro.monitor.oracle import OracleAvailability
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
 from repro.simulation import AvmemSimulation, SimulationSettings
 
 from reference.discovery import ReferenceGlobalSampleView
 from reference.discovery import discovery_step as reference_discovery_step
+from reference.discovery import refresh_step as reference_refresh_step
 
 EPOCH = 1200.0
-
-
-class ScalarPresence:
-    """A presence oracle with the scalar protocol only (no row space)."""
-
-    def __init__(self, trace: ChurnTrace):
-        self._trace = trace
-
-    def is_online(self, node, time: float) -> bool:
-        return self._trace.is_online(node, time)
 
 
 def matrix_trace(ids, rng: np.random.Generator, epochs: int, p_online: float) -> ChurnTrace:
@@ -52,7 +39,7 @@ def matrix_trace(ids, rng: np.random.Generator, epochs: int, p_online: float) ->
 # ----------------------------------------------------------------------
 # The sampler
 # ----------------------------------------------------------------------
-PRESENCE_KINDS = ("none", "trace", "all-offline", "scalar-only", "partial-trace")
+PRESENCE_KINDS = ("none", "trace", "all-offline")
 
 
 @given(
@@ -77,14 +64,8 @@ def test_view_rows_matches_reference_views_and_generator_state(
     elif presence_kind == "all-offline":
         # nobody online: both samplers fall back to the whole population
         presence = matrix_trace(ids, trace_rng, 4, 0.0)
-    elif presence_kind == "partial-trace":
-        # the trace has never heard of the last node: always offline
-        known = ids[:-1] if n > 2 else ids
-        presence = matrix_trace(known, trace_rng, 4, p_online)
     else:
         presence = matrix_trace(ids, trace_rng, 4, p_online)
-        if presence_kind == "scalar-only":
-            presence = ScalarPresence(presence)
     sim = Simulator()
     shipped = GlobalSampleView(
         sim, ids, view_size, np.random.default_rng(seed),
@@ -100,7 +81,6 @@ def test_view_rows_matches_reference_views_and_generator_state(
         want = reference.view(ids[row])
         rows = shipped.view_rows(row)
         assert tuple(ids[r] for r in rows.tolist()) == want
-        assert shipped.view(ids[row]) == want
         assert (
             shipped.rng.bit_generator.state == reference.rng.bit_generator.state
         )
@@ -120,8 +100,9 @@ def test_view_rows_covers_owner_online_and_offline():
         reference = ReferenceGlobalSampleView(
             sim, ids, 8, np.random.default_rng(4), presence=trace
         )
-        assert shipped.view(ids[row]) == reference.view(ids[row])
-        live = set(shipped.view_rows(row).tolist()) & set(range(6))
+        rows = shipped.view_rows(row).tolist()
+        assert tuple(ids[r] for r in rows) == reference.view(ids[row])
+        live = set(rows) & set(range(6))
         assert row not in live and len(live) == (5 if row == 2 else 6)
 
 
@@ -132,11 +113,13 @@ def test_shuffled_view_rows_is_the_view():
     )
     shuffler.step()
     for row, node in enumerate(ids):
-        assert tuple(ids[r] for r in shuffler.view_rows(row).tolist()) == shuffler.view(node)
+        rows = shuffler.view_rows(row).tolist()
+        assert [ids[r] for r in rows] == shuffler._views[node]
+        assert row not in rows and len(set(rows)) == len(rows)
 
 
 # ----------------------------------------------------------------------
-# One discovery round
+# One discovery or refresh round
 # ----------------------------------------------------------------------
 def table_state(node: AvmemNode):
     """Everything a round may change, in listing order."""
@@ -153,85 +136,72 @@ def cache_state(node: AvmemNode, ids):
 def assert_same_node_state(shipped: AvmemNode, reference: AvmemNode, ids) -> None:
     assert table_state(shipped) == table_state(reference)
     assert shipped.discovery_rounds == reference.discovery_rounds
+    assert shipped.refresh_rounds == reference.refresh_rounds
     assert shipped.availability.fetch_count == reference.availability.fetch_count
     assert shipped.availability.hit_count == reference.availability.hit_count
     assert cache_state(shipped, ids) == cache_state(reference, ids)
 
 
-def id_addressed_system(seed: int, liveness: bool, noise_std: float):
-    """N = 36 population-less nodes over an epoch-aligned trace."""
-    ids = make_node_ids(36)
-    rng = np.random.default_rng(seed)
-    trace = matrix_trace(ids, rng, 12, 0.6)
-    sim = Simulator()
-    network = Network(sim, presence=trace, rng=np.random.default_rng(seed + 1))
-    oracle = OracleAvailability(trace, sim, noise_std=noise_std, seed=seed)
-    pdf = AvailabilityPdf.from_samples(
-        trace.timeline.lifetime_availability_array(), n_star=20.0
-    )
-    predicate = paper_predicate(pdf)
-    coarse = GlobalSampleView(
-        sim, ids, 12, rng=np.random.default_rng(seed + 2), presence=trace
-    )
-    config = replace(AvmemConfig(), discovery_liveness=liveness)
-    nodes = [
-        AvmemNode(
-            node_id, sim, network, predicate, config,
-            CachedAvailabilityView(oracle, sim), coarse,
+def direct_bootstrapped(seed: int, noise_std: float = 0.02, **config) -> AvmemSimulation:
+    """N = 48 with the protocol loops off, its overlay installed by the
+    direct bootstrap: rounds start from full tables, so the
+    already-a-neighbor mask, the liveness probe and listing order are
+    all in play."""
+    simulation = AvmemSimulation(
+        SimulationSettings(
+            hosts=48, epochs=24, seed=seed, protocols="off",
+            monitor_noise_std=noise_std, config=replace(AvmemConfig(), **config),
         )
-        for node_id in ids
-    ]
-    return sim, ids, nodes
+    )
+    simulation.setup(warmup=7200.0, settle=0.0)
+    return simulation
 
 
 @pytest.mark.parametrize("liveness", (True, False))
 @given(
     seed=st.integers(0, 10_000),
     noise_std=st.sampled_from((0.0, 0.02)),
-    gaps=st.lists(st.floats(1.0, 900.0), min_size=2, max_size=5),
-)
-@settings(max_examples=12, deadline=None)
-def test_id_addressed_round_matches_reference_loop(liveness, seed, noise_std, gaps):
-    sim_a, ids, shipped = id_addressed_system(seed, liveness, noise_std)
-    sim_b, _, reference = id_addressed_system(seed, liveness, noise_std)
-    for gap in gaps:
-        sim_a.run_until(sim_a.now + gap)
-        sim_b.run_until(sim_b.now + gap)
-        for node_a, node_b in zip(shipped, reference):
-            assert node_a.discovery_step() == reference_discovery_step(node_b)
-            assert_same_node_state(node_a, node_b, ids)
-
-
-@pytest.mark.parametrize("liveness", (True, False))
-@given(
-    seed=st.integers(0, 10_000),
     gaps=st.lists(st.floats(1.0, 900.0), min_size=2, max_size=4),
 )
-@settings(max_examples=6, deadline=None)
-def test_row_addressed_round_matches_reference_loop(liveness, seed, gaps):
-    """Population-backed nodes (the simulation's) on a direct-bootstrapped
-    overlay: rounds start from full tables, so the already-a-neighbor
-    mask, the liveness probe and listing order are all in play."""
-
-    def build() -> AvmemSimulation:
-        config = replace(AvmemConfig(), discovery_liveness=liveness)
-        simulation = AvmemSimulation(
-            SimulationSettings(hosts=48, epochs=24, seed=seed, protocols="off", config=config)
-        )
-        simulation.setup(warmup=7200.0, settle=0.0)
-        return simulation
-
-    shipped, reference = build(), build()
+@settings(max_examples=8, deadline=None)
+def test_row_addressed_round_matches_reference_loop(liveness, seed, noise_std, gaps):
+    shipped = direct_bootstrapped(seed, noise_std, discovery_liveness=liveness)
+    reference = direct_bootstrapped(seed, noise_std, discovery_liveness=liveness)
     ids = shipped.node_ids
     for gap in gaps:
         shipped.sim.run_until(shipped.sim.now + gap)
         reference.sim.run_until(reference.sim.now + gap)
         for node_id in ids:
             node_a, node_b = shipped.nodes[node_id], reference.nodes[node_id]
-            assert node_a.population is not None and node_a.row is not None
             assert node_a.discovery_step() == reference_discovery_step(node_b)
             assert_same_node_state(node_a, node_b, ids)
     assert (
         shipped.coarse_view.rng.bit_generator.state
         == reference.coarse_view.rng.bit_generator.state
     )
+
+
+@pytest.mark.parametrize("liveness", (True, False))
+@given(
+    seed=st.integers(0, 10_000),
+    edges=st.lists(
+        st.tuples(st.integers(0, 2), st.floats(-60.0, 60.0)), min_size=2, max_size=4
+    ),
+)
+@settings(max_examples=6, deadline=None)
+def test_row_addressed_refresh_matches_reference_round(liveness, seed, edges):
+    """Each step lands within a minute of a session edge (an epoch
+    boundary of the trace), on either side of it, so neighbors go
+    offline and come back between rounds."""
+    shipped = direct_bootstrapped(seed, refresh_liveness=liveness)
+    reference = direct_bootstrapped(seed, refresh_liveness=liveness)
+    ids = shipped.node_ids
+    for skip, offset in edges:
+        # the first edge more than a minute ahead, so edge + offset is never in the past
+        edge = ((shipped.sim.now + 60.0) // EPOCH + 1 + skip) * EPOCH
+        shipped.sim.run_until(edge + offset)
+        reference.sim.run_until(edge + offset)
+        for node_id in ids:
+            node_a, node_b = shipped.nodes[node_id], reference.nodes[node_id]
+            assert node_a.refresh_step() == reference_refresh_step(node_b)
+            assert_same_node_state(node_a, node_b, ids)

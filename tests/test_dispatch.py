@@ -319,7 +319,7 @@ class TestTraceBatchPresence:
         nodes = [
             ids[data.draw(st.integers(0, len(ids) - 1))] for _ in times
         ]
-        batch = trace.is_online_array(nodes, np.array(times))
+        batch = trace.timeline.is_online_array(trace.node_indices(nodes), np.array(times))
         scalar = [trace.is_online(node, t) for node, t in zip(nodes, times)]
         assert batch.tolist() == scalar
 
@@ -330,23 +330,14 @@ class TestTraceBatchPresence:
              ids[2]: NodeSchedule([(5, 20)])},
             horizon=30.0,
         )
-        got = trace.is_online_array(ids, 7.0)
+        got = trace.timeline.is_online_array(trace.node_indices(ids), 7.0)
         assert got.tolist() == [True, False, True]
 
     def test_unknown_node_raises(self):
         ids = make_node_ids(2)
         trace = ChurnTrace({ids[0]: NodeSchedule([(0, 10)])}, horizon=30.0)
         with pytest.raises(KeyError):
-            trace.is_online_array([ids[1]], 1.0)
-
-    def test_network_falls_back_for_unknown_nodes(self):
-        """The network's batched presence helper degrades to the scalar
-        protocol (False for unknowns) instead of propagating KeyError."""
-        ids = make_node_ids(2)
-        trace = ChurnTrace({ids[0]: NodeSchedule([(0, 10)])}, horizon=30.0)
-        net = Network(Simulator(), presence=trace)
-        got = net.online_array([ids[0], ids[1]])
-        assert got.tolist() == [True, False]
+            trace.node_indices([ids[1]])
 
 
 # ----------------------------------------------------------------------
@@ -379,24 +370,22 @@ class TestDispatchRecordParity:
         assert_batch_matches_loop(seed, parity_plan(policy, mode))
 
     def test_eligible_nodes_scalar_batch_parity(self):
-        """The vectorized eligibility snapshot equals the scalar loop's
-        set at several instants and targets."""
+        """The vectorized eligibility snapshot equals a scalar loop's set
+        (presence and true availability asked node by node)."""
         simulation = build_sim(5)
         engine = simulation.engine
-        assert engine.truth_eligible is not None
         for target in (
             TargetSpec.range(0.2, 0.5),
             TargetSpec.range(0.6, 0.95),
             TargetSpec.threshold(0.5),
         ):
-            batch = engine._eligible_nodes(target)
-            snapshot_fn = engine.truth_eligible
-            engine.truth_eligible = None
-            try:
-                scalar = engine._eligible_nodes(target)
-            finally:
-                engine.truth_eligible = snapshot_fn
-            assert batch == scalar
+            scalar = {
+                node
+                for node in engine.nodes
+                if simulation.network.is_online(node)
+                and target.contains(engine.truth_availability(node))
+            }
+            assert engine._eligible_nodes(target) == scalar
 
     def test_band_candidates_match_scalar_shape(self):
         """The row-space band candidate list equals the scalar filter

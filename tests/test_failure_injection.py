@@ -12,16 +12,15 @@ from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
-from repro.core.node import AvmemNode
-from repro.core.predicates import NodeDescriptor, random_overlay_predicate
-from repro.monitor.cache import CachedAvailabilityView
+from repro.core.predicates import random_overlay_predicate
 from repro.monitor.coarse_view import GlobalSampleView
-from repro.ops.engine import OperationEngine
 from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
+
+from conftest import bootstrap_all, row_engine, row_nodes
 
 
 def build_mass_churn_system(n=40, die_at=1000.0, survivors=5, rng=None):
@@ -39,26 +38,13 @@ def build_mass_churn_system(n=40, die_at=1000.0, survivors=5, rng=None):
     avs = list(np.linspace(0.1, 0.95, n))
     pdf = AvailabilityPdf.from_samples(avs, online_weighted=False)
     predicate = random_overlay_predicate(pdf, probability=1.0)
-
-    class Fixed:
-        def query(self, node):
-            return float(avs[ids.index(node)])
-
-    service = Fixed()
     coarse = GlobalSampleView(sim, ids, n - 1, rng=rng, presence=trace, stale_fraction=0.0)
     config = AvmemConfig()
-    nodes = {}
-    for node_id in ids:
-        nodes[node_id] = AvmemNode(
-            node_id, sim, network, predicate, config,
-            CachedAvailabilityView(service, sim), coarse, rng=rng,
-        )
-    engine = OperationEngine(
-        sim, network, nodes, config, truth_availability=service.query, rng=rng
+    population, service, nodes = row_nodes(
+        sim, network, predicate, config, coarse, ids, avs, rng=rng
     )
-    descriptors = [NodeDescriptor(node, service.query(node)) for node in ids]
-    for node_id, node in nodes.items():
-        node.bootstrap_from([d for d in descriptors if d.node != node_id])
+    engine = row_engine(sim, network, nodes, config, population, service, rng=rng)
+    bootstrap_all(nodes, service)
     return sim, network, nodes, engine, ids, trace
 
 

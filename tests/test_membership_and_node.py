@@ -8,20 +8,22 @@ from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
 from repro.core.membership import MembershipTable, SliverSelector
-from repro.core.node import AvmemNode
+from repro.core.population import Population
 from repro.core.predicates import NodeDescriptor, SliverKind, paper_predicate
-from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.coarse_view import GlobalSampleView
 from repro.monitor.oracle import OracleAvailability
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+
+from conftest import install_matches, row_nodes
 
 
 class TestMembershipLists:
     @pytest.fixture
     def lists(self):
         ids = make_node_ids(10)
-        return MembershipTable(ids[0]), ids
+        population = Population.from_ids(ids, np.linspace(0.1, 0.9, 10))
+        return MembershipTable(ids[0], population), ids
 
     def test_upsert_and_lookup(self, lists):
         table, ids = lists
@@ -73,6 +75,21 @@ class TestMembershipLists:
         table.clear()
         assert table.total_count == 0
 
+    def test_upsert_of_a_non_member_raises_and_changes_nothing(self, lists):
+        """A node outside the population has no row: the upsert raises
+        instead of storing a row that row-space rounds would index with."""
+        table, ids = lists
+        table.upsert(ids[1], 0.5, SliverKind.HORIZONTAL, now=0.0)
+        before = table.neighbor_arrays()
+        stranger = make_node_ids(11)[10]
+        with pytest.raises(KeyError):
+            table.upsert(stranger, 0.5, SliverKind.VERTICAL, now=1.0)
+        assert table.total_count == 1 and stranger not in table
+        after = table.neighbor_arrays()
+        for column in ("slots", "nodes", "availabilities", "horizontal", "digests", "rows"):
+            np.testing.assert_array_equal(getattr(after, column), getattr(before, column))
+        assert after.rows.tolist() == [1]
+
 
 @pytest.fixture
 def wired_system(rng):
@@ -91,13 +108,9 @@ def wired_system(rng):
     pdf = AvailabilityPdf.from_samples(avs, n_star=60.0)
     predicate = paper_predicate(pdf)
     coarse = GlobalSampleView(sim, ids, view_size=25, rng=rng, presence=trace)
-    config = AvmemConfig()
-    nodes = {}
-    for node_id in ids:
-        cache = CachedAvailabilityView(oracle, sim)
-        nodes[node_id] = AvmemNode(
-            node_id, sim, network, predicate, config, cache, coarse, rng=rng
-        )
+    _, _, nodes = row_nodes(
+        sim, network, predicate, AvmemConfig(), coarse, ids, avs, service=oracle, rng=rng
+    )
     return sim, trace, network, nodes, ids, predicate
 
 
@@ -168,10 +181,11 @@ class TestRefresh:
         pdf = AvailabilityPdf.uniform(n_star=30.0)
         predicate = paper_predicate(pdf)
         coarse = GlobalSampleView(sim, ids, 29, rng=rng, presence=trace, stale_fraction=0.0)
-        node = AvmemNode(
-            ids[0], sim, network, predicate, AvmemConfig(),
-            CachedAvailabilityView(oracle, sim), coarse, rng=rng,
+        _, _, nodes = row_nodes(
+            sim, network, predicate, AvmemConfig(), coarse, ids, np.full(30, 0.5),
+            service=oracle, rng=rng,
         )
+        node = nodes[ids[0]]
         sim.run_until(2000.0)
         node.discovery_step()
         had_doomed = any(e.node in set(ids[1:21]) for e in node.lists.all_entries())
@@ -191,15 +205,13 @@ class TestBootstrapAndLifecycle:
         sim, _, _, nodes, ids, predicate = wired_system
         sim.run_until(3600.0)
         node = nodes[ids[5]]
-        candidates = [
-            NodeDescriptor(other, node.availability._service.query(other))
-            for other in ids
-            if other != ids[5]
-        ]
-        added = node.bootstrap_from(candidates)
+        rows = np.delete(np.arange(len(ids)), 5)
+        availabilities = node.availability._service.query_array(rows)
+        added = install_matches(node, rows, availabilities)
         assert added == node.lists.total_count
         me = node.self_descriptor()
-        for candidate in candidates:
+        for row, availability in zip(rows.tolist(), availabilities.tolist()):
+            candidate = NodeDescriptor(ids[row], availability)
             expected = predicate.evaluate_kind(me, candidate)
             if expected is None:
                 assert candidate.node not in node.lists

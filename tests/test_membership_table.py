@@ -1,6 +1,6 @@
 """Parity and unit tests for the columnar :class:`MembershipTable`.
 
-The batched operations (``upsert_many``, ``refresh_round``) must be
+The batched operations (``upsert_rows``, ``refresh_round``) must be
 observationally identical to the scalar ``upsert``/``remove`` loops they
 replace — same entries, same values, same listing order — across sliver
 kinds and arbitrary churn sequences.  The hypothesis property test
@@ -16,11 +16,22 @@ from hypothesis import strategies as st
 
 from repro.core.ids import digest_array, make_node_ids
 from repro.core.membership import MembershipTable, SliverSelector
+from repro.core.population import Population
 from repro.core.predicates import SliverKind
 
 POOL = make_node_ids(24)
+POPULATION = Population.from_ids(tuple(POOL), np.linspace(0.1, 0.9, len(POOL)))
 OWNER = POOL[0]
-CANDIDATES = POOL[1:]
+CANDIDATES = POOL[1:]  # CANDIDATES[i] is population row i + 1
+
+
+def new_table() -> MembershipTable:
+    return MembershipTable(OWNER, POPULATION)
+
+
+def rows(start: int, stop: int) -> np.ndarray:
+    """The population rows of ``CANDIDATES[start:stop]``."""
+    return np.arange(start + 1, stop + 1)
 
 
 def _kind(flag: bool) -> SliverKind:
@@ -88,10 +99,10 @@ steps = st.lists(
 @given(schedule=steps)
 @settings(max_examples=120, deadline=None)
 def test_bulk_ops_match_scalar_reference(schedule):
-    """upsert_many + refresh_round ≡ the scalar upsert/remove loops,
+    """upsert_rows + refresh_round ≡ the scalar upsert/remove loops,
     entry for entry, across kinds and churn sequences."""
-    scalar = MembershipTable(OWNER)
-    batched = MembershipTable(OWNER)
+    scalar = new_table()
+    batched = new_table()
     now = 0.0
     for op, payload in schedule:
         now += 10.0
@@ -102,7 +113,8 @@ def test_bulk_ops_match_scalar_reference(schedule):
             # Scalar reference: one upsert per batch position, in order.
             for node, av, flag in zip(nodes, avs, flags):
                 scalar.upsert(node, float(av), _kind(bool(flag)), now)
-            assert batched.upsert_many(nodes, avs, flags, now) == len(nodes)
+            batch_rows = np.array([i + 1 for i, _, _ in payload])
+            assert batched.upsert_rows(batch_rows, avs, flags, now) == len(nodes)
         elif op == "refresh":
             # One refresh round: walk the current neighbors in listing
             # order; evict where keep=False, re-cache otherwise.
@@ -135,41 +147,43 @@ def test_bulk_ops_match_scalar_reference(schedule):
 # Bulk-operation unit tests
 # ----------------------------------------------------------------------
 class TestUpsertMany:
+    """The validation and semantics of the bulk install, ``upsert_rows``."""
+
     def test_empty_batch_is_noop(self):
-        table = MembershipTable(OWNER)
-        assert table.upsert_many([], np.empty(0), np.empty(0, dtype=bool), 0.0) == 0
+        table = new_table()
+        assert table.upsert_rows(rows(0, 0), np.empty(0), np.empty(0, dtype=bool), 0.0) == 0
         assert table.total_count == 0
 
     def test_owner_in_batch_rejected(self):
-        table = MembershipTable(OWNER)
+        table = new_table()
         with pytest.raises(ValueError, match="own neighbor"):
-            table.upsert_many(
-                [CANDIDATES[0], OWNER], np.array([0.5, 0.6]),
+            table.upsert_rows(
+                np.array([1, 0]), np.array([0.5, 0.6]),
                 np.array([True, False]), now=0.0,
             )
 
     def test_duplicate_nodes_rejected(self):
-        table = MembershipTable(OWNER)
+        table = new_table()
         with pytest.raises(ValueError, match="unique"):
-            table.upsert_many(
-                [CANDIDATES[0], CANDIDATES[0]], np.array([0.5, 0.6]),
+            table.upsert_rows(
+                np.array([1, 1]), np.array([0.5, 0.6]),
                 np.array([True, False]), now=0.0,
             )
 
     def test_mismatched_lengths_rejected(self):
-        table = MembershipTable(OWNER)
+        table = new_table()
         with pytest.raises(ValueError, match="parallel"):
-            table.upsert_many(
-                [CANDIDATES[0]], np.array([0.5, 0.6]), np.array([True]), now=0.0
+            table.upsert_rows(
+                np.array([1]), np.array([0.5, 0.6]), np.array([True]), now=0.0
             )
 
     def test_updates_preserve_added_at(self):
-        table = MembershipTable(OWNER)
-        table.upsert_many(
-            CANDIDATES[:2], np.array([0.2, 0.8]), np.array([True, False]), now=1.0
+        table = new_table()
+        table.upsert_rows(
+            rows(0, 2), np.array([0.2, 0.8]), np.array([True, False]), now=1.0
         )
-        table.upsert_many(
-            CANDIDATES[:3], np.array([0.3, 0.7, 0.5]),
+        table.upsert_rows(
+            rows(0, 3), np.array([0.3, 0.7, 0.5]),
             np.array([False, False, True]), now=2.0,
         )
         first = table.get(CANDIDATES[0])
@@ -180,19 +194,22 @@ class TestUpsertMany:
         assert table.total_count == 3
 
     def test_precomputed_digests_accepted(self):
-        table = MembershipTable(OWNER)
+        """Digests come from the population's column, no id touched."""
+        table = new_table()
         nodes = CANDIDATES[:4]
-        digests = np.array([n.digest64 for n in nodes], dtype=np.uint64)
-        table.upsert_many(
-            nodes, np.linspace(0.1, 0.9, 4), np.array([True, True, False, False]),
-            now=0.0, digests=digests,
+        table.upsert_rows(
+            rows(0, 4), np.linspace(0.1, 0.9, 4), np.array([True, True, False, False]),
+            now=0.0,
         )
+        view = table.neighbor_arrays(with_nodes=False)
+        assert view.digests.tolist() == POPULATION.digests[rows(0, 4)].tolist()
+        assert view.rows.tolist() == rows(0, 4).tolist()
         assert table.neighbor_ids() == list(nodes[:2]) + list(nodes[2:])
 
     def test_scalar_lookup_after_bulk_install(self):
-        table = MembershipTable(OWNER)
-        table.upsert_many(
-            CANDIDATES[:5], np.linspace(0.1, 0.5, 5), np.ones(5, dtype=bool), now=0.0
+        table = new_table()
+        table.upsert_rows(
+            rows(0, 5), np.linspace(0.1, 0.5, 5), np.ones(5, dtype=bool), now=0.0
         )
         assert CANDIDATES[3] in table
         assert table.get(CANDIDATES[3]).availability == pytest.approx(0.4)
@@ -201,9 +218,9 @@ class TestUpsertMany:
 
 class TestRefreshRound:
     def _installed(self):
-        table = MembershipTable(OWNER)
-        table.upsert_many(
-            CANDIDATES[:6], np.linspace(0.1, 0.6, 6),
+        table = new_table()
+        table.upsert_rows(
+            rows(0, 6), np.linspace(0.1, 0.6, 6),
             np.array([True, True, True, False, False, False]), now=0.0,
         )
         return table
@@ -249,7 +266,7 @@ class TestRefreshRound:
             )
 
     def test_empty_round_is_noop(self):
-        table = MembershipTable(OWNER)
+        table = new_table()
         view = table.neighbor_arrays()
         assert table.refresh_round(
             view.slots, view.availabilities, view.horizontal,
@@ -271,10 +288,7 @@ class TestNeighborViewCache:
 
     @staticmethod
     def _table():
-        from repro.core.population import Population
-
-        population = Population.from_ids(tuple(POOL), np.linspace(0.1, 0.9, len(POOL)))
-        table = MembershipTable(OWNER, population=population)
+        table = new_table()
         table.upsert_rows(
             np.arange(1, 13), np.linspace(0.1, 0.9, 12), np.arange(12) % 2 == 0, now=0.0
         )
@@ -305,9 +319,6 @@ class TestNeighborViewCache:
             "upsert-existing": lambda t, v: t.upsert(v.nodes[3], 0.5, SliverKind.VERTICAL, 1.0),
             "remove": lambda t, v: t.remove(v.nodes[0]),
             "clear": lambda t, v: t.clear(),
-            "upsert_many": lambda t, v: t.upsert_many(
-                CANDIDATES[18:20], np.array([0.3, 0.4]), np.array([True, False]), now=1.0
-            ),
             "upsert_rows": lambda t, v: t.upsert_rows(
                 np.array([2, 15]), np.array([0.3, 0.4]), np.array([True, False]), now=1.0
             ),
@@ -353,20 +364,19 @@ class TestNeighborViewCache:
         table = self._table()
         view = table.neighbor_arrays()
         assert not table.remove(CANDIDATES[22])
-        assert table.upsert_many([], np.empty(0), np.empty(0, dtype=bool), 1.0) == 0
+        assert table.upsert_rows(rows(0, 0), np.empty(0), np.empty(0, dtype=bool), 1.0) == 0
         assert table.neighbor_arrays() is view
 
 
 class TestCompaction:
     def test_long_churn_compacts_dead_slots(self):
         """Interleaved installs and evictions must not leak slots."""
-        table = MembershipTable(OWNER)
+        table = new_table()
         rng = np.random.default_rng(0)
         for round_no in range(40):
             picks = rng.choice(len(CANDIDATES), size=6, replace=False)
-            nodes = [CANDIDATES[i] for i in picks]
-            table.upsert_many(
-                nodes, rng.uniform(0, 1, 6), rng.uniform(0, 1, 6) < 0.5,
+            table.upsert_rows(
+                picks + 1, rng.uniform(0, 1, 6), rng.uniform(0, 1, 6) < 0.5,
                 now=float(round_no),
             )
             view = table.neighbor_arrays()
@@ -379,9 +389,9 @@ class TestCompaction:
         assert table._size <= table.total_count + max(8, table.total_count) + 6
 
     def test_neighbor_view_matches_entries_order(self):
-        table = MembershipTable(OWNER)
-        table.upsert_many(
-            CANDIDATES[:8], np.linspace(0.1, 0.8, 8),
+        table = new_table()
+        table.upsert_rows(
+            rows(0, 8), np.linspace(0.1, 0.8, 8),
             np.array([True, False] * 4), now=0.0,
         )
         view = table.neighbor_arrays()

@@ -124,13 +124,19 @@ class TestOracle:
         assert everyone.tolist() == [oracle.query(node) for node in ids]
 
 
+def view_ids(provider, ids, node):
+    """``provider``'s current view of ``node``, as ids."""
+    return tuple(ids[row] for row in provider.view_rows(ids.index(node)).tolist())
+
+
 class TestCachedView:
     @pytest.fixture
     def setup(self, trace_and_ids):
         trace, ids = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim)
-        return sim, oracle, CachedAvailabilityView(oracle, sim), ids
+        population = Population.from_ids(ids, np.zeros(len(ids)))
+        return sim, oracle, CachedAvailabilityView(oracle, sim, population), ids
 
     def test_get_before_fetch_is_none(self, setup):
         _, _, cache, ids = setup
@@ -168,7 +174,7 @@ class TestCachedView:
 
     def test_fetch_many_and_len(self, setup):
         _, _, cache, ids = setup
-        cache.fetch_many(ids[:3])
+        cache.fetch_rows(np.arange(3))
         assert len(cache) == 3
         assert ids[0] in cache
 
@@ -178,34 +184,34 @@ class TestCachedView:
         cache.evict(ids[0])
         assert cache.get(ids[0]) is None
 
-    @pytest.mark.parametrize("by_row", (False, True))
-    def test_deferred_batches_stay_bounded_and_last_write_wins(self, trace_and_ids, by_row):
+    @pytest.mark.parametrize("with_scalar", (False, True))
+    def test_deferred_batches_stay_bounded_and_last_write_wins(self, trace_and_ids, with_scalar):
         """A consumer that only ever fetches batches (never reads) holds
         a bounded number of them, and whenever a read does come it sees
-        what eager per-node stores would have left."""
+        what eager per-node stores would have left — also when scalar
+        fetches queue behind the batches (``with_scalar``)."""
         trace, ids = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim)
         population = Population.from_ids(ids, np.zeros(len(ids)))
         cache = CachedAvailabilityView(oracle, sim, population=population)
         batches = [[0, 1, 2], [2, 3], [1]]
+        scalar_steps = {step for step in range(201) if with_scalar and step % 7 == 3}
         expected = {}
-        for step in range(200):
+        for step in range(201):
             sim.run_until(1.0 + step)
             batch = batches[step % len(batches)]
-            if step % 7 == 3:  # a scalar fetch queues behind the batches
+            if step in scalar_steps:  # a scalar fetch queues behind the batches
                 batch = batch[:1]
                 values = [cache.fetch(ids[batch[0]])]
-            elif by_row:
-                values = cache.fetch_rows(np.array(batch)).tolist()
             else:
-                values = cache.fetch_array([ids[i] for i in batch]).tolist()
+                values = cache.fetch_rows(np.array(batch)).tolist()
             assert values == [oracle.query(ids[i]) for i in batch]
             expected.update((ids[i], (v, sim.now)) for i, v in zip(batch, values))
             assert len(cache._pending) < cache._PENDING_LIMIT
         assert cache.fetch_count == sum(
-            1 if step % 7 == 3 else len(batches[step % len(batches)])
-            for step in range(200)
+            1 if step in scalar_steps else len(batches[step % len(batches)])
+            for step in range(201)
         )
         assert cache._pending  # the reads below fold what is still deferred
         assert len(cache) == len(expected) == 4
@@ -215,11 +221,6 @@ class TestCachedView:
             assert cache.staleness(node) == sim.now - fetched_at
             assert node in cache
 
-    def test_fetch_rows_needs_a_population(self, setup):
-        _, _, cache, _ = setup
-        with pytest.raises(ValueError):
-            cache.fetch_rows(np.array([0, 1]))
-
 
 class TestGlobalSampleView:
     def test_view_size_and_no_self(self, rng):
@@ -227,7 +228,7 @@ class TestGlobalSampleView:
         ids = make_node_ids(50)
         view = GlobalSampleView(sim, ids, view_size=10, rng=rng, stale_fraction=0.0)
         for node in ids[:10]:
-            sample = view.view(node)
+            sample = view_ids(view, ids, node)
             assert node not in sample
             assert len(sample) <= 10
             assert len(set(sample)) == len(sample)
@@ -236,17 +237,17 @@ class TestGlobalSampleView:
         sim = Simulator()
         ids = make_node_ids(50)
         view = GlobalSampleView(sim, ids, 10, rng=rng, period=60.0)
-        first = view.view(ids[0])
+        first = view_ids(view, ids, ids[0])
         sim.run_until(30.0)
-        assert view.view(ids[0]) == first
+        assert view_ids(view, ids, ids[0]) == first
 
     def test_resampled_across_periods(self, rng):
         sim = Simulator()
         ids = make_node_ids(200)
         view = GlobalSampleView(sim, ids, 10, rng=rng, period=60.0)
-        first = view.view(ids[0])
+        first = view_ids(view, ids, ids[0])
         sim.run_until(61.0)
-        assert view.view(ids[0]) != first
+        assert view_ids(view, ids, ids[0]) != first
 
     def test_online_only_sampling(self, rng, trace_and_ids):
         trace, ids = trace_and_ids
@@ -255,15 +256,16 @@ class TestGlobalSampleView:
             sim, ids, 3, rng=rng, presence=trace, stale_fraction=0.0
         )
         sim.run_until(150.0)
-        sample = view.view(ids[3])
+        sample = view_ids(view, ids, ids[3])
         # At t=150 only ids[1] and ids[2] are online.
         assert set(sample) <= {ids[1], ids[2]}
 
-    def test_unknown_node_raises(self, rng):
-        sim = Simulator()
-        view = GlobalSampleView(sim, make_node_ids(5), 2, rng=rng)
+    def test_unknown_node_raises(self, rng, trace_and_ids):
+        """Presence is read by row: a member the trace has never heard of
+        is refused up front."""
+        trace, ids = trace_and_ids
         with pytest.raises(KeyError):
-            view.view(make_node_ids(10)[9])
+            GlobalSampleView(Simulator(), ids + make_node_ids(5)[4:], 2, rng=rng, presence=trace)
 
     def test_coverage_over_periods(self, rng):
         """Every node eventually appears in a given view — the discovery
@@ -273,7 +275,7 @@ class TestGlobalSampleView:
         view = GlobalSampleView(sim, ids, 8, rng=rng, period=10.0, stale_fraction=0.0)
         seen = set()
         for step in range(60):
-            seen.update(view.view(ids[0]))
+            seen.update(view_ids(view, ids, ids[0]))
             sim.run_until((step + 1) * 10.0)
         assert len(seen) == 29  # everyone but self
 
@@ -292,7 +294,7 @@ class TestGlobalSampleView:
         )
         for step in range(20):
             for node in ids[:4]:
-                sample = view.view(node)
+                sample = view_ids(view, ids, node)
                 assert len(sample) == view.view_size
                 assert node not in sample
                 assert len(set(sample)) == len(sample)
@@ -308,7 +310,7 @@ class TestGlobalSampleView:
             sim, ids, view_size=4, rng=rng, presence=trace, stale_fraction=0.0
         )
         sim.run_until(150.0)
-        sample = view.view(ids[3])
+        sample = view_ids(view, ids, ids[3])
         # At t=150 only ids[1] and ids[2] are online.
         assert set(sample) <= {ids[1], ids[2]}
 
@@ -319,7 +321,7 @@ class TestShuffledCoarseView:
         ids = make_node_ids(40)
         view = ShuffledCoarseView(sim, ids, view_size=8, rng=rng, start=False)
         for node in ids:
-            sample = view.view(node)
+            sample = view_ids(view, ids, node)
             assert node not in sample
             assert len(sample) == 8
             assert len(set(sample)) == 8
@@ -328,11 +330,11 @@ class TestShuffledCoarseView:
         sim = Simulator()
         ids = make_node_ids(40)
         view = ShuffledCoarseView(sim, ids, view_size=8, rng=rng, start=False)
-        before = view.view(ids[0])
+        before = view_ids(view, ids, ids[0])
         for _ in range(5):
             view.step()
         assert view.shuffle_count > 0
-        assert view.view(ids[0]) != before
+        assert view_ids(view, ids, ids[0]) != before
 
     def test_views_never_contain_self_after_shuffles(self, rng):
         sim = Simulator()
@@ -341,8 +343,8 @@ class TestShuffledCoarseView:
         for _ in range(10):
             view.step()
         for node in ids:
-            assert node not in view.view(node)
-            assert len(view.view(node)) <= 6
+            assert node not in view_ids(view, ids, node)
+            assert len(view_ids(view, ids, node)) <= 6
 
     def test_eventual_coverage(self, rng):
         sim = Simulator()
@@ -351,7 +353,7 @@ class TestShuffledCoarseView:
         seen = set()
         for _ in range(120):
             view.step()
-            seen.update(view.view(ids[0]))
+            seen.update(view_ids(view, ids, ids[0]))
         assert len(seen) >= 20  # wide coverage of the population
 
     def test_periodic_task_drives_shuffles(self, rng):

@@ -11,17 +11,16 @@ from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AnycastConfig, AvmemConfig
 from repro.core.ids import make_node_ids
-from repro.core.node import AvmemNode
-from repro.core.predicates import NodeDescriptor, random_overlay_predicate
-from repro.monitor.cache import CachedAvailabilityView
+from repro.core.predicates import random_overlay_predicate
 from repro.monitor.coarse_view import GlobalSampleView
 from repro.monitor.oracle import OracleAvailability
-from repro.ops.engine import OperationEngine
 from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
+
+from conftest import bootstrap_all, row_engine, row_nodes
 
 
 def build_system(availabilities, offline=(), rng=None, config=None, windows=None,
@@ -54,31 +53,12 @@ def build_system(availabilities, offline=(), rng=None, config=None, windows=None
     config = config if config is not None else AvmemConfig()
     coarse = GlobalSampleView(sim, ids, len(ids) - 1, rng=rng, presence=trace,
                               stale_fraction=0.0)
-
-    class FixedAvailability:
-        """Availability service answering the configured static values."""
-
-        def __init__(self):
-            self.values = {node: float(a) for node, a in zip(ids, availabilities)}
-
-        def query(self, node):
-            return self.values[node]
-
-    service = FixedAvailability()
-    nodes = {}
-    for node_id in ids:
-        cache = CachedAvailabilityView(service, sim)
-        nodes[node_id] = AvmemNode(
-            node_id, sim, network, predicate, config, cache, coarse, rng=rng
-        )
-    engine = OperationEngine(
-        sim, network, nodes, config,
-        truth_availability=service.query, rng=rng,
+    population, service, nodes = row_nodes(
+        sim, network, predicate, config, coarse, ids, availabilities, rng=rng
     )
+    engine = row_engine(sim, network, nodes, config, population, service, rng=rng)
     # Bootstrap everyone against the full population.
-    descriptors = [NodeDescriptor(n, service.query(n)) for n in ids]
-    for node_id, node in nodes.items():
-        node.bootstrap_from([d for d in descriptors if d.node != node_id])
+    bootstrap_all(nodes, service)
     return sim, network, nodes, engine, ids
 
 

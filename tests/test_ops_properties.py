@@ -18,16 +18,15 @@ from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
-from repro.core.node import AvmemNode
-from repro.core.predicates import NodeDescriptor, random_overlay_predicate
-from repro.monitor.cache import CachedAvailabilityView
+from repro.core.predicates import random_overlay_predicate
 from repro.monitor.coarse_view import GlobalSampleView
-from repro.ops.engine import OperationEngine
 from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
+
+from conftest import bootstrap_all, row_engine, row_nodes
 
 
 def build_random_system(avs, offline_mask, seed):
@@ -43,26 +42,13 @@ def build_random_system(avs, offline_mask, seed):
     network = Network(sim, latency=ConstantLatency(0.04), presence=trace, rng=rng)
     pdf = AvailabilityPdf.from_samples(avs, online_weighted=False)
     predicate = random_overlay_predicate(pdf, probability=0.6)
-
-    class Fixed:
-        def query(self, node):
-            return float(avs[ids.index(node)])
-
-    service = Fixed()
     coarse = GlobalSampleView(sim, ids, max(1, n - 1), rng=rng, presence=trace)
     config = AvmemConfig()
-    nodes = {}
-    for node_id in ids:
-        nodes[node_id] = AvmemNode(
-            node_id, sim, network, predicate, config,
-            CachedAvailabilityView(service, sim), coarse, rng=rng,
-        )
-    engine = OperationEngine(
-        sim, network, nodes, config, truth_availability=service.query, rng=rng
+    population, service, nodes = row_nodes(
+        sim, network, predicate, config, coarse, ids, avs, rng=rng
     )
-    descriptors = [NodeDescriptor(node, service.query(node)) for node in ids]
-    for node_id, node in nodes.items():
-        node.bootstrap_from([d for d in descriptors if d.node != node_id])
+    engine = row_engine(sim, network, nodes, config, population, service, rng=rng)
+    bootstrap_all(nodes, service)
     return sim, nodes, engine, ids
 
 

@@ -27,7 +27,7 @@ from repro.core.hashing import Affine64PairHash, Mix64PairHash
 from repro.core.ids import digest_array, make_node_ids
 from repro.core.membership import MembershipTable
 from repro.core.population import Population
-from repro.core.predicates import AvmemPredicate, paper_predicate
+from repro.core.predicates import AvmemPredicate, SliverKind, paper_predicate
 from repro.core.slivers import (
     ConstantHorizontal,
     ConstantVertical,
@@ -190,10 +190,12 @@ batch_lists = st.lists(
 @given(batches=st.lists(batch_lists, min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_row_table_matches_object_table(batches):
+    """A table filled by row in bulk and one filled id by id through the
+    scalar ``upsert`` hold the same entries."""
     pop = Population.synthetic(np.linspace(0.05, 0.95, 30))
     owner = pop.id_of(0)
     row_table = MembershipTable(owner, population=pop)
-    obj_table = MembershipTable(owner)
+    obj_table = MembershipTable(owner, population=pop)
     now = 0.0
     for batch in batches:
         seen = set()
@@ -212,7 +214,9 @@ def test_row_table_matches_object_table(batches):
         avs = np.array(avs)
         kinds = np.array(kinds, dtype=bool)
         row_table.upsert_rows(rows, avs, kinds, now=now)
-        obj_table.upsert_many(pop.ids_of(rows), avs, kinds, now=now)
+        for node, av, horizontal in zip(pop.ids_of(rows), avs, kinds):
+            kind = SliverKind.HORIZONTAL if horizontal else SliverKind.VERTICAL
+            obj_table.upsert(node, float(av), kind, now)
         assert row_table.entries() == obj_table.entries()
     # One refresh round applied identically to both tables: evict every
     # other listed neighbor, flip the rest's sliver kind.
@@ -246,9 +250,6 @@ def test_upsert_rows_validation():
         table.upsert_rows(
             np.array([1, 1]), np.array([0.5, 0.6]), np.array([True, False]), now=0.0
         )
-    plain = MembershipTable(pop.id_of(0))
-    with pytest.raises(ValueError, match="population-backed"):
-        plain.upsert_rows(np.array([1]), np.array([0.5]), np.array([True]), now=0.0)
 
 
 # ----------------------------------------------------------------------

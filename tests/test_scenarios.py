@@ -16,6 +16,7 @@ import pytest
 from repro.churn.loader import TRACE_MODELS, generate_model_trace
 from repro.cli import main
 from repro.core.ids import make_node_ids
+from repro.core.population import Population
 from repro.experiments.harness import build_simulation, run_scenario
 from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.oracle import OracleAvailability
@@ -157,6 +158,11 @@ class TestCompiledTimelines:
         )
 
 
+def population_of(trace):
+    """A population whose rows are the trace's."""
+    return Population.from_ids(trace.nodes, np.zeros(trace.node_count))
+
+
 class TestOracleBatchParity:
     @pytest.fixture
     def trace_and_sim(self):
@@ -189,41 +195,22 @@ class TestOracleBatchParity:
     def test_fetch_array_uses_batch_and_fills_cache(self, trace_and_sim):
         trace, sim = trace_and_sim
         oracle = OracleAvailability(trace, sim, noise_std=0.02, seed=4)
-        view = CachedAvailabilityView(oracle, sim)
+        view = CachedAvailabilityView(oracle, sim, population_of(trace))
         nodes = list(trace.nodes)[:10]
-        values = view.fetch_array(nodes)
+        values = view.fetch_rows(np.arange(10))
         assert view.fetch_count == 10
         for node, value in zip(nodes, values):
             assert view.get(node) == pytest.approx(float(value))
             assert view.staleness(node) == 0.0
-
-    def test_fetch_array_falls_back_without_query_array(self, trace_and_sim):
-        trace, sim = trace_and_sim
-
-        class ScalarOnly:
-            def __init__(self):
-                self.calls = 0
-
-            def query(self, node):
-                self.calls += 1
-                return 0.5
-
-        service = ScalarOnly()
-        view = CachedAvailabilityView(service, sim)
-        nodes = list(trace.nodes)[:7]
-        values = view.fetch_array(nodes)
-        assert service.calls == 7
-        assert values.tolist() == [0.5] * 7
-        assert len(view) == 7
 
     def test_scalar_fetch_after_batch_keeps_latest_value(self, trace_and_sim):
         """A scalar fetch after a deferred batch must not be clobbered
         when the batch folds in."""
         trace, sim = trace_and_sim
         oracle = OracleAvailability(trace, sim, noise_std=0.0)
-        view = CachedAvailabilityView(oracle, sim)
+        view = CachedAvailabilityView(oracle, sim, population_of(trace))
         node = list(trace.nodes)[0]
-        view.fetch_array([node])
+        view.fetch_rows(np.array([0]))
         fresh = view.fetch(node)  # folds the batch, then overwrites
         assert view.get(node) == pytest.approx(fresh)
 

@@ -156,8 +156,8 @@ class TestDirectVsProtocolBootstrap:
             SimulationSettings(hosts=80, epochs=30, seed=3, coarse_view_kind="shuffled")
         )
         simulation.setup(warmup=9000.0, settle=1800.0)
-        node = simulation.online_ids()[0]
-        assert len(simulation.coarse_view.view(node)) > 0
+        row = simulation.population.row_of(simulation.online_ids()[0])
+        assert len(simulation.coarse_view.view_rows(row)) > 0
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.ids import make_node_ids
 from repro.core.membership import MembershipTable
+from repro.core.population import Population
 from repro.core.predicates import SliverKind
 from repro.sim.engine import Simulator
 
@@ -94,7 +95,7 @@ ops_strategy = st.lists(
 @settings(max_examples=80, deadline=None)
 def test_membership_table_invariants(ops):
     ids = make_node_ids(13)
-    table = MembershipTable(ids[0])
+    table = MembershipTable(ids[0], Population.from_ids(ids, np.zeros(13)))
     model = {}
     for op, index, availability in ops:
         node = ids[index]

@@ -6,11 +6,19 @@ import pytest
 from repro.churn.trace import ChurnTrace, NodeSchedule
 from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
+from repro.core.population import Population
 from repro.core.predicates import NodeDescriptor, paper_predicate
 from repro.core.verification import InboundVerifier
 from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.oracle import OracleAvailability
 from repro.sim.engine import Simulator
+
+
+def new_cache(oracle, sim):
+    """An availability cache over the rows of the oracle's trace."""
+    trace = oracle.trace
+    population = Population.from_ids(trace.nodes, np.zeros(trace.node_count))
+    return CachedAvailabilityView(oracle, sim, population)
 
 
 @pytest.fixture
@@ -40,7 +48,7 @@ class TestVerifier:
         sim, trace, oracle, predicate, ids = verification_setup
         owner = ids[30]
         verifier = InboundVerifier(
-            owner, predicate, CachedAvailabilityView(oracle, sim)
+            owner, predicate, new_cache(oracle, sim)
         )
         own_av = oracle.query(owner)
         mismatches = 0
@@ -62,12 +70,12 @@ class TestVerifier:
     def test_stale_cache_changes_decisions(self, verification_setup):
         sim, trace, oracle, predicate, ids = verification_setup
         owner = ids[10]
-        cache = CachedAvailabilityView(oracle, sim)
+        cache = new_cache(oracle, sim)
         verifier = InboundVerifier(owner, predicate, cache)
         # Fetch everything now; then query much later against moved values.
-        cache.fetch_many(ids)
+        cache.fetch_rows(np.arange(len(ids)))
         results_then = {s: verifier.accepts(s) for s in ids if s != owner}
-        fresh = CachedAvailabilityView(oracle, sim)
+        fresh = new_cache(oracle, sim)
         fresh_verifier = InboundVerifier(owner, predicate, fresh)
         sim.run_until(sim.now + 600.0)  # mid-cycle: raw availabilities shift
         results_fresh = {s: fresh_verifier.accepts(s) for s in ids if s != owner}
@@ -80,7 +88,7 @@ class TestVerifier:
         sim, _, oracle, predicate, ids = verification_setup
         owner = ids[45]
         verifier = InboundVerifier(
-            owner, predicate, CachedAvailabilityView(oracle, sim)
+            owner, predicate, new_cache(oracle, sim)
         )
         for sender in ids[:20]:
             if sender == owner:
@@ -92,7 +100,7 @@ class TestVerifier:
         sim, _, oracle, predicate, ids = verification_setup
         owner = ids[45]
         verifier = InboundVerifier(
-            owner, predicate, CachedAvailabilityView(oracle, sim), cushion=0.0
+            owner, predicate, new_cache(oracle, sim), cushion=0.0
         )
         result = verifier.verify(ids[0], cushion=0.25)
         assert result.cushion == 0.25
@@ -101,7 +109,7 @@ class TestVerifier:
         sim, _, oracle, predicate, ids = verification_setup
         owner = ids[20]
         verifier = InboundVerifier(
-            owner, predicate, CachedAvailabilityView(oracle, sim)
+            owner, predicate, new_cache(oracle, sim)
         )
         for sender in ids[:15]:
             if sender == owner:
@@ -113,7 +121,7 @@ class TestVerifier:
         sim, _, oracle, predicate, ids = verification_setup
         owner = ids[20]
         verifier = InboundVerifier(
-            owner, predicate, CachedAvailabilityView(oracle, sim)
+            owner, predicate, new_cache(oracle, sim)
         )
         for sender in ids[:10]:
             if sender != owner:
@@ -124,5 +132,5 @@ class TestVerifier:
         sim, _, oracle, predicate, ids = verification_setup
         with pytest.raises(ValueError):
             InboundVerifier(
-                ids[0], predicate, CachedAvailabilityView(oracle, sim), cushion=1.5
+                ids[0], predicate, new_cache(oracle, sim), cushion=1.5
             )
