@@ -10,7 +10,7 @@ for several view sizes and reports the combined cost alongside.
 
 import numpy as np
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
@@ -34,8 +34,8 @@ def _discovery_progress(view_size: int, seed: int = 0) -> float:
     ROUNDS discovery rounds with the given view size."""
     rng = np.random.default_rng(seed)
     ids = make_node_ids(POPULATION)
-    schedules = {node: NodeSchedule([(0.0, 1e9)]) for node in ids}
-    trace = ChurnTrace(schedules, horizon=1e9)
+    sessions = {node: [(0.0, 1e9)] for node in ids}
+    trace = ChurnTrace.from_intervals(sessions, horizon=1e9)
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     avs = rng.uniform(0.05, 0.95, POPULATION)

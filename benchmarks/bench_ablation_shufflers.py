@@ -10,7 +10,7 @@ rounds, validating the "black box" claim.
 
 import numpy as np
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
@@ -32,8 +32,8 @@ ROUNDS = 30
 def _run_with(make_provider, seed=0):
     rng = np.random.default_rng(seed)
     ids = make_node_ids(POPULATION)
-    schedules = {node: NodeSchedule([(0.0, 1e9)]) for node in ids}
-    trace = ChurnTrace(schedules, horizon=1e9)
+    sessions = {node: [(0.0, 1e9)] for node in ids}
+    trace = ChurnTrace.from_intervals(sessions, horizon=1e9)
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     avs = rng.uniform(0.05, 0.95, POPULATION)

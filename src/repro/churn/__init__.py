@@ -30,12 +30,11 @@ from repro.churn.stats import (
     summarize_trace,
 )
 from repro.churn.timeline import ChurnTimeline
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 
 __all__ = [
     "ChurnTrace",
     "ChurnTimeline",
-    "NodeSchedule",
     "MarkovChurnModel",
     "DiurnalProfile",
     "sample_epoch_matrix",

@@ -9,7 +9,7 @@ fit — the paper's "PDF collected and analyzed offline by a crawler".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +64,8 @@ def online_availability_samples(trace: ChurnTrace, time: float) -> np.ndarray:
 
     This is exactly the population Fig 2(a) histograms.
     """
-    online = trace.online_nodes(time)
-    return np.array([trace.availability(node, time) for node in online], dtype=float)
+    rows = np.flatnonzero(trace.online_mask(time))
+    return trace.timeline.availability_array(rows, time)
 
 
 def online_population_series(
@@ -106,12 +106,8 @@ def summarize_trace(trace: ChurnTrace, population_samples: int = 64) -> TraceSum
     avail = availability_samples(trace)
     sample_dt = trace.horizon / max(1, population_samples)
     __, counts = online_population_series(trace, sample_dt)
-    session_lengths: List[float] = []
-    total_sessions = 0
-    for node in trace.nodes:
-        lengths = trace.schedule(node).session_lengths()
-        session_lengths.extend(lengths)
-        total_sessions += len(lengths)
+    timeline = trace.timeline
+    session_lengths = timeline.ends - timeline.starts
     return TraceSummary(
         node_count=trace.node_count,
         horizon=trace.horizon,
@@ -120,7 +116,7 @@ def summarize_trace(trace: ChurnTrace, population_samples: int = 64) -> TraceSum
         fraction_below_030=float((avail < 0.30).mean()) if avail.size else float("nan"),
         mean_online_population=float(counts.mean()) if counts.size else float("nan"),
         mean_session_seconds=(
-            float(np.mean(session_lengths)) if session_lengths else float("nan")
+            float(np.mean(session_lengths)) if session_lengths.size else float("nan")
         ),
-        total_sessions=total_sessions,
+        total_sessions=timeline.session_count,
     )

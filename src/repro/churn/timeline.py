@@ -1,34 +1,34 @@
 """Columnar churn timeline: every node's sessions in flat numpy arrays.
 
-:class:`~repro.churn.trace.ChurnTrace` stores one
-:class:`~repro.churn.trace.NodeSchedule` per node — the right shape for
-scalar per-node queries, and the wrong shape for the batch queries the
-protocol hot paths need ("what is the availability of these 60 neighbors
-right now?", "who is online at time t?").  :class:`ChurnTimeline` is the
-columnar twin: all sessions of all nodes concatenated into three parallel
-arrays (node index, session start, session end) in CSR layout, so batch
-queries run as a handful of vectorized operations instead of one
-bisect-per-node round trip.
+:class:`ChurnTimeline` is the one store of churn state: all sessions of
+all nodes concatenated into three parallel arrays (node index, session
+start, session end) in CSR layout.  Batch queries ("what is the
+availability of these 60 neighbors right now?", "who is online at time
+t?") run as a handful of vectorized operations; scalar queries run a
+one-row segment search over the same arrays, or read the live
+:class:`EdgeSnapshot`.  :class:`~repro.churn.trace.ChurnTrace` is its
+keyed facade.
 
 Layout invariants (enforced on construction):
 
 * sessions are sorted by ``(node, start)`` and grouped per node —
   ``offsets[i]:offsets[i + 1]`` slices node ``i``'s sessions;
 * per node, sessions are disjoint, non-empty, and sorted; touching or
-  overlapping input sessions are merged (exactly the normalization
-  :class:`~repro.churn.trace.NodeSchedule` applies).
+  overlapping input sessions are merged and zero-length ones dropped.
 
-Sessions outside ``[0, horizon]`` are tolerated (scalar
-:class:`~repro.churn.trace.ChurnTrace` queries always were), but
-:meth:`ChurnTimeline.validate` — which scenario compilation is tested
-against — enforces the stricter in-horizon contract.
+Sessions outside ``[0, horizon]`` are tolerated (hand-built traces may
+run past the horizon), but :meth:`ChurnTimeline.validate` — which
+scenario compilation is tested against — enforces the stricter
+in-horizon contract.
 
-The subset queries (:meth:`uptime_array`, :meth:`availability_array`,
-:meth:`is_online_array`) use an exact vectorized binary search over the
-per-node segments — no floating-point key packing — so their answers
-match the scalar :class:`~repro.churn.trace.NodeSchedule` branch
-semantics bit-for-bit (up to cumulative-sum rounding noise in uptimes,
-bounded well below any protocol-visible granularity).
+Every presence and uptime answer — batched (:meth:`uptime_array`,
+:meth:`availability_array`, :meth:`is_online_array`), scalar
+(:meth:`is_online_of`, :meth:`availability_of`) or snapshot-backed —
+comes from an exact search for the last session started by the query
+time (no floating-point key packing) and one shared expression over
+that session's columns, so all of them give the same float for the same
+(node, instant).  ``tests/reference/node_schedule.py`` keeps the
+per-node bisect schedule they are property-tested against.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def _merge_node_intervals(
     if not overlapping.any():
         return node_index, starts, ends
     affected = np.unique(node_index[1:][overlapping])
-    affected_set = set(affected.tolist())
     keep = ~np.isin(node_index, affected)
     merged_nodes: List[np.ndarray] = [node_index[keep]]
     merged_starts: List[np.ndarray] = [starts[keep]]
@@ -109,8 +108,9 @@ class EdgeSnapshot:
     Nobody joins or leaves between two edges, so the presence mask
     (:attr:`online`) and every node's last-started session are fixed for
     the whole window.  The mask is built with the snapshot; the session
-    columns are gathered on the first :meth:`availability` call (protocol
-    gates only ever read the mask).  All arrays are read-only.  Built by
+    columns are gathered on the first :meth:`availability` or
+    :meth:`availability_of` call (protocol gates only ever read the
+    mask).  All arrays are read-only.  Built by
     :meth:`ChurnTimeline.snapshot` only — an O(N) pass for callers that
     already pay O(N); scalar readers go through
     :meth:`ChurnTimeline.live_snapshot`, which never builds.  Must not be
@@ -146,6 +146,17 @@ class EdgeSnapshot:
         cum_before, starts, ends, at_zero = self._sessions
         uptime = cum_before[rows] + (np.minimum(time, ends[rows]) - starts[rows])
         return (uptime - at_zero[rows]) / time
+
+    def availability_of(self, row: int, time: float) -> float:
+        """:meth:`availability` of one row, in Python floats: the same
+        expression, so the same float."""
+        if time <= 0.0:
+            return float(self.online[row])
+        if self._sessions is None:
+            self._sessions = self._timeline._snapshot_sessions(time)
+        cum_before, starts, ends, at_zero = self._sessions
+        uptime = float(cum_before[row]) + (min(time, float(ends[row])) - float(starts[row]))
+        return (uptime - float(at_zero[row])) / time
 
 
 class ChurnTimeline:
@@ -191,11 +202,10 @@ class ChurnTimeline:
                 raise ValueError("node_index out of range")
             if (ends < starts).any():
                 raise ValueError("session end before start")
-        # Sessions outside [0, horizon] are tolerated (ChurnTrace always
-        # accepted such schedules and scalar queries handle them);
-        # validate() enforces the stricter scenario-compilation contract.
-        # Normalize: sort by (node, start), drop empty sessions, merge
-        # touching/overlapping ones (NodeSchedule's normalization).
+        # Sessions outside [0, horizon] are tolerated; validate() enforces
+        # the stricter scenario-compilation contract.  Normalize: sort by
+        # (node, start), drop empty sessions, merge touching/overlapping
+        # ones.
         nonempty = ends > starts
         node_index, starts, ends = (
             node_index[nonempty], starts[nonempty], ends[nonempty]
@@ -417,6 +427,13 @@ class ChurnTimeline:
             pos = np.where(bad, pos - 1, pos)
         return pos
 
+    def _last_started_of(self, node: int, time: float) -> int:
+        """:meth:`_last_started` for one node: one ``searchsorted`` over
+        the node's own segment (same exact index, no array set-up)."""
+        lo = int(self.offsets[node])
+        segment = self.starts[lo : self.offsets[node + 1]]
+        return lo + int(segment.searchsorted(time, "right")) - 1
+
     def _uptime_before(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         pos = self._last_started(nodes, times)
         started = pos >= self.offsets[nodes]
@@ -433,6 +450,15 @@ class ChurnTimeline:
             )
         return out
 
+    def _uptime_before_of(self, node: int, time: float) -> float:
+        """:meth:`_uptime_before` for one node, in Python floats."""
+        pos = self._last_started_of(node, time)
+        if pos < self.offsets[node]:
+            return 0.0
+        return float(self._cum_before[pos]) + (
+            min(time, float(self.ends[pos])) - float(self.starts[pos])
+        )
+
     # ------------------------------------------------------------------
     # Presence queries
     # ------------------------------------------------------------------
@@ -446,6 +472,11 @@ class ChurnTimeline:
         if started.any():
             out[started] = times[started] < self.ends[pos[started]]
         return out
+
+    def is_online_of(self, node: int, time: float) -> bool:
+        """Presence of one node at ``time`` (one-row segment search)."""
+        pos = self._last_started_of(node, time)
+        return bool(pos >= self.offsets[node] and time < self.ends[pos])
 
     def online_mask(self, time: float) -> np.ndarray:
         """Boolean presence of *every* node at ``time`` (index-aligned).
@@ -604,8 +635,7 @@ class ChurnTimeline:
     def availability_array(self, nodes: np.ndarray, until, since=0.0) -> np.ndarray:
         """Fraction uptime over ``[since, until]`` — the paper's ``av(x)``.
 
-        Zero-length windows return instantaneous presence, matching
-        :meth:`~repro.churn.trace.NodeSchedule.availability`.
+        Zero-length windows return instantaneous presence.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         k = nodes.size
@@ -621,6 +651,14 @@ class ChurnTimeline:
             nodes[degenerate], times[:k][degenerate]
         ).astype(float)
         return out
+
+    def availability_of(self, node: int, until: float, since: float = 0.0) -> float:
+        """:meth:`availability_array` of one node, in Python floats: the
+        same search and the same expression, so the same float."""
+        span = until - since
+        if span <= 0:
+            return float(self.is_online_of(node, until))
+        return (self._uptime_before_of(node, until) - self._uptime_before_of(node, since)) / span
 
     def windowed_availability_array(
         self, nodes: np.ndarray, time: float, window: float
@@ -651,8 +689,7 @@ class ChurnTimeline:
     def lifetime_availability_array(self) -> np.ndarray:
         """Fraction uptime over the full horizon, for every node.
 
-        Session time outside ``[0, horizon]`` does not count, matching
-        ``NodeSchedule.availability(horizon)``.
+        Session time outside ``[0, horizon]`` does not count.
         """
         clipped = np.minimum(self.ends, self.horizon) - np.maximum(self.starts, 0.0)
         totals = np.bincount(
@@ -689,7 +726,7 @@ class ChurnTimeline:
 
         if node_keys is None:
             node_keys = list(range(self.n_nodes))
-        return ChurnTrace.from_timeline(self, node_keys)
+        return ChurnTrace(self, node_keys)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -76,16 +76,11 @@ class OracleAvailability:
         self._noise_buckets: Dict[int, np.ndarray] = {}
 
     def query(self, node: NodeId) -> float:
-        """Current (possibly noisy/quantized) availability of ``node``."""
-        if node not in self.trace:
-            raise KeyError(f"unknown node {node!r}")
-        now = self.sim.now
-        if self.window is None:
-            value = self.trace.availability(node, now)
-        else:
-            value = self.trace.windowed_availability(node, now, self.window)
+        """Current (possibly noisy/quantized) availability of ``node``
+        (raises KeyError if the trace does not know it)."""
+        value = self.true_availability(node)
         if self.noise_std > 0.0:
-            value += float(self._bucket_noise(now)[self.trace.index_of(node)])
+            value += float(self._bucket_noise(self.sim.now)[self.trace.index_of(node)])
         if self.quantization > 0.0:
             value = round(value / self.quantization) * self.quantization
         return float(min(1.0, max(0.0, value)))
@@ -98,10 +93,9 @@ class OracleAvailability:
         availability caches hand over; no id is materialized) or a
         sequence of ids.
 
-        Answers match per-node :meth:`query` calls — same branch
-        semantics, same per-bucket noise vector, same quantization and
-        clamping — bit-for-bit on epoch-aligned traces, and to
-        uptime-accumulation rounding (≲1e-10) on continuous-time ones.
+        Answers match per-node :meth:`query` calls bit for bit: both
+        read the one churn timeline with the same expression, the same
+        per-bucket noise vector, quantization and clamping.
         """
         if isinstance(nodes, np.ndarray) and nodes.dtype.kind in "iu":
             indices = nodes

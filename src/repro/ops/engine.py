@@ -127,7 +127,8 @@ class OperationEngine:
         """Launch an anycast; returns its (live) record immediately.
 
         Run the simulator forward to let it complete, then inspect the
-        record (or call :meth:`finalize` to classify stragglers).
+        record (its ``finalize()`` classifies a straggler as lost, as the
+        plan runner does for every record at plan end).
         """
         SliverSelector.validate(selector)
         policy_obj = make_policy(policy)
@@ -215,15 +216,6 @@ class OperationEngine:
         """Online nodes whose *true* availability is in the target — the
         Fig 12/13 denominator, from the ``truth_eligible`` snapshot."""
         return set(self.truth_eligible(target))
-
-    # ------------------------------------------------------------------
-    # Finalization
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Classify all still-pending anycasts as LOST (call once the
-        simulation has settled)."""
-        for record in self.anycasts.values():
-            record.finalize()
 
     # ------------------------------------------------------------------
     # Anycast internals

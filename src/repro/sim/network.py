@@ -50,8 +50,9 @@ class PresenceOracle(Protocol):
     arrives, always at the simulator's current instant.  The nodes'
     protocol rounds ask by row instead, through
     ``presence_snapshot(time) -> bool array`` over the oracle's own node
-    order (see :meth:`Network.online_rows`), which a churn trace
-    provides.
+    order (see :meth:`Network.online_rows`).  A churn trace answers both
+    from its one :class:`~repro.churn.timeline.ChurnTimeline`, so the
+    scalar and the row answer for a node at an instant never differ.
     """
 
     def is_online(self, node: NodeKey, time: float) -> bool:  # pragma: no cover

@@ -445,7 +445,8 @@ class AvmemSimulation:
         """
         now = self.sim.now
         for node_id, node in self.nodes.items():
-            for start, __ in self.trace.schedule(node_id).intervals:
+            starts, __ = self.trace.sessions(node_id)
+            for start in starts.tolist():
                 if start > now:
                     jitter = float(node.rng.uniform(1.0, 15.0))
                     self.sim.schedule_at(start + jitter, node.refresh_step)
@@ -472,16 +473,17 @@ class AvmemSimulation:
         on the install path.
         """
         pop = self.population.with_availabilities(
-            self.oracle.query_array(self.node_ids)
+            self.oracle.query_array(np.arange(len(self.node_ids), dtype=np.int64))
         )
         avs = pop.availabilities
         with self.telemetry.span("overlay.build"):
             src, dst, horizontal = self.predicate.evaluate_all_rows(
                 pop.digests, avs, method=self.settings.overlay_method
             )
-            # Trace order is population row order, so the timeline's
-            # presence mask is already row-aligned.
-            online_mask = self.trace.timeline.online_mask(self.sim.now)
+            # Trace order is population row order, so the presence
+            # snapshot is already row-aligned; building it here lets the
+            # priming fetches below read its window instead of searching.
+            online_mask = self.trace.presence_snapshot(self.sim.now)
             keep = online_mask[dst]
             overlay = OverlayGraph(
                 None, None, src[keep], dst[keep], horizontal[keep], population=pop

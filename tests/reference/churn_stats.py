@@ -11,6 +11,8 @@ import numpy as np
 
 from repro.churn.trace import ChurnTrace
 
+from reference.node_schedule import NodeSchedule
+
 
 def online_population_series_scalar(
     trace: ChurnTrace, sample_seconds: float
@@ -33,7 +35,7 @@ def churn_events_per_epoch_scalar(
     midpoints = (np.arange(epochs) + 0.5) * epoch_seconds
     flips = np.zeros(epochs - 1, dtype=np.int64)
     for node in trace.nodes:
-        schedule = trace.schedule(node)
+        schedule = NodeSchedule.from_arrays(*trace.sessions(node))
         presence = np.array(
             [schedule.is_online(t) for t in midpoints], dtype=bool
         )

@@ -3,58 +3,73 @@
 import numpy as np
 import pytest
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
+
+from reference.node_schedule import NodeSchedule
+
+
+def one_node(intervals, horizon=100.0):
+    """A one-node trace keyed ``"n"``."""
+    return ChurnTrace.from_intervals({"n": intervals}, horizon)
+
+
+def uptime(trace, until, since=0.0):
+    return float(trace.timeline.uptime_array(np.array([0]), until, since)[0])
 
 
 class TestNodeSchedule:
+    """Per-node schedule semantics, asked of the shipped trace."""
+
     def test_presence_inside_intervals(self):
-        sched = NodeSchedule([(0.0, 10.0), (20.0, 30.0)])
-        assert sched.is_online(0.0)
-        assert sched.is_online(5.0)
-        assert not sched.is_online(10.0)  # half-open
-        assert not sched.is_online(15.0)
-        assert sched.is_online(20.0)
-        assert not sched.is_online(30.0)
+        trace = one_node([(0.0, 10.0), (20.0, 30.0)])
+        assert trace.is_online("n", 0.0)
+        assert trace.is_online("n", 5.0)
+        assert not trace.is_online("n", 10.0)  # half-open
+        assert not trace.is_online("n", 15.0)
+        assert trace.is_online("n", 20.0)
+        assert not trace.is_online("n", 30.0)
 
     def test_intervals_merged_and_sorted(self):
-        sched = NodeSchedule([(20.0, 30.0), (0.0, 10.0), (8.0, 12.0)])
-        assert sched.intervals == ((0.0, 12.0), (20.0, 30.0))
+        trace = one_node([(20.0, 30.0), (0.0, 10.0), (8.0, 12.0)])
+        starts, ends = trace.sessions("n")
+        assert (starts.tolist(), ends.tolist()) == ([0.0, 20.0], [12.0, 30.0])
 
     def test_zero_length_intervals_dropped(self):
-        sched = NodeSchedule([(5.0, 5.0), (1.0, 2.0)])
-        assert sched.intervals == ((1.0, 2.0),)
+        starts, ends = one_node([(5.0, 5.0), (1.0, 2.0)]).sessions("n")
+        assert (starts.tolist(), ends.tolist()) == ([1.0], [2.0])
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
-            NodeSchedule([(5.0, 1.0)])
+            one_node([(5.0, 1.0)])
 
     def test_uptime(self):
-        sched = NodeSchedule([(0.0, 10.0), (20.0, 30.0)])
-        assert sched.uptime(30.0) == 20.0
-        assert sched.uptime(25.0) == 15.0
-        assert sched.uptime(15.0) == 10.0
-        assert sched.uptime(5.0) == 5.0
+        trace = one_node([(0.0, 10.0), (20.0, 30.0)])
+        assert uptime(trace, 30.0) == 20.0
+        assert uptime(trace, 25.0) == 15.0
+        assert uptime(trace, 15.0) == 10.0
+        assert uptime(trace, 5.0) == 5.0
 
     def test_uptime_with_since(self):
-        sched = NodeSchedule([(0.0, 10.0), (20.0, 30.0)])
-        assert sched.uptime(30.0, since=5.0) == 15.0
-        assert sched.uptime(25.0, since=22.0) == 3.0
+        trace = one_node([(0.0, 10.0), (20.0, 30.0)])
+        assert uptime(trace, 30.0, since=5.0) == 15.0
+        assert uptime(trace, 25.0, since=22.0) == 3.0
 
     def test_uptime_backwards_rejected(self):
         with pytest.raises(ValueError):
-            NodeSchedule([(0.0, 1.0)]).uptime(0.0, since=1.0)
+            uptime(one_node([(0.0, 1.0)]), 0.0, since=1.0)
 
     def test_availability_fraction(self):
-        sched = NodeSchedule([(0.0, 10.0)])
-        assert sched.availability(20.0) == pytest.approx(0.5)
-        assert sched.availability(10.0) == pytest.approx(1.0)
+        trace = one_node([(0.0, 10.0)])
+        assert trace.availability("n", 20.0) == pytest.approx(0.5)
+        assert trace.availability("n", 10.0) == pytest.approx(1.0)
 
     def test_availability_zero_window_is_instantaneous(self):
-        sched = NodeSchedule([(0.0, 10.0)])
-        assert sched.availability(5.0, since=5.0) == 1.0
-        assert sched.availability(15.0, since=15.0) == 0.0
+        trace = one_node([(0.0, 10.0)])
+        assert trace.availability("n", 5.0, since=5.0) == 1.0
+        assert trace.availability("n", 15.0, since=15.0) == 0.0
 
     def test_next_transition(self):
+        # next_transition lives only on the reference schedule.
         sched = NodeSchedule([(0.0, 10.0), (20.0, 30.0)])
         assert sched.next_transition(5.0) == 10.0
         assert sched.next_transition(15.0) == 20.0
@@ -62,16 +77,16 @@ class TestNodeSchedule:
         assert sched.next_transition(35.0) is None
 
     def test_session_stats(self):
-        sched = NodeSchedule([(0.0, 10.0), (20.0, 25.0)])
-        assert sched.session_count == 2
-        assert sched.session_lengths() == [10.0, 5.0]
-        assert sched.first_appearance() == 0.0
+        starts, ends = one_node([(0.0, 10.0), (20.0, 25.0)]).sessions("n")
+        assert starts.size == 2
+        assert (ends - starts).tolist() == [10.0, 5.0]
+        assert starts[0] == 0.0
 
     def test_empty_schedule(self):
-        sched = NodeSchedule([])
-        assert not sched.is_online(0.0)
-        assert sched.availability(100.0) == 0.0
-        assert sched.first_appearance() is None
+        trace = one_node([])
+        assert not trace.is_online("n", 0.0)
+        assert trace.availability("n", 100.0) == 0.0
+        assert trace.sessions("n")[0].size == 0
 
 
 class TestChurnTrace:
@@ -108,12 +123,13 @@ class TestChurnTrace:
         window, outside it and at both window bounds; an unknown key is
         False either way; a scalar query never builds a snapshot."""
         timeline = trace.timeline
+        schedules = {node: NodeSchedule.from_arrays(*trace.sessions(node)) for node in trace.nodes}
         probes = [0.0, 5.0, 10.0, np.nextafter(20.0, 0.0), 20.0, 25.0, 30.0, 39.9, 40.0, 45.0]
 
         def check():
             for node in trace.nodes:
                 for t in probes:
-                    assert trace.is_online(node, t) == bool(trace.schedule(node).is_online(t))
+                    assert trace.is_online(node, t) == schedules[node].is_online(t)
             for t in probes:
                 assert trace.is_online("zzz", t) is False
 
@@ -127,7 +143,7 @@ class TestChurnTrace:
         online = window.online.copy()
         online[trace.index_of("b")] = True
         window.online = online
-        assert trace.is_online("b", 15.0) and not trace.schedule("b").is_online(15.0)
+        assert trace.is_online("b", 15.0) and not schedules["b"].is_online(15.0)
         assert not trace.is_online("b", 5.0)  # outside the window: the search
 
     def test_online_population(self, trace):
@@ -154,15 +170,6 @@ class TestChurnTrace:
         for node in keys:
             for t in (5.0, 15.0, 25.0, 35.0):
                 assert rebuilt.is_online(node, t) == trace.is_online(node, t)
-
-    def test_restrict(self, trace):
-        sub = trace.restrict(["a", "c"])
-        assert sub.nodes == ("a", "c")
-        assert "b" not in sub
-
-    def test_restrict_unknown_raises(self, trace):
-        with pytest.raises(KeyError):
-            trace.restrict(["zzz"])
 
     def test_mismatched_keys_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ coarse view), in roughly N/v discovery periods (Section 3.1).
 import numpy as np
 import pytest
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
@@ -27,8 +27,8 @@ def static_system():
     """120 always-online nodes with fixed availability answers."""
     rng = np.random.default_rng(31)
     ids = make_node_ids(120)
-    schedules = {node: NodeSchedule([(0.0, 1e9)]) for node in ids}
-    trace = ChurnTrace(schedules, horizon=1e9)
+    sessions = {node: [(0.0, 1e9)] for node in ids}
+    trace = ChurnTrace.from_intervals(sessions, horizon=1e9)
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     avs = rng.uniform(0.05, 0.95, 120)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.ids import make_node_ids
 from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
@@ -312,10 +312,7 @@ class TestTraceBatchPresence:
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_presence(self, interval_lists, times, data):
         ids = make_node_ids(len(interval_lists))
-        trace = ChurnTrace(
-            {node: NodeSchedule(iv) for node, iv in zip(ids, interval_lists)},
-            horizon=1001.0,
-        )
+        trace = ChurnTrace.from_intervals(dict(zip(ids, interval_lists)), horizon=1001.0)
         nodes = [
             ids[data.draw(st.integers(0, len(ids) - 1))] for _ in times
         ]
@@ -325,17 +322,15 @@ class TestTraceBatchPresence:
 
     def test_scalar_time_broadcasts(self):
         ids = make_node_ids(3)
-        trace = ChurnTrace(
-            {ids[0]: NodeSchedule([(0, 10)]), ids[1]: NodeSchedule([]),
-             ids[2]: NodeSchedule([(5, 20)])},
-            horizon=30.0,
+        trace = ChurnTrace.from_intervals(
+            {ids[0]: [(0, 10)], ids[1]: [], ids[2]: [(5, 20)]}, horizon=30.0
         )
         got = trace.timeline.is_online_array(trace.node_indices(ids), 7.0)
         assert got.tolist() == [True, False, True]
 
     def test_unknown_node_raises(self):
         ids = make_node_ids(2)
-        trace = ChurnTrace({ids[0]: NodeSchedule([(0, 10)])}, horizon=30.0)
+        trace = ChurnTrace.from_intervals({ids[0]: [(0, 10)]}, horizon=30.0)
         with pytest.raises(KeyError):
             trace.node_indices([ids[1]])
 

@@ -8,7 +8,7 @@ the reproduction must degrade the way a distributed system should
 import numpy as np
 import pytest
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
@@ -28,11 +28,11 @@ def build_mass_churn_system(n=40, die_at=1000.0, survivors=5, rng=None):
     ``die_at`` (a correlated failure / partition event)."""
     rng = rng if rng is not None else np.random.default_rng(3)
     ids = make_node_ids(n)
-    schedules = {}
+    sessions = {}
     for i, node in enumerate(ids):
         end = 1e9 if i < survivors else die_at
-        schedules[node] = NodeSchedule([(0.0, end)])
-    trace = ChurnTrace(schedules, horizon=1e9)
+        sessions[node] = [(0.0, end)]
+    trace = ChurnTrace.from_intervals(sessions, horizon=1e9)
     sim = Simulator()
     network = Network(sim, latency=ConstantLatency(0.05), presence=trace, rng=rng)
     avs = list(np.linspace(0.1, 0.95, n))
@@ -57,8 +57,8 @@ class TestMassChurn:
             for _ in range(5)
         ]
         sim.run_until(1030.0)
-        engine.finalize()
-        for record in records:
+        for record in records:  # the plan runner's per-record finalization
+            record.finalize()
             assert record.status in AnycastStatus.TERMINAL
 
     def test_multicast_reliability_collapses_gracefully(self):
@@ -107,8 +107,8 @@ class TestMonitoringPathologies:
         from repro.monitor.oracle import OracleAvailability
 
         ids = make_node_ids(5)
-        schedules = {node: NodeSchedule([(0.0, 1e6)]) for node in ids}
-        trace = ChurnTrace(schedules, horizon=1e6)
+        sessions = {node: [(0.0, 1e6)] for node in ids}
+        trace = ChurnTrace.from_intervals(sessions, horizon=1e6)
         sim = Simulator()
         sim.run_until(1000.0)
         oracle = OracleAvailability(trace, sim, noise_std=5.0, seed=2)
@@ -119,8 +119,8 @@ class TestMonitoringPathologies:
         from repro.monitor.oracle import OracleAvailability
 
         ids = make_node_ids(5)
-        schedules = {node: NodeSchedule([(0.0, 500.0)]) for node in ids}
-        trace = ChurnTrace(schedules, horizon=1e6)
+        sessions = {node: [(0.0, 500.0)] for node in ids}
+        trace = ChurnTrace.from_intervals(sessions, horizon=1e6)
         sim = Simulator()
         sim.run_until(1000.0)
         oracle = OracleAvailability(trace, sim, quantization=0.5)

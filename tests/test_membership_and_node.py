@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
@@ -96,11 +96,11 @@ def wired_system(rng):
     """A small fully-wired system: 80 nodes, static presence split."""
     ids = make_node_ids(80)
     # First 60 always online; last 20 never online.
-    schedules = {
-        node: NodeSchedule([(0.0, 1e6)] if i < 60 else [])
+    sessions = {
+        node: [(0.0, 1e6)] if i < 60 else []
         for i, node in enumerate(ids)
     }
-    trace = ChurnTrace(schedules, horizon=1e6)
+    trace = ChurnTrace.from_intervals(sessions, horizon=1e6)
     sim = Simulator()
     network = Network(sim, presence=trace, rng=rng)
     oracle = OracleAvailability(trace, sim)
@@ -169,12 +169,12 @@ class TestRefresh:
     def test_refresh_prunes_offline_neighbors(self, rng):
         ids = make_node_ids(30)
         # Node 1..20 online only until t=5000.
-        schedules = {ids[0]: NodeSchedule([(0.0, 1e6)])}
+        sessions = {ids[0]: [(0.0, 1e6)]}
         for node in ids[1:21]:
-            schedules[node] = NodeSchedule([(0.0, 5000.0)])
+            sessions[node] = [(0.0, 5000.0)]
         for node in ids[21:]:
-            schedules[node] = NodeSchedule([(0.0, 1e6)])
-        trace = ChurnTrace(schedules, horizon=1e6)
+            sessions[node] = [(0.0, 1e6)]
+        trace = ChurnTrace.from_intervals(sessions, horizon=1e6)
         sim = Simulator()
         network = Network(sim, presence=trace, rng=rng)
         oracle = OracleAvailability(trace, sim)

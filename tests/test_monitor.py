@@ -5,26 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.ids import make_node_ids
 from repro.core.population import Population
 from repro.monitor.base import AvailabilityService, CoarseViewProvider
 from repro.monitor.cache import CachedAvailabilityView
 from repro.monitor.coarse_view import GlobalSampleView, ShuffledCoarseView
 from repro.monitor.oracle import OracleAvailability
+from repro.scenarios import get_scenario
 from repro.sim.engine import Simulator
 
 
 @pytest.fixture
 def trace_and_ids():
     ids = make_node_ids(4)
-    schedules = {
-        ids[0]: NodeSchedule([(0.0, 100.0)]),          # on for first 100s
-        ids[1]: NodeSchedule([(50.0, 200.0)]),         # late joiner
-        ids[2]: NodeSchedule([(0.0, 200.0)]),          # always on
-        ids[3]: NodeSchedule([]),                      # never on
+    sessions = {
+        ids[0]: [(0.0, 100.0)],   # on for first 100s
+        ids[1]: [(50.0, 200.0)],  # late joiner
+        ids[2]: [(0.0, 200.0)],   # always on
+        ids[3]: [],               # never on
     }
-    return ChurnTrace(schedules, horizon=200.0), ids
+    return ChurnTrace.from_intervals(sessions, horizon=200.0), ids
 
 
 class TestOracle:
@@ -99,18 +100,27 @@ class TestOracle:
         window=st.sampled_from((None, 600.0, 3600.0, 7200.5)),
         noise_std=st.sampled_from((0.0, 0.02)),
         quantization=st.sampled_from((0.0, 0.01)),
+        continuous=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_scalar_and_batched_answers_are_the_same_float(
-        self, seed, now, window, noise_std, quantization
+        self, seed, now, window, noise_std, quantization, continuous
     ):
-        """On an epoch-aligned trace ``query`` and ``query_array`` agree
-        to the last bit at any (fractional) instant, raw and windowed,
-        by id and by row — discovery stores the batched answer where it
-        used to store the scalar one."""
+        """On an epoch-aligned trace and on a continuous-time one (a
+        compiled ``weibull-lifetimes`` timeline) ``query`` and
+        ``query_array`` agree to the last bit at any (fractional)
+        instant, raw and windowed, by id and by row, with and without a
+        live snapshot — discovery stores the batched answer where it used
+        to store the scalar one."""
         rng = np.random.default_rng(seed)
         ids = make_node_ids(12)
-        trace = ChurnTrace.from_matrix(rng.random((12, 12)) < 0.6, ids, 1200.0)
+        if continuous:
+            compiled = get_scenario("weibull-lifetimes").compile(
+                hosts=12, epochs=12, seed=seed % 1000
+            )
+            trace = compiled.to_trace(ids)
+        else:
+            trace = ChurnTrace.from_matrix(rng.random((12, 12)) < 0.6, ids, 1200.0)
         sim = Simulator(start_time=now)
         oracle = OracleAvailability(
             trace, sim, window=window, noise_std=noise_std,
@@ -121,6 +131,8 @@ class TestOracle:
         assert scalar == oracle.query_array([ids[row]])[0]
         assert scalar == oracle.query_array(np.array([row]))[0]
         everyone = oracle.query_array(np.arange(12))
+        assert everyone.tolist() == [oracle.query(node) for node in ids]
+        trace.presence_snapshot(now)  # raw scalar queries now read its window
         assert everyone.tolist() == [oracle.query(node) for node in ids]
 
 

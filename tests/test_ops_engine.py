@@ -7,7 +7,7 @@ deterministic up to seeded tie-breaking.
 import numpy as np
 import pytest
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AnycastConfig, AvmemConfig
 from repro.core.ids import make_node_ids
@@ -32,17 +32,17 @@ def build_system(availabilities, offline=(), rng=None, config=None, windows=None
     rng = rng if rng is not None else np.random.default_rng(7)
     ids = make_node_ids(len(availabilities))
     horizon = 1e6
-    schedules = {}
+    sessions = {}
     for i, node in enumerate(ids):
         if windows is not None and i in windows:
-            schedules[node] = NodeSchedule(windows[i])
+            sessions[node] = windows[i]
         elif i in offline:
-            schedules[node] = NodeSchedule([])
+            sessions[node] = []
         else:
             # Continuously online; availability conveyed via the PDF and
             # per-node descriptor, with presence decoupled for control.
-            schedules[node] = NodeSchedule([(0.0, horizon)])
-    trace = ChurnTrace(schedules, horizon=horizon)
+            sessions[node] = [(0.0, horizon)]
+    trace = ChurnTrace.from_intervals(sessions, horizon=horizon)
     sim = Simulator()
     latency = latency if latency is not None else ConstantLatency(0.05)
     network = Network(sim, latency=latency, presence=trace, rng=rng)
@@ -253,13 +253,16 @@ class TestVerificationIntegration:
 
 class TestFinalize:
     def test_finalize_sweeps_all_pending(self, rng):
+        """The plan runner's per-record finalization leaves no anycast
+        pending."""
         avs = [0.5, 0.9, 0.9]
         sim, _, nodes, engine, ids = build_system(avs, offline={1, 2}, rng=rng)
         records = [
             engine.anycast(ids[0], TargetSpec.range(0.85, 0.95)) for _ in range(5)
         ]
         sim.run_until(sim.now + 10.0)
-        engine.finalize()
+        for record in records:
+            record.finalize()
         assert all(r.status != AnycastStatus.PENDING for r in records)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.config import AvmemConfig
 from repro.core.ids import make_node_ids
@@ -33,11 +33,11 @@ def build_random_system(avs, offline_mask, seed):
     rng = np.random.default_rng(seed)
     n = len(avs)
     ids = make_node_ids(n)
-    schedules = {
-        node: NodeSchedule([] if offline else [(0.0, 1e9)])
+    sessions = {
+        node: [] if offline else [(0.0, 1e9)]
         for node, offline in zip(ids, offline_mask)
     }
-    trace = ChurnTrace(schedules, horizon=1e9)
+    trace = ChurnTrace.from_intervals(sessions, horizon=1e9)
     sim = Simulator()
     network = Network(sim, latency=ConstantLatency(0.04), presence=trace, rng=rng)
     pdf = AvailabilityPdf.from_samples(avs, online_weighted=False)

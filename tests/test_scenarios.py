@@ -32,6 +32,8 @@ from repro.scenarios import (
 )
 from repro.sim.engine import Simulator
 
+from reference.node_schedule import NodeSchedule
+
 COMPILE_HOSTS = 80
 # A full diurnal period (72 epochs = 24 h at 20-minute epochs): shorter
 # horizons cannot average out day/night modulation, so calibration
@@ -93,6 +95,7 @@ class TestCompiledTimelines:
         for name, compiled in compiled_all.items():
             trace = compiled.to_trace()
             nodes = list(trace.nodes)
+            schedules = [NodeSchedule.from_arrays(*trace.sessions(k)) for k in nodes]
             horizon = trace.horizon
             times = np.concatenate([
                 rng.uniform(0.0, horizon, 6), [0.0, horizon / 2, horizon]
@@ -100,10 +103,10 @@ class TestCompiledTimelines:
             for t in times:
                 assert (
                     trace.online_mask(t).tolist()
-                    == [trace.schedule(k).is_online(t) for k in nodes]
+                    == [s.is_online(t) for s in schedules]
                 ), f"{name}: presence diverged at t={t}"
                 batch = trace.availability_array(nodes, t)
-                scalar = [trace.schedule(k).availability(t) for k in nodes]
+                scalar = [s.availability(t) for s in schedules]
                 assert np.allclose(batch, scalar, rtol=0.0, atol=1e-9), (
                     f"{name}: availability diverged at t={t}"
                 )

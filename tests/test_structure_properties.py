@@ -6,18 +6,20 @@ membership-table consistency, and event-loop ordering.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.ids import make_node_ids
 from repro.core.membership import MembershipTable
 from repro.core.population import Population
 from repro.core.predicates import SliverKind
 from repro.sim.engine import Simulator
 
+from reference.node_schedule import NodeSchedule
+
 # ----------------------------------------------------------------------
-# NodeSchedule
+# Schedules (ChurnTrace over one node, against the reference schedule)
 # ----------------------------------------------------------------------
 interval_list = st.lists(
     st.tuples(st.floats(0, 1000), st.floats(0, 1000)).map(
@@ -28,24 +30,29 @@ interval_list = st.lists(
 )
 
 
+def one_node(intervals):
+    """A one-node trace keyed ``"n"`` over ``intervals``."""
+    return ChurnTrace.from_intervals({"n": intervals}, 1000.0)
+
+
 @given(intervals=interval_list, probe=st.floats(0, 1000))
 @settings(max_examples=80, deadline=None)
 def test_schedule_presence_matches_intervals(intervals, probe):
-    schedule = NodeSchedule(intervals)
-    manual = any(start <= probe < end for start, end in schedule.intervals)
-    assert schedule.is_online(probe) == manual
+    manual = any(start <= probe < end for start, end in intervals)
+    assert one_node(intervals).is_online("n", probe) == manual
 
 
 @given(intervals=interval_list)
 @settings(max_examples=80, deadline=None)
 def test_schedule_normalization_invariants(intervals):
-    schedule = NodeSchedule(intervals)
-    normalized = schedule.intervals
+    starts, ends = one_node(intervals).sessions("n")
+    normalized = tuple(zip(starts.tolist(), ends.tolist()))
     # Sorted, disjoint, non-degenerate.
     for (s1, e1), (s2, e2) in zip(normalized, normalized[1:]):
         assert e1 < s2
     for start, end in normalized:
         assert end > start
+    assert normalized == NodeSchedule(intervals).intervals
 
 
 @given(
@@ -57,24 +64,31 @@ def test_schedule_normalization_invariants(intervals):
 def test_uptime_additivity(intervals, t1, t2):
     """uptime(0, b) == uptime(0, a) + uptime(a, b) for a <= b."""
     a, b = sorted((t1, t2))
-    schedule = NodeSchedule(intervals)
-    total = schedule.uptime(b)
-    split = schedule.uptime(a) + schedule.uptime(b, since=a)
+    timeline = one_node(intervals).timeline
+    row = np.array([0])
+
+    def uptime(until, since=0.0):
+        return float(timeline.uptime_array(row, until, since)[0])
+
+    total = uptime(b)
+    split = uptime(a) + uptime(b, since=a)
     assert total == pytest.approx(split, abs=1e-6)
     # Uptime never exceeds elapsed time.
-    assert 0.0 <= schedule.uptime(b) <= b + 1e-9
+    assert 0.0 <= uptime(b) <= b + 1e-9
 
 
 @given(intervals=interval_list, probe=st.floats(0, 999))
+@example(intervals=[(0.0, 999.0)], probe=998.9999999999999)
 @settings(max_examples=60, deadline=None)
 def test_next_transition_flips_presence(intervals, probe):
-    schedule = NodeSchedule(intervals)
-    nxt = schedule.next_transition(probe)
+    """Presence is constant on ``[probe, nxt)`` and differs at ``nxt``,
+    so comparing the two ends is the whole check (a midpoint probe can
+    round onto ``nxt`` itself)."""
+    nxt = NodeSchedule(intervals).next_transition(probe)
     if nxt is not None:
         assert nxt > probe
-        before = schedule.is_online((probe + nxt) / 2 if nxt > probe else probe)
-        after = schedule.is_online(nxt)
-        assert before != after
+        trace = one_node(intervals)
+        assert trace.is_online("n", probe) != trace.is_online("n", nxt)
 
 
 # ----------------------------------------------------------------------

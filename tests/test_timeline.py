@@ -3,7 +3,8 @@
 The timeline is the batch-query backend behind ``ChurnTrace``, the
 monitoring oracle, and every compiled scenario, so its contract is
 equivalence: for any session layout and any query, the batched answer
-must match the scalar :class:`NodeSchedule` answer entry for entry.
+must match the reference scalar :class:`NodeSchedule` answer entry for
+entry.
 Hypothesis drives both the layouts (including overlapping/touching
 inputs that exercise normalization) and the query times (including
 boundary values).
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.churn.timeline import ChurnTimeline
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
+
+from reference.node_schedule import NodeSchedule
 
 HORIZON = 1000.0
 
@@ -81,7 +84,7 @@ class TestStructure:
             timeline.validate()
 
     def test_trace_with_overlong_schedule_answers_batch_queries(self):
-        trace = ChurnTrace({"a": NodeSchedule([(0.0, 100.0)])}, horizon=50.0)
+        trace = ChurnTrace.from_intervals({"a": [(0.0, 100.0)]}, horizon=50.0)
         assert trace.online_nodes(10.0) == ["a"]
         assert trace.online_count(60.0) == 1
         assert trace.availabilities()["a"] == pytest.approx(1.0)
@@ -118,6 +121,7 @@ class TestQueryParity:
             scalar = [s.is_online(t) for s in schedules]
             assert mask.tolist() == scalar
             assert batch.tolist() == scalar
+            assert [timeline.is_online_of(i, t) for i in range(len(lists))] == scalar
             # the snapshot carried over from the previous (unordered)
             # time is only reused when no session edge lies between
             assert timeline.presence_snapshot(t).tolist() == scalar
@@ -163,6 +167,9 @@ class TestQueryParity:
             expected = timeline.availability_array(rows, t)
             got = snapshot.availability(rows, t)
             assert got.tolist() == expected.tolist()
+            # The one-row forms, read from the window and searched.
+            assert [snapshot.availability_of(r, t) for r in rows.tolist()] == expected.tolist()
+            assert [timeline.availability_of(r, t) for r in rows.tolist()] == expected.tolist()
             assert got[-1] == 0.0
             subset = rows[::2]
             assert snapshot.availability(subset, t).tolist() == expected[::2].tolist()
@@ -192,8 +199,11 @@ class TestQueryParity:
         )
         rows = np.arange(2)
         for t in (10.0, 20.0, 30.0, 50.0, 99.0):
-            expected = timeline.availability_array(rows, t)
-            assert timeline.snapshot(t).availability(rows, t).tolist() == expected.tolist()
+            expected = timeline.availability_array(rows, t).tolist()
+            snapshot = timeline.snapshot(t)
+            assert snapshot.availability(rows, t).tolist() == expected
+            assert [snapshot.availability_of(r, t) for r in (0, 1)] == expected
+            assert [timeline.availability_of(r, t) for r in (0, 1)] == expected
 
     def test_live_snapshot_never_builds(self):
         timeline = ChurnTimeline.from_interval_lists([[(10.0, 20.0)], [(15.0, 30.0)]], HORIZON)
@@ -231,6 +241,8 @@ class TestQueryParity:
             since = max(0.0, t - window)
             want = [s.availability(t, since) for s in schedules]
             assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+            one_row = [timeline.availability_of(i, t, since) for i in range(len(lists))]
+            assert one_row == got.tolist()
 
     @given(lists=interval_lists)
     @settings(max_examples=60, deadline=None)

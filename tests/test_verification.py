@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.churn.trace import ChurnTrace, NodeSchedule
+from repro.churn.trace import ChurnTrace
 from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
 from repro.core.population import Population
@@ -26,14 +26,14 @@ def verification_setup(rng):
     ids = make_node_ids(60)
     # Stable presence so raw availabilities are exact and controllable:
     # node i online a fraction (i+1)/60 of each 1000-second cycle.
-    schedules = {}
+    sessions = {}
     for i, node in enumerate(ids):
         fraction = (i + 1) / 60.0
         windows = [
             (k * 1000.0, k * 1000.0 + fraction * 1000.0) for k in range(200)
         ]
-        schedules[node] = NodeSchedule(windows)
-    trace = ChurnTrace(schedules, horizon=200_000.0)
+        sessions[node] = windows
+    trace = ChurnTrace.from_intervals(sessions, horizon=200_000.0)
     sim = Simulator()
     oracle = OracleAvailability(trace, sim)
     avs = [(i + 1) / 60.0 for i in range(60)]
