@@ -44,8 +44,8 @@ def _discovery_progress(view_size: int, seed: int = 0) -> float:
     predicate = paper_predicate(pdf)
 
     class Fixed:
-        def query(self, node):
-            return float(avs[population.row_of(node)])
+        def query(self, row):
+            return float(avs[row])
 
         def query_array(self, rows):
             return avs[rows]
@@ -59,11 +59,11 @@ def _discovery_progress(view_size: int, seed: int = 0) -> float:
         CachedAvailabilityView(service, sim, population), coarse, rng=rng,
         population=population, row=0,
     )
-    me = NodeDescriptor(ids[0], service.query(ids[0]))
+    me = NodeDescriptor(ids[0], service.query(0))
     truth = sum(
         1
-        for other in ids[1:]
-        if predicate.evaluate(me, NodeDescriptor(other, service.query(other)))
+        for row, other in enumerate(ids[1:], start=1)
+        if predicate.evaluate(me, NodeDescriptor(other, service.query(row)))
     )
     if truth == 0:
         return float("nan")

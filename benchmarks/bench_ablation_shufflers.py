@@ -42,8 +42,8 @@ def _run_with(make_provider, seed=0):
     predicate = paper_predicate(pdf)
 
     class Fixed:
-        def query(self, node):
-            return float(avs[population.row_of(node)])
+        def query(self, row):
+            return float(avs[row])
 
         def query_array(self, rows):
             return avs[rows]
@@ -60,14 +60,14 @@ def _run_with(make_provider, seed=0):
         for row in range(len(probes))
     ]
     truths = []
-    for node_id in probes:
-        me = NodeDescriptor(node_id, service.query(node_id))
+    for probe_row, node_id in enumerate(probes):
+        me = NodeDescriptor(node_id, service.query(probe_row))
         truths.append(
             sum(
                 1
-                for other in ids
-                if other != node_id
-                and predicate.evaluate(me, NodeDescriptor(other, service.query(other)))
+                for row, other in enumerate(ids)
+                if row != probe_row
+                and predicate.evaluate(me, NodeDescriptor(other, service.query(row)))
             )
         )
     for _ in range(ROUNDS):

@@ -385,10 +385,6 @@ class ChurnTimeline:
         lo, hi = self.offsets[node], self.offsets[node + 1]
         return self.starts[lo:hi], self.ends[lo:hi]
 
-    def session_counts(self) -> np.ndarray:
-        """Number of sessions per node."""
-        return np.diff(self.offsets)
-
     # ------------------------------------------------------------------
     # Core vectorized per-node segment search
     # ------------------------------------------------------------------
@@ -654,7 +650,13 @@ class ChurnTimeline:
 
     def availability_of(self, node: int, until: float, since: float = 0.0) -> float:
         """:meth:`availability_array` of one node, in Python floats: the
-        same search and the same expression, so the same float."""
+        same float.  A raw query inside the live snapshot's window reads
+        its session columns; anything else runs a one-row segment search
+        with the same expression."""
+        if since == 0.0:
+            snapshot = self.live_snapshot(until)
+            if snapshot is not None:
+                return snapshot.availability_of(node, until)
         span = until - since
         if span <= 0:
             return float(self.is_online_of(node, until))

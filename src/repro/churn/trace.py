@@ -168,16 +168,9 @@ class ChurnTrace:
     def availability(self, node: NodeKey, until: float, since: float = 0.0) -> float:
         """Raw fraction uptime of ``node`` over ``[since, until]`` — the
         paper's ``av(x)``; a zero-length window is instantaneous presence.
-
-        The same float :meth:`availability_array` gives for the node: a
-        raw query inside the live snapshot's window reads its session
-        columns, anything else runs a one-row segment search."""
-        row = self._index[node]
-        if since == 0.0:
-            snapshot = self.timeline.live_snapshot(until)
-            if snapshot is not None:
-                return snapshot.availability_of(row, float(until))
-        return self.timeline.availability_of(row, float(until), float(since))
+        The same float :meth:`availability_array` gives for the node
+        (:meth:`~repro.churn.timeline.ChurnTimeline.availability_of`)."""
+        return self.timeline.availability_of(self._index[node], float(until), float(since))
 
     def windowed_availability(self, node: NodeKey, time: float, window: float) -> float:
         """Fraction uptime over the trailing ``window`` seconds (an "aged"

@@ -114,10 +114,6 @@ class AvailabilityPdf:
         return self._bins
 
     @property
-    def bin_width(self) -> float:
-        return self._width
-
-    @property
     def bin_fractions(self) -> np.ndarray:
         return self._fractions.copy()
 

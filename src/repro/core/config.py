@@ -8,7 +8,7 @@ object, so experiment code never hard-codes magic numbers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.core.hashing import HASH_NAMES
@@ -148,10 +148,6 @@ class AvmemConfig:
             )
         if self.availability_window is not None:
             check_positive(self.availability_window, "availability_window")
-
-    def with_overrides(self, **changes) -> "AvmemConfig":
-        """A copy with the given fields replaced (validates again)."""
-        return replace(self, **changes)
 
     def as_dict(self) -> dict:
         """All-primitive dict (nested configs become dicts), exact

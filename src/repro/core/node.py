@@ -98,7 +98,7 @@ class AvmemNode:
         self.rng = rng if rng is not None else fallback_rng()
         self.lists = MembershipTable(node_id, population=population)
         self.verifier = InboundVerifier(
-            node_id, predicate, availability_view, cushion=config.cushion
+            self.row, predicate, availability_view, cushion=config.cushion
         )
         self.discovery_rounds = 0
         self.refresh_rounds = 0
@@ -146,9 +146,9 @@ class AvmemNode:
         ``fresh`` forces a fetch from the monitoring service.
         """
         if fresh:
-            value = self.availability.fetch(self.id)
+            value = self.availability.fetch(self.row)
         else:
-            value = self.availability.get_or_fetch(self.id)
+            value = self.availability.get_or_fetch(self.row)
         return NodeDescriptor(self.id, value)
 
     # ------------------------------------------------------------------

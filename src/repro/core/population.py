@@ -26,7 +26,7 @@ to users — pays only for the rows it actually touches.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class Population:
         "_ids",
         "_synthetic_port",
         "_id_tuple",
-        "_digest_order",
-        "_digests_sorted",
+        "_row_of_digest",
+        "_row_keys",
     )
 
     def __init__(
@@ -95,8 +95,8 @@ class Population:
             self._ids = None
         self._synthetic_port = synthetic_port
         self._id_tuple: Optional[tuple] = None
-        self._digest_order: Optional[np.ndarray] = None
-        self._digests_sorted: Optional[np.ndarray] = None
+        self._row_of_digest: Optional[Dict[int, int]] = None
+        self._row_keys: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -118,22 +118,6 @@ class Population:
             ids=list(ids),
             online=online,
         )
-
-    @classmethod
-    def from_descriptors(cls, descriptors: Iterable) -> "Population":
-        """From ``(node, availability)`` descriptor pairs (duck-typed:
-        anything with ``.node`` and ``.availability``, or 2-tuples)."""
-        ids: List[NodeId] = []
-        avs: List[float] = []
-        for item in descriptors:
-            node = getattr(item, "node", None)
-            if node is None:
-                node, availability = item
-            else:
-                availability = item.availability
-            ids.append(node)
-            avs.append(float(availability))
-        return cls.from_ids(ids, avs)
 
     @classmethod
     def synthetic(
@@ -178,8 +162,8 @@ class Population:
         sibling._ids = self._ids
         sibling._synthetic_port = self._synthetic_port
         sibling._id_tuple = None
-        sibling._digest_order = self._digest_order
-        sibling._digests_sorted = self._digests_sorted
+        sibling._row_of_digest = self._row_of_digest
+        sibling._row_keys = self._row_keys
         return sibling
 
     # ------------------------------------------------------------------
@@ -239,15 +223,22 @@ class Population:
         return row
 
     def find_row(self, node: NodeId) -> int:
-        """Like :meth:`row_of` but returns -1 for unknown nodes."""
-        if self._digest_order is None:
-            self._digest_order = np.argsort(self.digests, kind="stable")
-            self._digests_sorted = self.digests[self._digest_order]
-        digest = np.uint64(node.digest64)
-        pos = int(np.searchsorted(self._digests_sorted, digest))
-        if pos >= self.size or self._digests_sorted[pos] != digest:
-            return -1
-        return int(self._digest_order[pos])
+        """Like :meth:`row_of` but returns -1 for unknown nodes: one dict
+        lookup (the inbound verifier resolves every sender)."""
+        if self._row_of_digest is None:
+            # Filled last row first, so the first of equal digests wins.
+            self._row_of_digest = dict(
+                zip(self.digests[::-1].tolist(), range(self.size - 1, -1, -1))
+            )
+        return self._row_of_digest.get(node.digest64, -1)
+
+    def row_keys(self, rows: np.ndarray) -> list:
+        """``rows`` as Python ints, one shared object per row (a gather
+        from a lazily built object array), so a row-keyed dict holds no
+        int of its own per entry."""
+        if self._row_keys is None:
+            self._row_keys = np.arange(self.size).astype(object)
+        return self._row_keys[rows].tolist()
 
     def __contains__(self, node: NodeId) -> bool:
         return self.find_row(node) >= 0

@@ -41,22 +41,26 @@ class VerificationResult:
 
 
 class InboundVerifier:
-    """Checks ``M(sender, owner)`` from the owner's local knowledge.
+    """Checks ``M(sender, owner)`` from the local knowledge of the owner,
+    the node at population row ``row``.
 
     The verifier reads availabilities through the owner's
     :class:`~repro.monitor.cache.CachedAvailabilityView` — cached values
     if present (the realistic, attackable configuration), else a fresh
-    fetch from the monitoring service.
+    fetch from the monitoring service — at the rows of the cache's
+    population: a sender's row is resolved per check (an unknown sender
+    raises KeyError).
     """
 
     def __init__(
         self,
-        owner: NodeId,
+        row: int,
         predicate: AvmemPredicate,
         cache: CachedAvailabilityView,
         cushion: float = 0.0,
     ):
-        self.owner = owner
+        self.row = row
+        self.owner = cache.population.id_of(row)
         self.predicate = predicate
         self.cache = cache
         self.cushion = check_probability(cushion, "cushion")
@@ -76,8 +80,8 @@ class InboundVerifier:
         effective_cushion = (
             self.cushion if cushion is None else check_probability(cushion, "cushion")
         )
-        av_sender = self.cache.get_or_fetch(sender)
-        av_self = self.cache.get_or_fetch(self.owner)
+        av_sender = self.cache.get_or_fetch(self.cache.population.row_of(sender))
+        av_self = self.cache.get_or_fetch(self.row)
         hash_value = self.predicate.hash_value(sender, self.owner)
         threshold = self.predicate.threshold(av_sender, av_self)
         accepted = hash_value <= min(1.0, threshold + effective_cushion)

@@ -1,6 +1,5 @@
 """Availability monitoring and shuffled-membership substrates."""
 
-from repro.monitor.avmon import AvmonConfig, AvmonService, MonitorRecord
 from repro.monitor.base import AvailabilityService, CoarseViewProvider
 from repro.monitor.cache import CachedAvailabilityView, CacheEntry
 from repro.monitor.coarse_view import GlobalSampleView, ShuffledCoarseView
@@ -14,7 +13,4 @@ __all__ = [
     "CacheEntry",
     "GlobalSampleView",
     "ShuffledCoarseView",
-    "AvmonService",
-    "AvmonConfig",
-    "MonitorRecord",
 ]

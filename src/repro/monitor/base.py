@@ -5,9 +5,10 @@ can be queried for the long-term availability (e.g., raw, or aged) of
 any given node.  It returns an answer that is reasonably accurate, and
 that is reasonably consistent over time."
 
-Implementations here: :class:`~repro.monitor.oracle.OracleAvailability`
-(trace ground truth, optionally degraded) and
-:class:`~repro.monitor.avmon.AvmonService` (the full AVMON protocol).
+The package's implementation is
+:class:`~repro.monitor.oracle.OracleAvailability` (trace ground truth,
+optionally degraded); ``tests/reference/avmon.py`` keeps the AVMON
+protocol the paper's deployment used as a test reference.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.ids import NodeId
-
 __all__ = ["AvailabilityService", "CoarseViewProvider"]
 
 
@@ -25,19 +24,17 @@ __all__ = ["AvailabilityService", "CoarseViewProvider"]
 class AvailabilityService(Protocol):
     """Query interface for long-term node availability.
 
-    Two forms of the same question: :meth:`query` for one node by id,
-    and :meth:`query_array` for a batch addressed by *row* — the
-    position of a node in the service's own node order, which is the
-    population order of every cache built over it
+    Both forms of the question address a node by *row* — its position
+    in the service's own node order, which is the population order of
+    every cache built over it: :meth:`query` for one row, and
+    :meth:`query_array` for a batch
     (:meth:`~repro.monitor.cache.CachedAvailabilityView.fetch_rows`
     asks once per discovery or refresh round).
     """
 
-    def query(self, node: NodeId) -> float:
-        """Current availability estimate for ``node``, in [0, 1].
-
-        Must never raise for known nodes; unknown nodes raise KeyError.
-        """
+    def query(self, row: int) -> float:
+        """Current availability estimate for the node at ``row``, in
+        [0, 1]; a row past the population raises IndexError."""
         ...
 
     def query_array(self, rows: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ids import NodeId
 from repro.monitor.base import AvailabilityService
 from repro.sim.engine import Simulator
 
@@ -39,137 +38,81 @@ class CacheEntry(NamedTuple):
 
 
 class CachedAvailabilityView:
-    """One node's cached view of other nodes' availabilities.
-
-    Entries are stored as plain ``(value, fetched_at)`` tuples — one is
-    written per fetched neighbor per refresh round, so construction cost
-    sits on the hot path; :meth:`entry` materializes the public
-    :class:`CacheEntry` on demand.
+    """One node's cached view of other nodes' availabilities, addressed
+    by population row.
 
     ``population`` is the :class:`~repro.core.population.Population`
-    whose rows are the service's rows: :meth:`fetch_rows` fetches a
-    batch addressed by row and materializes the ids only if a read ever
-    needs them.
+    whose rows are the service's rows.  Entries are plain
+    ``(value, fetched_at)`` tuples keyed by row — one is written per
+    fetched neighbor per round, so construction cost sits on the hot
+    path; :meth:`entry` materializes the public :class:`CacheEntry` on
+    demand.
     """
 
-    #: deferred batches are folded into the entry dict once this many
-    #: have accumulated, so a consumer that only ever fetches (never
-    #: reads) holds a bounded number of batch arrays
-    _PENDING_LIMIT = 8
-
-    def __init__(
-        self,
-        service: AvailabilityService,
-        sim: Simulator,
-        population: "Population",
-    ):
+    def __init__(self, service: AvailabilityService, sim: Simulator, population: "Population"):
         self._service = service
         self._sim = sim
-        self._population = population
-        self._entries: Dict[NodeId, Tuple[float, float]] = {}
-        #: batches fetched but not yet folded into ``_entries``, oldest
-        #: first: ``(keys, values, fetched_at)`` with ``keys`` an integer
-        #: array of population rows, or a one-id list for a scalar fetch
-        #: queued behind them.  Rounds overwrite whole neighbor sets
-        #: every period while reads happen sporadically, so batch results
-        #: are folded in lazily (last write wins, same observable state).
-        self._pending: list = []
+        self.population = population
+        self._entries: Dict[int, Tuple[float, float]] = {}
         self.fetch_count = 0
         self.hit_count = 0
 
     # ------------------------------------------------------------------
     # Fetching (talks to the monitoring service)
     # ------------------------------------------------------------------
-    def fetch(self, node: NodeId) -> float:
+    def fetch(self, row: int) -> float:
         """Query the service now and cache the answer."""
-        value = self._service.query(node)
-        if self._pending:
-            # Queue behind the deferred batches instead of folding them:
-            # fetch order is what makes the last write win.
-            self._defer([node], [value])
-        else:
-            self._entries[node] = (value, self._sim.now)
+        value = self._service.query(row)
+        self._entries[row] = (value, self._sim.now)
         self.fetch_count += 1
         return value
 
     def fetch_rows(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`fetch` a batch addressed by population row (the
-        discovery and refresh hot path) and return the values as a float
-        array parallel to ``rows``.
-
-        ``rows`` is an integer array, handed to the service's
-        ``query_array`` as it is: one call for the whole batch.  Every
-        answer lands in the cache stamped now, but no :class:`NodeId` is
-        touched unless a later read folds the batch.
-        """
+        """:meth:`fetch` a batch of rows (the discovery and refresh hot
+        path) with one ``query_array`` call, and return the values as a
+        float array parallel to ``rows``.  Every answer lands in the
+        cache stamped now."""
         values = np.asarray(self._service.query_array(rows), dtype=float)
-        self._defer(rows, values)
+        # C-level bulk insert: dict.update consumes the zip pipeline
+        # without a per-entry python loop.
+        self._entries.update(
+            zip(self.population.row_keys(rows), zip(values.tolist(), repeat(self._sim.now)))
+        )
         self.fetch_count += rows.size
         return values
-
-    def _defer(self, keys, values) -> None:
-        self._pending.append((keys, values, self._sim.now))
-        if len(self._pending) >= self._PENDING_LIMIT:
-            self._fold_pending()
-
-    def _fold_pending(self) -> None:
-        """Fold deferred batches into the entry dict, oldest first (so a
-        later fetch of the same node wins, as with eager stores)."""
-        pending, self._pending = self._pending, []
-        entries = self._entries
-        for keys, values, fetched_at in pending:
-            if isinstance(keys, np.ndarray):
-                keys = self._population.ids_of(keys)
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
-            # C-level bulk insert: dict.update consumes the zip pipeline
-            # without a per-entry python loop.
-            entries.update(zip(keys, zip(values, repeat(fetched_at))))
 
     # ------------------------------------------------------------------
     # Reading (never talks to the service)
     # ------------------------------------------------------------------
-    def get(self, node: NodeId) -> Optional[float]:
+    def get(self, row: int) -> Optional[float]:
         """The cached value, or None if never fetched."""
-        if self._pending:
-            self._fold_pending()
-        entry = self._entries.get(node)
+        entry = self._entries.get(row)
         if entry is None:
             return None
         self.hit_count += 1
         return entry[0]
 
-    def get_or_fetch(self, node: NodeId) -> float:
+    def get_or_fetch(self, row: int) -> float:
         """Cached value if present, else fetch (for non-hot-path callers)."""
-        cached = self.get(node)
+        cached = self.get(row)
         if cached is not None:
             return cached
-        return self.fetch(node)
+        return self.fetch(row)
 
-    def entry(self, node: NodeId) -> Optional[CacheEntry]:
-        if self._pending:
-            self._fold_pending()
-        entry = self._entries.get(node)
+    def entry(self, row: int) -> Optional[CacheEntry]:
+        entry = self._entries.get(row)
         return None if entry is None else CacheEntry(*entry)
 
-    def staleness(self, node: NodeId) -> Optional[float]:
-        """Seconds since the value for ``node`` was fetched, or None."""
-        if self._pending:
-            self._fold_pending()
-        entry = self._entries.get(node)
+    def staleness(self, row: int) -> Optional[float]:
+        """Seconds since the value for ``row`` was fetched, or None."""
+        entry = self._entries.get(row)
         return None if entry is None else self._sim.now - entry[1]
 
-    def evict(self, node: NodeId) -> None:
-        if self._pending:
-            self._fold_pending()
-        self._entries.pop(node, None)
+    def evict(self, row: int) -> None:
+        self._entries.pop(row, None)
 
     def __len__(self) -> int:
-        if self._pending:
-            self._fold_pending()
         return len(self._entries)
 
-    def __contains__(self, node: NodeId) -> bool:
-        if self._pending:
-            self._fold_pending()
-        return node in self._entries
+    def __contains__(self, row: int) -> bool:
+        return row in self._entries

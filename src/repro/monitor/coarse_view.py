@@ -56,7 +56,8 @@ class GlobalSampleView:
 
     Sampling runs in index space: a node is its position (*row*) in
     ``population``, the online pool is one sorted row array per period
-    (from the ``presence`` trace's row-space snapshot), and the two draws
+    (from the ``presence`` trace's row-space snapshot, which is why the
+    population must be the trace's nodes in row order), and the two draws
     of a sample are mapped onto their pools by arithmetic
     (:meth:`view_rows`), so no sample walks the population.
     """
@@ -82,9 +83,8 @@ class GlobalSampleView:
         self.presence = presence
         self.period = period
         self.stale_fraction = stale_fraction
-        #: the trace row of every population member (KeyError if the
-        #: trace does not know one)
-        self._presence_rows = None if presence is None else presence.node_indices(self.population)
+        if presence is not None and presence.nodes != self.population:
+            raise KeyError("the population must be the presence trace's nodes, in row order")
         #: row -> (period bucket it was sampled in, the sampled rows)
         self._views: Dict[int, Tuple[int, np.ndarray]] = {}
         # Online-pool cache (sorted rows), refreshed once per period bucket.
@@ -101,7 +101,7 @@ class GlobalSampleView:
             self._pool = self._all_rows
             if self.presence is not None:
                 snapshot = self.presence.presence_snapshot(self.sim.now)
-                online = np.flatnonzero(snapshot[self._presence_rows])
+                online = np.flatnonzero(snapshot)
                 if online.size:
                     self._pool = online
             self._pool_bucket = bucket

@@ -19,7 +19,7 @@ matching answers while keeping the batch path free of per-node python.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -75,46 +75,42 @@ class OracleAvailability:
         #: bucket index -> per-node noise vector (index-aligned to the trace)
         self._noise_buckets: Dict[int, np.ndarray] = {}
 
-    def query(self, node: NodeId) -> float:
-        """Current (possibly noisy/quantized) availability of ``node``
-        (raises KeyError if the trace does not know it)."""
-        value = self.true_availability(node)
+    def query(self, row: int) -> float:
+        """Current (possibly noisy/quantized) availability of the node at
+        trace row ``row`` (a row past the trace raises IndexError)."""
+        now = self.sim.now
+        since = 0.0 if self.window is None else max(0.0, now - self.window)
+        value = self.trace.timeline.availability_of(row, now, since)
         if self.noise_std > 0.0:
-            value += float(self._bucket_noise(self.sim.now)[self.trace.index_of(node)])
+            value += float(self._bucket_noise(now)[row])
         if self.quantization > 0.0:
             value = round(value / self.quantization) * self.quantization
         return float(min(1.0, max(0.0, value)))
 
-    def query_array(self, nodes: Union[Sequence[NodeId], np.ndarray]) -> np.ndarray:
-        """Batched :meth:`query`: one vectorized timeline pass for the
-        whole batch (the refresh- and discovery-round hot path).
+    def query_array(self, rows: np.ndarray) -> np.ndarray:
+        """Batched :meth:`query` for an integer array of trace rows: one
+        vectorized timeline pass for the whole batch (the refresh- and
+        discovery-round hot path).
 
-        ``nodes`` is an integer array of trace rows (what the
-        availability caches hand over; no id is materialized) or a
-        sequence of ids.
-
-        Answers match per-node :meth:`query` calls bit for bit: both
-        read the one churn timeline with the same expression, the same
+        Answers match per-row :meth:`query` calls bit for bit: both read
+        the one churn timeline with the same expression, the same
         per-bucket noise vector, quantization and clamping.
         """
-        if isinstance(nodes, np.ndarray) and nodes.dtype.kind in "iu":
-            indices = nodes
-        else:
-            indices = self.trace.node_indices(nodes)  # KeyError on unknowns
         now = self.sim.now
         timeline = self.trace.timeline
         if self.window is None:
-            values = timeline.availability_array(indices, now)
+            values = timeline.availability_array(rows, now)
         else:
-            values = timeline.windowed_availability_array(indices, now, self.window)
+            values = timeline.windowed_availability_array(rows, now, self.window)
         if self.noise_std > 0.0:
-            values = values + self._bucket_noise(now)[indices]
+            values = values + self._bucket_noise(now)[rows]
         if self.quantization > 0.0:
             values = np.round(values / self.quantization) * self.quantization
         return np.minimum(np.maximum(values, 0.0), 1.0)
 
     def true_availability(self, node: NodeId) -> float:
-        """Undegraded availability (for experiment ground truth)."""
+        """Undegraded availability of ``node``, by id (the figures' and
+        the engine's ground truth)."""
         if self.window is None:
             return self.trace.availability(node, self.sim.now)
         return self.trace.windowed_availability(node, self.sim.now, self.window)

@@ -24,7 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -611,10 +611,6 @@ class OperationLog:
             else:
                 out[name] = int(value)
         return out
-
-    def iter_rows(self) -> Iterable[Dict[str, object]]:
-        for i in range(len(self)):
-            yield self.row(i)
 
     def to_json(self, path: str) -> None:
         """Columns as JSON (NaN encoded as null — strict-parser safe).

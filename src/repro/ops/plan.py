@@ -29,7 +29,7 @@ CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -310,9 +310,6 @@ class OperationPlan:
     @classmethod
     def single(cls, item: OperationItem, settle: float = 30.0, name: str = "plan"):
         return cls(items=(item,), settle=settle, name=name)
-
-    def with_items(self, *items: OperationItem) -> "OperationPlan":
-        return replace(self, items=self.items + tuple(items))
 
     # ------------------------------------------------------------------
     # Serialization (the ``repro ops run --plan file.json`` format)

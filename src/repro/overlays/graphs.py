@@ -183,12 +183,6 @@ class OverlayGraph:
         CSR row's identities without per-edge Python."""
         return self.population.id_array
 
-    @property
-    def digest64_array(self) -> np.ndarray:
-        """Per-node ``uint64`` endpoint digests, parallel to the row
-        space."""
-        return self.population.digests
-
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(dst_indices, horizontal)`` slices for source ``i`` — the
         node's membership list in array form."""

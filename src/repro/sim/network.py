@@ -162,9 +162,6 @@ class Network:
         """Remove a node's handler; in-flight messages to it will be dropped."""
         self._handlers.pop(node, None)
 
-    def is_attached(self, node: NodeKey) -> bool:
-        return node in self._handlers
-
     @property
     def node_count(self) -> int:
         return len(self._handlers)

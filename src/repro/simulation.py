@@ -1,9 +1,9 @@
 """End-to-end simulation orchestrator.
 
 :class:`AvmemSimulation` wires every substrate together the way the
-paper's evaluation does: an Overnet-style churn trace drives presence; an
-availability monitoring service (oracle or AVMON) answers availability
-queries; a shuffled coarse view feeds discovery; AVMEM nodes maintain
+paper's evaluation does: an Overnet-style churn trace drives presence; the
+trace-backed availability oracle answers availability queries by
+population row; a shuffled coarse view feeds discovery; AVMEM nodes maintain
 their slivers; and an :class:`~repro.ops.engine.OperationEngine` executes
 the management operations, with per-hop latencies of U[20, 80] ms.
 
@@ -494,7 +494,7 @@ class AvmemSimulation:
                 # Prime the node's own availability cache with the
                 # service's current answer, then install its row of
                 # predicate matches.
-                node.availability.fetch(node_id)
+                node.availability.fetch(node.row)
                 neighbors, row_horizontal = overlay.row(i)
                 node.install_member_rows(neighbors, avs[neighbors], row_horizontal)
 

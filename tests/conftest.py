@@ -50,13 +50,13 @@ def launch(simulation, kind, target, count=None, settle=30.0, **item_fields):
 
 class FixedAvailability:
     """An availability service answering each node's fixed availability
-    in a population: by id (``query``) or by row (``query_array``)."""
+    in a population, by row: one (``query``) or a batch (``query_array``)."""
 
     def __init__(self, population: Population):
         self.population = population
 
-    def query(self, node):
-        return float(self.population.availabilities[self.population.row_of(node)])
+    def query(self, row):
+        return float(self.population.availabilities[row])
 
     def query_array(self, rows):
         return self.population.availabilities[rows]
@@ -118,7 +118,8 @@ def row_engine(sim, network, nodes, config, population, service, rng=None, **opt
         return set(population.ids_of(rows[target.contains_array(service.query_array(rows))]))
 
     return OperationEngine(
-        sim, network, nodes, config, truth_availability=service.query, rng=rng,
+        sim, network, nodes, config,
+        truth_availability=lambda node: service.query(population.row_of(node)), rng=rng,
         truth_eligible=truth_eligible, **options,
     )
 

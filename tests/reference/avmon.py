@@ -1,6 +1,12 @@
 """AVMON — consistent availability-monitoring overlay (Morales & Gupta,
 ICDCS 2007), the monitoring service the paper's implementation uses.
 
+Kept as a test reference: the package consumes availability monitoring
+as the black box of Section 3.1 and ships only the trace oracle
+(:class:`repro.monitor.oracle.OracleAvailability`).  This module shows
+what a protocol-level service behind that interface looks like, and
+``tests/test_avmon.py`` holds it to its own contract.
+
 AVMON's key idea mirrors AVMEM's: the *monitoring relationship* is chosen
 by a consistent hash so it cannot be gamed.  Node ``z`` monitors node
 ``x`` iff ``Hm(id(z), id(x)) ≤ k/N*`` where ``Hm`` is a fixed hash
@@ -9,11 +15,12 @@ monitors per node.  Monitors discover their targets through the coarse
 view, ping them periodically, and estimate availability as the answered
 fraction of pings.
 
-Fidelity notes (docs/architecture.md, "Monitoring services"): pings sample the churn trace directly
-instead of traversing the simulated network — the paper consumes AVMON as
-a black box, and modeling ping RTTs would only add simulation cost; ping
-*counts* are still tracked so overhead can be reported.  Queries
-aggregate over the target's current monitors by median.
+Fidelity notes: pings sample the churn trace directly instead of
+traversing the simulated network, and ping *counts* are still tracked so
+overhead can be reported.  Queries aggregate over the target's current
+monitors by median.  :meth:`AvmonService.query` is keyed by id;
+:meth:`AvmonService.query_array` is the row-addressed batch form a
+:class:`~repro.monitor.cache.CachedAvailabilityView` fetches through.
 """
 
 from __future__ import annotations
@@ -75,10 +82,8 @@ class MonitorRecord:
 
 
 class AvmonService:
-    """The AVMON availability-monitoring overlay.
-
-    Implements :class:`~repro.monitor.base.AvailabilityService`.
-    """
+    """The AVMON availability-monitoring overlay (id-keyed scalar
+    :meth:`query`, row-addressed :meth:`query_array`)."""
 
     def __init__(
         self,
@@ -165,7 +170,7 @@ class AvmonService:
                 self.ping_count += 1
 
     # ------------------------------------------------------------------
-    # AvailabilityService protocol
+    # Queries
     # ------------------------------------------------------------------
     def query(self, node: NodeId) -> float:
         """Median of the discovered monitors' estimates for ``node``.

@@ -5,10 +5,12 @@ comprehensions over the whole population per sample), the
 per-candidate loop of ``AvmemNode.discovery_step`` (one scalar cache
 fetch, one ``evaluate_kind`` and one ``upsert`` per candidate) and the
 id-addressed ``AvmemNode._refresh_round`` (one scalar presence probe
-per neighbor).  Two lines differ from what shipped, because what they
+per neighbor).  Three lines differ from what shipped, because what they
 called is gone: discovery reads the coarse view by row and maps the
-rows to ids, and refresh's batch fetch by id is the per-node loop of
-scalar fetches that the deleted ``fetch_array`` fell back to.
+rows to ids, refresh's batch fetch by id is the per-node loop of scalar
+fetches that the deleted ``fetch_array`` fell back to, and both rounds
+hand the availability cache, which is keyed by row, the candidate's
+row.
 
 ``GlobalSampleView.view_rows`` must return the same view and leave the
 generator in the same state; ``AvmemNode.discovery_step`` and
@@ -113,7 +115,7 @@ def discovery_step(self: AvmemNode) -> int:
             continue
         if self.config.discovery_liveness and not self.network.is_online(candidate):
             continue  # handshake with the candidate failed; skip it
-        av_candidate = self.availability.fetch(candidate)
+        av_candidate = self.availability.fetch(self.population.row_of(candidate))
         kind = self.predicate.evaluate_kind(me, NodeDescriptor(candidate, av_candidate))
         if kind is not None:
             self.lists.upsert(candidate, av_candidate, kind, self.sim.now)
@@ -147,7 +149,7 @@ def refresh_step(self: AvmemNode) -> int:
     if live.size:
         live_nodes = [neighbors[i] for i in live]
         availabilities[live] = np.fromiter(
-            (self.availability.fetch(node) for node in live_nodes),
+            (self.availability.fetch(row) for row in view.rows[live].tolist()),
             dtype=float,
             count=len(live_nodes),
         )

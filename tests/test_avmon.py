@@ -1,13 +1,15 @@
-"""Unit tests for the AVMON availability-monitoring overlay."""
+"""Unit tests for the AVMON availability-monitoring overlay, kept as a
+test reference in ``tests/reference/avmon.py``."""
 
 import numpy as np
 import pytest
 
 from repro.churn.overnet import OvernetTraceConfig, generate_overnet_trace
 from repro.core.ids import make_node_ids
-from repro.monitor.avmon import AvmonConfig, AvmonService, MonitorRecord
 from repro.monitor.coarse_view import GlobalSampleView
 from repro.sim.engine import Simulator
+
+from reference.avmon import AvmonConfig, AvmonService, MonitorRecord
 
 
 @pytest.fixture
@@ -144,7 +146,7 @@ class TestQueryArray:
         values = view.fetch_rows(rows)
         assert values.tolist() == [service.query(ids[r]) for r in rows]
         assert (values != 0.5).any()
-        # The batch lands in the cache (folded lazily on first read).
+        # The batch lands in the cache, keyed by row.
         assert view.fetch_count == rows.size
-        for row, value in zip(rows, values):
-            assert view.get(ids[row]) == value
+        for row, value in zip(rows.tolist(), values):
+            assert view.get(row) == value

@@ -48,12 +48,13 @@ def static_system():
             node.discovery_step()
         sim.run_until(sim.now + 60.0)
     def truth_neighborhood(node_id):
-        me = NodeDescriptor(node_id, service.query(node_id))
+        row = ids.index(node_id)
+        me = NodeDescriptor(node_id, service.query(row))
         return {
             other
-            for other in ids
-            if other != node_id
-            and predicate.evaluate(me, NodeDescriptor(other, service.query(other)))
+            for other_row, other in enumerate(ids)
+            if other_row != row
+            and predicate.evaluate(me, NodeDescriptor(other, service.query(other_row)))
         }
     return nodes, ids, truth_neighborhood
 

@@ -130,7 +130,7 @@ def table_state(node: AvmemNode):
 
 
 def cache_state(node: AvmemNode, ids):
-    return [node.availability.entry(other) for other in ids]
+    return [node.availability.entry(row) for row in range(len(ids))]
 
 
 def assert_same_node_state(shipped: AvmemNode, reference: AvmemNode, ids) -> None:

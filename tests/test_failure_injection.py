@@ -112,8 +112,8 @@ class TestMonitoringPathologies:
         sim = Simulator()
         sim.run_until(1000.0)
         oracle = OracleAvailability(trace, sim, noise_std=5.0, seed=2)
-        for node in ids:
-            assert 0.0 <= oracle.query(node) <= 1.0
+        for row in range(len(ids)):
+            assert 0.0 <= oracle.query(row) <= 1.0
 
     def test_coarse_quantization_degrades_not_breaks(self):
         from repro.monitor.oracle import OracleAvailability
@@ -124,7 +124,7 @@ class TestMonitoringPathologies:
         sim = Simulator()
         sim.run_until(1000.0)
         oracle = OracleAvailability(trace, sim, quantization=0.5)
-        assert oracle.query(ids[0]) in (0.0, 0.5, 1.0)
+        assert oracle.query(0) in (0.0, 0.5, 1.0)
 
     def test_verifier_with_empty_system_cache(self):
         """Verification works from a cold cache (fetches on demand)."""

@@ -39,6 +39,8 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
+from repro.core.node import AvmemNode
+from repro.core.population import Population
 from repro.core.predicates import AvmemPredicate
 from repro.monitor.oracle import OracleAvailability
 from repro.ops.log import COLUMN_NAMES
@@ -338,6 +340,33 @@ def test_maintenance_rounds_stay_batched(monkeypatch):
     assert calls["query"] <= len(nodes) + discovery_rounds + refresh_rounds
     assert sum(node.availability.fetch_count for node in nodes) > 5 * calls["query"]
     assert simulation.sim.events_processed == load_golden("maintain-flood")["setup_events"]
+
+
+def test_round_fetches_materialize_no_ids(monkeypatch):
+    """Counts, not times: through a full-protocol set-up with a 3600 s
+    settle, ``Population.ids_of`` runs exactly once per
+    ``AvmemNode._evaluate_rows`` call — for the ids the predicate hashes.
+    The availability cache is keyed by population row, so a round's
+    fetch materializes no id; a cache that maps its rows back to ids
+    fails here."""
+    calls = {"ids_of": 0, "_evaluate_rows": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Population, "ids_of")
+    counted(AvmemNode, "_evaluate_rows")
+    seed, _ = MAINTENANCE_CASES["maintain-flood"]
+    hosts, protocols, _ = MAINTENANCE_SHAPE
+    build_sim(seed, (hosts, protocols, 3600.0))
+    assert calls["_evaluate_rows"] > 10 * hosts  # the rounds did run
+    assert calls["ids_of"] == calls["_evaluate_rows"]
 
 
 def test_interval_plan_pays_population_passes_per_edge_not_per_launch(monkeypatch):

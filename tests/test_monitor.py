@@ -30,35 +30,35 @@ def trace_and_ids():
 
 class TestOracle:
     def test_raw_availability(self, trace_and_ids):
-        trace, ids = trace_and_ids
+        trace, _ = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim)
         sim.run_until(100.0)
-        assert oracle.query(ids[0]) == pytest.approx(1.0)
-        assert oracle.query(ids[1]) == pytest.approx(0.5)
-        assert oracle.query(ids[3]) == 0.0
+        assert oracle.query(0) == pytest.approx(1.0)
+        assert oracle.query(1) == pytest.approx(0.5)
+        assert oracle.query(3) == 0.0
 
     def test_windowed_availability(self, trace_and_ids):
-        trace, ids = trace_and_ids
+        trace, _ = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim, window=50.0)
         sim.run_until(150.0)
-        assert oracle.query(ids[0]) == pytest.approx(0.0)  # offline since 100
-        assert oracle.query(ids[1]) == pytest.approx(1.0)
+        assert oracle.query(0) == pytest.approx(0.0)  # offline since 100
+        assert oracle.query(1) == pytest.approx(1.0)
 
     def test_unknown_node_raises(self, trace_and_ids):
-        trace, _ = trace_and_ids
+        trace, ids = trace_and_ids
         oracle = OracleAvailability(trace, Simulator())
-        with pytest.raises(KeyError):
-            oracle.query(make_node_ids(10)[9])
+        with pytest.raises(IndexError):
+            oracle.query(len(ids))  # a row past the population
 
     def test_noise_bounded_and_deterministic(self, trace_and_ids):
-        trace, ids = trace_and_ids
+        trace, _ = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim, noise_std=0.05, seed=3)
         sim.run_until(100.0)
-        first = oracle.query(ids[0])
-        second = oracle.query(ids[0])
+        first = oracle.query(0)
+        second = oracle.query(0)
         assert first == second  # same time bucket: same answer
         assert 0.0 <= first <= 1.0
 
@@ -70,17 +70,17 @@ class TestOracle:
         # estimate is not clipped at 0/1, so re-drawn bucket noise is
         # observable rather than masked by saturation.
         sim.run_until(55.0)
-        a = oracle.query(ids[1]) - oracle.true_availability(ids[1])
+        a = oracle.query(1) - oracle.true_availability(ids[1])
         sim.run_until(65.0)
-        b = oracle.query(ids[1]) - oracle.true_availability(ids[1])
+        b = oracle.query(1) - oracle.true_availability(ids[1])
         assert a != b
 
     def test_quantization(self, trace_and_ids):
-        trace, ids = trace_and_ids
+        trace, _ = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim, quantization=0.25)
         sim.run_until(150.0)
-        value = oracle.query(ids[1])  # true 100/150 = 0.667 -> 0.75
+        value = oracle.query(1)  # true 100/150 = 0.667 -> 0.75
         assert value == pytest.approx(0.75)
 
     def test_true_availability_ignores_noise(self, trace_and_ids):
@@ -109,9 +109,10 @@ class TestOracle:
         """On an epoch-aligned trace and on a continuous-time one (a
         compiled ``weibull-lifetimes`` timeline) ``query`` and
         ``query_array`` agree to the last bit at any (fractional)
-        instant, raw and windowed, by id and by row, with and without a
-        live snapshot — discovery stores the batched answer where it used
-        to store the scalar one."""
+        instant, raw and windowed, with and without a live snapshot, and
+        undegraded they give the id-addressed ground truth — discovery
+        stores the batched answer where it used to store the scalar
+        one."""
         rng = np.random.default_rng(seed)
         ids = make_node_ids(12)
         if continuous:
@@ -127,13 +128,14 @@ class TestOracle:
             quantization=quantization, seed=seed % 1000,
         )
         row = int(rng.integers(12))
-        scalar = oracle.query(ids[row])
-        assert scalar == oracle.query_array([ids[row]])[0]
+        scalar = oracle.query(row)
+        if noise_std == 0.0 and quantization == 0.0:
+            assert scalar == min(1.0, max(0.0, oracle.true_availability(ids[row])))
         assert scalar == oracle.query_array(np.array([row]))[0]
         everyone = oracle.query_array(np.arange(12))
-        assert everyone.tolist() == [oracle.query(node) for node in ids]
+        assert everyone.tolist() == [oracle.query(r) for r in range(12)]
         trace.presence_snapshot(now)  # raw scalar queries now read its window
-        assert everyone.tolist() == [oracle.query(node) for node in ids]
+        assert everyone.tolist() == [oracle.query(r) for r in range(12)]
 
 
 def view_ids(provider, ids, node):
@@ -151,57 +153,56 @@ class TestCachedView:
         return sim, oracle, CachedAvailabilityView(oracle, sim, population), ids
 
     def test_get_before_fetch_is_none(self, setup):
-        _, _, cache, ids = setup
-        assert cache.get(ids[0]) is None
+        _, _, cache, _ = setup
+        assert cache.get(0) is None
 
     def test_fetch_then_get(self, setup):
-        sim, _, cache, ids = setup
+        sim, _, cache, _ = setup
         sim.run_until(100.0)
-        value = cache.fetch(ids[1])
-        assert cache.get(ids[1]) == value
+        value = cache.fetch(1)
+        assert cache.get(1) == value
 
     def test_cached_value_goes_stale(self, setup):
         """The point of the cache: reads do NOT track the service."""
-        sim, oracle, cache, ids = setup
+        sim, oracle, cache, _ = setup
         sim.run_until(100.0)
-        cache.fetch(ids[0])  # availability 1.0 at t=100
+        cache.fetch(0)  # availability 1.0 at t=100
         sim.run_until(200.0)  # true availability now 0.5
-        assert cache.get(ids[0]) == pytest.approx(1.0)
-        assert oracle.query(ids[0]) == pytest.approx(0.5)
+        assert cache.get(0) == pytest.approx(1.0)
+        assert oracle.query(0) == pytest.approx(0.5)
 
     def test_staleness_tracking(self, setup):
-        sim, _, cache, ids = setup
-        cache.fetch(ids[2])
+        sim, _, cache, _ = setup
+        cache.fetch(2)
         sim.run_until(42.0)
-        assert cache.staleness(ids[2]) == pytest.approx(42.0)
-        assert cache.staleness(ids[0]) is None
+        assert cache.staleness(2) == pytest.approx(42.0)
+        assert cache.staleness(0) is None
 
     def test_get_or_fetch(self, setup):
-        _, _, cache, ids = setup
-        value = cache.get_or_fetch(ids[2])
-        assert cache.get(ids[2]) == value
+        _, _, cache, _ = setup
+        value = cache.get_or_fetch(2)
+        assert cache.get(2) == value
         assert cache.fetch_count == 1
-        cache.get_or_fetch(ids[2])
+        cache.get_or_fetch(2)
         assert cache.fetch_count == 1  # second call hit the cache
 
     def test_fetch_many_and_len(self, setup):
-        _, _, cache, ids = setup
+        _, _, cache, _ = setup
         cache.fetch_rows(np.arange(3))
         assert len(cache) == 3
-        assert ids[0] in cache
+        assert 0 in cache
+        assert all(type(row) is int for row in cache._entries)
 
     def test_evict(self, setup):
-        _, _, cache, ids = setup
-        cache.fetch(ids[0])
-        cache.evict(ids[0])
-        assert cache.get(ids[0]) is None
+        _, _, cache, _ = setup
+        cache.fetch(0)
+        cache.evict(0)
+        assert cache.get(0) is None
 
     @pytest.mark.parametrize("with_scalar", (False, True))
     def test_deferred_batches_stay_bounded_and_last_write_wins(self, trace_and_ids, with_scalar):
-        """A consumer that only ever fetches batches (never reads) holds
-        a bounded number of them, and whenever a read does come it sees
-        what eager per-node stores would have left — also when scalar
-        fetches queue behind the batches (``with_scalar``)."""
+        """Batches and (``with_scalar``) scalar fetches interleave, and
+        a read sees the last write per row, stamped when it was made."""
         trace, ids = trace_and_ids
         sim = Simulator()
         oracle = OracleAvailability(trace, sim)
@@ -213,25 +214,23 @@ class TestCachedView:
         for step in range(201):
             sim.run_until(1.0 + step)
             batch = batches[step % len(batches)]
-            if step in scalar_steps:  # a scalar fetch queues behind the batches
+            if step in scalar_steps:  # a scalar fetch between the batches
                 batch = batch[:1]
-                values = [cache.fetch(ids[batch[0]])]
+                values = [cache.fetch(batch[0])]
             else:
                 values = cache.fetch_rows(np.array(batch)).tolist()
-            assert values == [oracle.query(ids[i]) for i in batch]
-            expected.update((ids[i], (v, sim.now)) for i, v in zip(batch, values))
-            assert len(cache._pending) < cache._PENDING_LIMIT
+            assert values == [oracle.query(i) for i in batch]
+            expected.update((i, (v, sim.now)) for i, v in zip(batch, values))
         assert cache.fetch_count == sum(
             1 if step in scalar_steps else len(batches[step % len(batches)])
             for step in range(201)
         )
-        assert cache._pending  # the reads below fold what is still deferred
         assert len(cache) == len(expected) == 4
-        for node, (value, fetched_at) in expected.items():
-            assert cache.entry(node) == (value, fetched_at)
-            assert cache.get(node) == value
-            assert cache.staleness(node) == sim.now - fetched_at
-            assert node in cache
+        for row, (value, fetched_at) in expected.items():
+            assert cache.entry(row) == (value, fetched_at)
+            assert cache.get(row) == value
+            assert cache.staleness(row) == sim.now - fetched_at
+            assert row in cache
 
 
 class TestGlobalSampleView:

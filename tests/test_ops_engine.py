@@ -229,7 +229,7 @@ class TestMulticast:
         # Manually corrupt truth: pretend ids[3] availability fell to 0.5,
         # while every node's *cached* entry still says 0.88.
         engine.truth_availability = (
-            lambda n: 0.5 if n == ids[3] else nodes[n].availability._service.query(n)
+            lambda n: 0.5 if n == ids[3] else nodes[n].availability._service.query(nodes[n].row)
         )
         record = engine.multicast(ids[0], TargetSpec.range(0.85, 0.95), mode="flood")
         sim.run_until(sim.now + 20.0)

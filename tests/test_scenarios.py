@@ -182,40 +182,36 @@ class TestOracleBatchParity:
         oracle = OracleAvailability(
             trace, sim, window=86400.0, noise_std=0.05, quantization=0.01, seed=9
         )
-        nodes = list(trace.nodes)
-        batch = oracle.query_array(nodes)
-        scalar = np.array([oracle.query(node) for node in nodes])
+        rows = np.arange(trace.node_count)
+        batch = oracle.query_array(rows)
+        scalar = np.array([oracle.query(row) for row in rows.tolist()])
         assert np.allclose(batch, scalar, rtol=0.0, atol=1e-9)
         assert batch.min() >= 0.0 and batch.max() <= 1.0
 
     def test_query_array_unknown_node_raises(self, trace_and_sim):
         trace, sim = trace_and_sim
         oracle = OracleAvailability(trace, sim)
-        stranger = make_node_ids(61)[-1]
-        with pytest.raises(KeyError):
-            oracle.query_array([stranger])
+        with pytest.raises(IndexError):
+            oracle.query_array(np.array([trace.node_count]))  # a row past the population
 
     def test_fetch_array_uses_batch_and_fills_cache(self, trace_and_sim):
         trace, sim = trace_and_sim
         oracle = OracleAvailability(trace, sim, noise_std=0.02, seed=4)
         view = CachedAvailabilityView(oracle, sim, population_of(trace))
-        nodes = list(trace.nodes)[:10]
         values = view.fetch_rows(np.arange(10))
         assert view.fetch_count == 10
-        for node, value in zip(nodes, values):
-            assert view.get(node) == pytest.approx(float(value))
-            assert view.staleness(node) == 0.0
+        for row, value in enumerate(values):
+            assert view.get(row) == pytest.approx(float(value))
+            assert view.staleness(row) == 0.0
 
     def test_scalar_fetch_after_batch_keeps_latest_value(self, trace_and_sim):
-        """A scalar fetch after a deferred batch must not be clobbered
-        when the batch folds in."""
+        """A scalar fetch after a batch overwrites the batch's entry."""
         trace, sim = trace_and_sim
         oracle = OracleAvailability(trace, sim, noise_std=0.0)
         view = CachedAvailabilityView(oracle, sim, population_of(trace))
-        node = list(trace.nodes)[0]
         view.fetch_rows(np.array([0]))
-        fresh = view.fetch(node)  # folds the batch, then overwrites
-        assert view.get(node) == pytest.approx(fresh)
+        fresh = view.fetch(0)
+        assert view.get(0) == pytest.approx(fresh)
 
 
 class TestHarnessAndCli:

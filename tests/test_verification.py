@@ -46,18 +46,19 @@ def verification_setup(rng):
 class TestVerifier:
     def test_accepts_true_neighbors_with_fresh_info(self, verification_setup):
         sim, trace, oracle, predicate, ids = verification_setup
-        owner = ids[30]
+        owner_row = 30
+        owner = ids[owner_row]
         verifier = InboundVerifier(
-            owner, predicate, new_cache(oracle, sim)
+            owner_row, predicate, new_cache(oracle, sim)
         )
-        own_av = oracle.query(owner)
+        own_av = oracle.query(owner_row)
         mismatches = 0
         checked = 0
-        for sender in ids:
+        for row, sender in enumerate(ids):
             if sender == owner:
                 continue
             truth = predicate.evaluate(
-                NodeDescriptor(sender, oracle.query(sender)),
+                NodeDescriptor(sender, oracle.query(row)),
                 NodeDescriptor(owner, own_av),
             )
             checked += 1
@@ -69,14 +70,15 @@ class TestVerifier:
 
     def test_stale_cache_changes_decisions(self, verification_setup):
         sim, trace, oracle, predicate, ids = verification_setup
-        owner = ids[10]
+        owner_row = 10
+        owner = ids[owner_row]
         cache = new_cache(oracle, sim)
-        verifier = InboundVerifier(owner, predicate, cache)
+        verifier = InboundVerifier(owner_row, predicate, cache)
         # Fetch everything now; then query much later against moved values.
         cache.fetch_rows(np.arange(len(ids)))
         results_then = {s: verifier.accepts(s) for s in ids if s != owner}
         fresh = new_cache(oracle, sim)
-        fresh_verifier = InboundVerifier(owner, predicate, fresh)
+        fresh_verifier = InboundVerifier(owner_row, predicate, fresh)
         sim.run_until(sim.now + 600.0)  # mid-cycle: raw availabilities shift
         results_fresh = {s: fresh_verifier.accepts(s) for s in ids if s != owner}
         # Decisions based on the stale cache are NOT recomputed.
@@ -86,9 +88,10 @@ class TestVerifier:
 
     def test_cushion_only_widens(self, verification_setup):
         sim, _, oracle, predicate, ids = verification_setup
-        owner = ids[45]
+        owner_row = 45
+        owner = ids[owner_row]
         verifier = InboundVerifier(
-            owner, predicate, new_cache(oracle, sim)
+            owner_row, predicate, new_cache(oracle, sim)
         )
         for sender in ids[:20]:
             if sender == owner:
@@ -98,18 +101,18 @@ class TestVerifier:
 
     def test_cushion_override_beats_default(self, verification_setup):
         sim, _, oracle, predicate, ids = verification_setup
-        owner = ids[45]
         verifier = InboundVerifier(
-            owner, predicate, new_cache(oracle, sim), cushion=0.0
+            45, predicate, new_cache(oracle, sim), cushion=0.0
         )
         result = verifier.verify(ids[0], cushion=0.25)
         assert result.cushion == 0.25
 
     def test_result_margin_sign(self, verification_setup):
         sim, _, oracle, predicate, ids = verification_setup
-        owner = ids[20]
+        owner_row = 20
+        owner = ids[owner_row]
         verifier = InboundVerifier(
-            owner, predicate, new_cache(oracle, sim)
+            owner_row, predicate, new_cache(oracle, sim)
         )
         for sender in ids[:15]:
             if sender == owner:
@@ -119,9 +122,10 @@ class TestVerifier:
 
     def test_counters(self, verification_setup):
         sim, _, oracle, predicate, ids = verification_setup
-        owner = ids[20]
+        owner_row = 20
+        owner = ids[owner_row]
         verifier = InboundVerifier(
-            owner, predicate, new_cache(oracle, sim)
+            owner_row, predicate, new_cache(oracle, sim)
         )
         for sender in ids[:10]:
             if sender != owner:
@@ -132,5 +136,5 @@ class TestVerifier:
         sim, _, oracle, predicate, ids = verification_setup
         with pytest.raises(ValueError):
             InboundVerifier(
-                ids[0], predicate, new_cache(oracle, sim), cushion=1.5
+                0, predicate, new_cache(oracle, sim), cushion=1.5
             )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation checks: runnable code blocks + link integrity.
+"""Documentation checks: runnable code blocks, link integrity, symbols.
 
 Keeps README.md and docs/ honest in CI:
 
@@ -12,6 +12,11 @@ Keeps README.md and docs/ honest in CI:
 2. **Link check** — every relative markdown link must point at an
    existing file, and every ``#fragment`` (same-file or cross-file) must
    match a heading anchor in the target, using GitHub's slug rules.
+3. **Symbol check** — every backticked ``Class.member`` (or
+   ``Class.member(...)``) whose ``Class`` is defined under
+   ``src/repro`` must name a member of that class or of one of its
+   ``src`` bases: a method, a class-level name or an attribute its
+   methods assign on ``self`` (found with :mod:`ast`, nothing imported).
 
 Run from the repository root (CI does)::
 
@@ -20,6 +25,7 @@ Run from the repository root (CI does)::
 
 from __future__ import annotations
 
+import ast
 import io
 import os
 import re
@@ -27,7 +33,7 @@ import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CHECKED_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
@@ -35,6 +41,7 @@ CHECKED_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.m
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^()\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
+SYMBOL_RE = re.compile(r"`(\w+)\.(\w+)[`(]")
 
 
 def iter_code_blocks(text: str) -> Iterator[Tuple[str, int, str]]:
@@ -96,6 +103,59 @@ def check_links(path: Path) -> List[str]:
     return errors
 
 
+def source_classes() -> Dict[str, Tuple[Set[str], List[str]]]:
+    """Class name -> (member names, base names) over ``src/repro``.
+    Members are the class body's defs and assigned names plus every
+    ``self.<name>`` its methods store to; same-named classes are merged."""
+    classes: Dict[str, Tuple[Set[str], List[str]]] = {}
+    for module in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members, bases = classes.setdefault(node.name, (set(), []))
+            bases.extend(
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))
+            )
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    members.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    members.update(t.id for t in targets if isinstance(t, ast.Name))
+            members.update(
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            )
+    return classes
+
+
+def has_member(classes, cls: str, member: str, seen: Tuple[str, ...] = ()) -> bool:
+    if cls not in classes or cls in seen:
+        return False
+    members, bases = classes[cls]
+    return member in members or any(
+        has_member(classes, base, member, seen + (cls,)) for base in bases
+    )
+
+
+def check_symbols(path: Path, classes) -> List[str]:
+    errors: List[str] = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for cls, member in SYMBOL_RE.findall(line):
+            if cls in classes and not has_member(classes, cls, member):
+                errors.append(
+                    f"{path.relative_to(REPO_ROOT)}:{number}: `{cls}.{member}` "
+                    f"names no member of {cls}"
+                )
+    return errors
+
+
 def run_code_blocks(path: Path) -> List[str]:
     errors: List[str] = []
     for language, line, code in iter_code_blocks(path.read_text(encoding="utf-8")):
@@ -118,16 +178,21 @@ def main() -> int:
     os.chdir(REPO_ROOT)
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures: List[str] = []
+    classes = source_classes()
     for path in CHECKED_FILES:
         print(f"checking {path.relative_to(REPO_ROOT)}")
         failures.extend(check_links(path))
+        failures.extend(check_symbols(path, classes))
         failures.extend(run_code_blocks(path))
     if failures:
         print("\nFAILURES:")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print(f"\nOK: {len(CHECKED_FILES)} files, all links resolve, all python blocks ran")
+    print(
+        f"\nOK: {len(CHECKED_FILES)} files, all links resolve, all class members "
+        "named exist, all python blocks ran"
+    )
     return 0
 
 
