@@ -145,13 +145,13 @@ def batched_refresh(
     evicted = 0
     for i, owner in enumerate(overlay.ids):
         table = tables[owner]
-        view = table.neighbor_arrays()
+        view = table.neighbor_arrays(with_nodes=False)
         if view.slots.size == 0:
             continue
         neighbor_avs = new_avs[view.rows]
         me = NodeDescriptor(owner, float(new_avs[i]))
         member, horizontal = predicate.evaluate_many(
-            me, view.nodes, neighbor_avs, digests=view.digests
+            me, overlay.population, view.rows, neighbor_avs
         )
         evicted += table.refresh_round(
             view.slots, neighbor_avs, horizontal, member, now

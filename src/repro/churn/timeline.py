@@ -5,8 +5,9 @@ all nodes concatenated into three parallel arrays (node index, session
 start, session end) in CSR layout.  Batch queries ("what is the
 availability of these 60 neighbors right now?", "who is online at time
 t?") run as a handful of vectorized operations; scalar queries run a
-one-row segment search over the same arrays, or read the live
-:class:`EdgeSnapshot`.  :class:`~repro.churn.trace.ChurnTrace` is its
+one-row segment search over the same arrays; raw availability reads of
+either kind take the live :class:`EdgeSnapshot` when it holds the
+instant.  :class:`~repro.churn.trace.ChurnTrace` is its
 keyed facade.
 
 Layout invariants (enforced on construction):
@@ -112,7 +113,9 @@ class EdgeSnapshot:
     :meth:`availability_of` call (protocol gates only ever read the
     mask).  All arrays are read-only.  Built by
     :meth:`ChurnTimeline.snapshot` only — an O(N) pass for callers that
-    already pay O(N); scalar readers go through
+    already pay O(N); raw availability reads, scalar
+    (:meth:`ChurnTimeline.availability_of`) and batched
+    (:meth:`ChurnTimeline.availability_array`), go through
     :meth:`ChurnTimeline.live_snapshot`, which never builds.  Must not be
     held across a clock advance: ask the timeline again instead.
     """
@@ -628,12 +631,26 @@ class ChurnTimeline:
         k = nodes.size
         return both[:k] - both[k:]
 
+    def _check_rows(self, nodes: np.ndarray) -> None:
+        """Refuse a row outside ``[0, n_nodes)``: one reduction over the
+        batch (a negative row is a huge unsigned one)."""
+        if nodes.size and nodes.view(np.uint64).max() >= self.n_nodes:
+            bad = nodes[(nodes < 0) | (nodes >= self.n_nodes)][0]
+            raise IndexError(f"row {bad} outside [0, {self.n_nodes})")
+
     def availability_array(self, nodes: np.ndarray, until, since=0.0) -> np.ndarray:
         """Fraction uptime over ``[since, until]`` — the paper's ``av(x)``.
 
-        Zero-length windows return instantaneous presence.
+        Zero-length windows return instantaneous presence.  A raw query
+        (float ``until``, ``since`` 0.0) inside the live snapshot's window
+        reads its session columns: the same floats, no segment search.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
+        self._check_rows(nodes)
+        if isinstance(until, float) and isinstance(since, float) and since == 0.0:
+            snapshot = self.live_snapshot(until)
+            if snapshot is not None:
+                return snapshot.availability(nodes, until)
         k = nodes.size
         both, times = self._edge_uptimes(nodes, until, since)
         span = times[:k] - times[k:]
@@ -653,6 +670,8 @@ class ChurnTimeline:
         same float.  A raw query inside the live snapshot's window reads
         its session columns; anything else runs a one-row segment search
         with the same expression."""
+        if not 0 <= node < self.n_nodes:
+            raise IndexError(f"row {node} outside [0, {self.n_nodes})")
         if since == 0.0:
             snapshot = self.live_snapshot(until)
             if snapshot is not None:

@@ -48,7 +48,7 @@ them and callers must fall back to the exhaustive sweep.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class CandidateIndex:
     the enumeration bound sound without any bin-edge float reasoning.
     """
 
-    def __init__(self, predicate, digests: np.ndarray, availabilities: np.ndarray):
+    def __init__(self, predicate, digests: np.ndarray, availabilities: np.ndarray, keys=None):
         if not supports_candidates(predicate):
             raise ValueError(
                 f"predicate {predicate!r} does not support candidate generation "
@@ -134,7 +134,7 @@ class CandidateIndex:
         bucket_of = np.clip(
             (avs * self.n_buckets).astype(np.int64), 0, self.n_buckets - 1
         )
-        self.keys = predicate.hash_fn.key_array(self.digests)
+        self.keys = predicate.hash_fn.key_array(self.digests) if keys is None else keys
         self.shifts = predicate.hash_fn.shift_array(self.digests)
         order = np.lexsort((self.keys, bucket_of))
         self.rows_sorted = order.astype(np.int64)
@@ -259,8 +259,10 @@ def evaluate_all_candidates(
     digests: np.ndarray,
     availabilities: np.ndarray,
     cushion: float = 0.0,
+    keys: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact ``evaluate_all`` via candidate generation.
+    """Exact ``evaluate_all`` via candidate generation (``keys``: the
+    hash's key column of ``digests`` when the caller holds it cached).
 
     Returns the same ``(src_indices, dst_indices, horizontal)`` CSR
     triple as the exhaustive sweep, bit-identical (property-tested in
@@ -271,7 +273,7 @@ def evaluate_all_candidates(
     """
     telemetry = current_telemetry()
     with telemetry.span("overlay.candidates.index"):
-        index = CandidateIndex(predicate, digests, availabilities)
+        index = CandidateIndex(predicate, digests, availabilities, keys)
     avs = index.availabilities
     n = avs.shape[0]
     eps = predicate.epsilon

@@ -70,10 +70,14 @@ class PairwiseHash(abc.ABC):
     def value(self, x: NodeId, y: NodeId) -> float:
         """``H(id(x), id(y))`` in [0, 1)."""
 
-    def value_many(self, x: NodeId, digests_y: np.ndarray) -> np.ndarray:
-        """Vectorized ``H(x, y_i)`` given the ``uint64`` digests of the
-        ``y_i``.  The base implementation falls back to nothing — only
-        digest-mixing hashes can vectorize; string hashes must loop."""
+    def key_array(self, digests_y: np.ndarray) -> np.ndarray:
+        """The source-free half of a vectorized hash: one ``uint64`` key
+        per destination digest.  String hashes have none and must loop."""
+        raise NotImplementedError(f"{self.name} hash does not support vectorized evaluation")
+
+    def combine(self, x: NodeId, keys_y: np.ndarray) -> np.ndarray:
+        """The source-side half: vectorized ``H(x, y_i)`` is
+        ``combine(x, key_array(digests_y))``."""
         raise NotImplementedError(f"{self.name} hash does not support vectorized evaluation")
 
     def value_matrix(self, digests_x: np.ndarray, digests_y: np.ndarray) -> np.ndarray:
@@ -87,7 +91,7 @@ class PairwiseHash(abc.ABC):
 
     @property
     def supports_vectorized(self) -> bool:
-        return type(self).value_many is not PairwiseHash.value_many
+        return type(self).combine is not PairwiseHash.combine
 
     @property
     def supports_matrix(self) -> bool:
@@ -142,21 +146,23 @@ class Mix64PairHash(PairwiseHash):
         outer = _mix64_int((x.digest64 + inner + self.salt) & _U64_MASK)
         return outer / _U64_SCALE
 
-    def value_many(self, x: NodeId, digests_y: np.ndarray) -> np.ndarray:
-        digests_y = np.asarray(digests_y, dtype=np.uint64)
+    def key_array(self, digests_y: np.ndarray) -> np.ndarray:
+        """The inner mix ``mix64(dy)`` (``uint64``)."""
         with np.errstate(over="ignore"):
-            inner = _mix64_array(digests_y)
-            shifted = (np.uint64(x.digest64) + inner + np.uint64(self.salt)).astype(np.uint64)
+            return _mix64_array(np.asarray(digests_y, dtype=np.uint64))
+
+    def combine(self, x: NodeId, keys_y: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            shifted = (np.uint64(x.digest64) + keys_y + np.uint64(self.salt)).astype(np.uint64)
             outer = _mix64_array(shifted)
         return outer.astype(np.float64) / _U64_SCALE
 
     def value_matrix(self, digests_x: np.ndarray, digests_y: np.ndarray) -> np.ndarray:
         digests_x = np.asarray(digests_x, dtype=np.uint64)
-        digests_y = np.asarray(digests_y, dtype=np.uint64)
         with np.errstate(over="ignore"):
             # The inner mix depends only on y: compute it once per column
             # and broadcast against the source digests.
-            inner = _mix64_array(digests_y)
+            inner = self.key_array(digests_y)
             shifted = (
                 digests_x[:, None] + inner[None, :] + np.uint64(self.salt)
             ).astype(np.uint64)
@@ -230,10 +236,10 @@ class Affine64PairHash(PairwiseHash):
         with np.errstate(over="ignore"):
             return (np.uint64(self._B) * _mix64_array(digests_y)).astype(np.uint64)
 
-    def value_many(self, x: NodeId, digests_y: np.ndarray) -> np.ndarray:
+    def combine(self, x: NodeId, keys_y: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             shift = np.uint64(self._shift_int(x.digest64))
-            wrapped = (shift + self.key_array(digests_y)).astype(np.uint64)
+            wrapped = (shift + keys_y).astype(np.uint64)
         return wrapped.astype(np.float64) / _U64_SCALE
 
     def value_matrix(self, digests_x: np.ndarray, digests_y: np.ndarray) -> np.ndarray:

@@ -167,10 +167,12 @@ class MembershipTable:
         # Lazy caches: None marks "rebuild on next scalar access".
         self._slot_of: Optional[Dict[NodeId, int]] = {}
         self._materialized: Dict[NodeId, MemberEntry] = {}
-        # neighbor_arrays() results (without / with the nodes column),
-        # dropped by every mutator.
+        # neighbor_arrays() results (without / with the nodes column) and
+        # _match_slots()' live slots in digest order (int32: it is held
+        # per table between rounds), dropped by every mutator.
         self._view: Optional[NeighborView] = None
         self._view_with_nodes: Optional[NeighborView] = None
+        self._match_index: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Internal plumbing
@@ -230,7 +232,7 @@ class MembershipTable:
         self._drop_views()
 
     def _drop_views(self) -> None:
-        self._view = self._view_with_nodes = None
+        self._view = self._view_with_nodes = self._match_index = None
 
     def _entry_at(self, slot: int) -> MemberEntry:
         node = self._ids[slot]
@@ -390,18 +392,20 @@ class MembershipTable:
         return batch
 
     def _match_slots(self, digests: np.ndarray) -> np.ndarray:
-        """Slot of each digest among live entries, -1 where absent."""
+        """Slot of each digest among live entries, -1 where absent: a
+        binary search of the live digests, sorted once per table state."""
         out = np.full(digests.size, -1, dtype=np.int64)
         if self._count == 0:
             return out
-        live = np.flatnonzero(self._alive[: self._size])
-        live_digests = self._digests[live]
-        order = np.argsort(live_digests)
-        position = np.searchsorted(live_digests, digests, sorter=order)
-        position = np.minimum(position, live.size - 1)
-        candidate = order[position]
-        matched = live_digests[candidate] == digests
-        out[matched] = live[candidate[matched]]
+        slots = self._match_index
+        if slots is None:
+            live = np.flatnonzero(self._alive[: self._size])
+            slots = live[np.argsort(self._digests[live])].astype(np.int32)
+            self._match_index = slots
+        sorted_digests = self._digests[slots]
+        position = np.minimum(sorted_digests.searchsorted(digests), slots.size - 1)
+        matched = sorted_digests[position] == digests
+        out[matched] = slots[position[matched]]
         return out
 
     def contains_digests(self, digests: np.ndarray) -> np.ndarray:

@@ -169,16 +169,15 @@ class AvmemNode:
         self.discovery_rounds += 1
         me = self.self_descriptor(fresh=True)
         candidates = self.coarse_view.view_rows(self.row)
-        digests = self.population.digests[candidates]
-        unknown = ~self.lists.contains_digests(digests)
+        unknown = ~self.lists.contains_digests(self.population.digests[candidates])
         unknown &= candidates != self.row
         if self.config.discovery_liveness:
             # a candidate whose handshake fails is skipped unfetched
             unknown[unknown] = self.network.online_rows(candidates[unknown])
-        candidates, digests = candidates[unknown], digests[unknown]
+        candidates = candidates[unknown]
         added = 0
         if candidates.size:
-            availabilities, member, horizontal = self._evaluate_rows(me, candidates, digests)
+            availabilities, member, horizontal = self._evaluate_rows(me, candidates)
             added = self.install_member_rows(
                 candidates[member], availabilities[member], horizontal[member]
             )
@@ -189,13 +188,13 @@ class AvmemNode:
             telemetry.count("node.discovery.added", added)
         return added
 
-    def _evaluate_rows(self, me: NodeDescriptor, rows: np.ndarray, digests: np.ndarray):
+    def _evaluate_rows(self, me: NodeDescriptor, rows: np.ndarray):
         """One bulk cache fetch for ``rows`` and one vectorized predicate
         evaluation against it: ``(availabilities, member, horizontal)``,
         parallel to ``rows``."""
         availabilities = self.availability.fetch_rows(rows)
         member, horizontal = self.predicate.evaluate_many(
-            me, self.population.ids_of(rows), availabilities, digests=digests
+            me, self.population, rows, availabilities
         )
         return availabilities, member, horizontal
 
@@ -245,7 +244,7 @@ class AvmemNode:
         horizontal = np.zeros(total, dtype=bool)
         if live.any():
             availabilities[live], keep[live], horizontal[live] = self._evaluate_rows(
-                me, view.rows[live], view.digests[live]
+                me, view.rows[live]
             )
         return self.lists.refresh_round(
             view.slots, availabilities, horizontal, keep, now=self.sim.now

@@ -53,6 +53,7 @@ class Population:
         "_id_tuple",
         "_row_of_digest",
         "_row_keys",
+        "_hash_keys",
     )
 
     def __init__(
@@ -97,6 +98,7 @@ class Population:
         self._id_tuple: Optional[tuple] = None
         self._row_of_digest: Optional[Dict[int, int]] = None
         self._row_keys: Optional[np.ndarray] = None
+        self._hash_keys: Dict[object, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -164,6 +166,7 @@ class Population:
         sibling._id_tuple = None
         sibling._row_of_digest = self._row_of_digest
         sibling._row_keys = self._row_keys
+        sibling._hash_keys = self._hash_keys
         return sibling
 
     # ------------------------------------------------------------------
@@ -239,6 +242,15 @@ class Population:
         if self._row_keys is None:
             self._row_keys = np.arange(self.size).astype(object)
         return self._row_keys[rows].tolist()
+
+    def hash_keys(self, hash_fn) -> np.ndarray:
+        """``hash_fn.key_array(digests)``, computed once per population
+        and hash (siblings share it)."""
+        keys = self._hash_keys.get(hash_fn)
+        if keys is None:
+            keys = self._hash_keys[hash_fn] = hash_fn.key_array(self.digests)
+            keys.flags.writeable = False
+        return keys
 
     def __contains__(self, node: NodeId) -> bool:
         return self.find_row(node) >= 0

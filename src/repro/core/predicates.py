@@ -31,6 +31,7 @@ from repro.core.availability import AvailabilityPdf
 from repro.core.candidates import evaluate_all_candidates, supports_candidates
 from repro.core.hashing import Affine64PairHash, PairwiseHash
 from repro.core.ids import NodeId, digest_array
+from repro.core.population import Population
 from repro.core.slivers import (
     HorizontalSliverRule,
     LogarithmicConstantHorizontal,
@@ -139,32 +140,27 @@ class AvmemPredicate:
     def evaluate_many(
         self,
         x: NodeDescriptor,
-        candidates: Sequence[NodeId],
+        population: Population,
+        rows: np.ndarray,
         availabilities: np.ndarray,
         cushion: float = 0.0,
-        digests: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate ``M(x, y_i)`` for many candidates at once.
+        """Evaluate ``M(x, y_i)`` for the candidates at ``population``
+        rows ``rows``, with availabilities ``availabilities``.
 
         Returns ``(member_mask, horizontal_mask)`` — boolean arrays over
-        the candidates.  Uses the hash's vectorized form when it has one
-        (affine64, mix64) and a scalar loop otherwise.  Any candidate
-        equal to ``x`` itself is excluded.  ``digests`` optionally supplies the candidates'
-        precomputed ``uint64`` endpoint digests (e.g. from a membership
-        table's columnar storage), skipping the per-candidate digest
-        gather and the per-candidate self-exclusion scan.
+        the candidates.  A vectorized hash (affine64, mix64) combines the
+        source with the population's cached destination-key column
+        (:meth:`~repro.core.population.Population.hash_keys`), so no id
+        is materialized; a digest hash loops over the rows' ids.  Any
+        candidate whose digest is ``x``'s own is excluded.
         """
+        rows = np.asarray(rows, dtype=np.int64)
         availabilities = np.asarray(availabilities, dtype=float)
-        if len(candidates) != availabilities.size:
+        if rows.size != availabilities.size:
             raise ValueError(
-                f"{len(candidates)} candidates but {availabilities.size} availabilities"
+                f"{rows.size} candidates but {availabilities.size} availabilities"
             )
-        if digests is not None:
-            digests = np.asarray(digests, dtype=np.uint64)
-            if digests.size != availabilities.size:
-                raise ValueError(
-                    f"{digests.size} digests but {availabilities.size} availabilities"
-                )
         horizontal_mask = np.abs(availabilities - x.availability) < self.epsilon
         thresholds = np.empty(availabilities.size, dtype=float)
         if horizontal_mask.any():
@@ -179,18 +175,13 @@ class AvmemPredicate:
         if cushion:
             thresholds = np.minimum(1.0, thresholds + cushion)
         if self.hash_fn.supports_vectorized:
-            if digests is None:
-                digests = digest_array(candidates)
-            hashes = self.hash_fn.value_many(x.node, digests)
+            hashes = self.hash_fn.combine(x.node, population.hash_keys(self.hash_fn)[rows])
         else:
-            hashes = np.array([self.hash_fn.value(x.node, y) for y in candidates])
+            hashes = np.array(
+                [self.hash_fn.value(x.node, y) for y in population.ids_of(rows)], dtype=float
+            )
         member = hashes <= thresholds
-        if digests is not None:
-            member[digests == np.uint64(x.node.digest64)] = False
-        else:
-            for i, y in enumerate(candidates):
-                if y == x.node:
-                    member[i] = False
+        member[population.digests[rows] == np.uint64(x.node.digest64)] = False
         return member, horizontal_mask
 
     @property
@@ -258,6 +249,7 @@ class AvmemPredicate:
         cushion: float = 0.0,
         block_rows: int = 256,
         method: str = "candidates",
+        keys: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row-space :meth:`evaluate_all`: operate directly on a
         population's ``uint64`` digest array without materializing any
@@ -267,7 +259,8 @@ class AvmemPredicate:
         ``"candidates"`` default.  The exhaustive engine requires a
         matrix-capable hash here (string hashes need the id objects);
         output is identical to :meth:`evaluate_all` on the ids with the
-        same digests.
+        same digests.  ``keys`` hands the candidate engine the
+        population's cached key column (:meth:`Population.hash_keys`).
         """
         digests = np.asarray(digests, dtype=np.uint64)
         if np.unique(digests).size != digests.shape[0]:
@@ -278,10 +271,10 @@ class AvmemPredicate:
                 "(no matrix form); pass the ids to evaluate_all instead"
             )
         return self._evaluate_all(
-            digests, availabilities, cushion, block_rows, method, None
+            digests, availabilities, cushion, block_rows, method, None, keys
         )
 
-    def _evaluate_all(self, digests, availabilities, cushion, block_rows, method, ids):
+    def _evaluate_all(self, digests, availabilities, cushion, block_rows, method, ids, keys=None):
         check_probability(cushion, "cushion")
         availabilities = np.asarray(availabilities, dtype=float)
         n = digests.shape[0]
@@ -291,7 +284,7 @@ class AvmemPredicate:
             raise ValueError(f"block_rows must be positive, got {block_rows}")
         self.check_overlay_method(method)
         if method == "candidates":
-            return evaluate_all_candidates(self, digests, availabilities, cushion)
+            return evaluate_all_candidates(self, digests, availabilities, cushion, keys)
         return self._exhaustive_blocks(digests, availabilities, cushion, block_rows, ids)
 
     def _exhaustive_blocks(

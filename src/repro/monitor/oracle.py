@@ -77,7 +77,7 @@ class OracleAvailability:
 
     def query(self, row: int) -> float:
         """Current (possibly noisy/quantized) availability of the node at
-        trace row ``row`` (a row past the trace raises IndexError)."""
+        trace row ``row`` (a row outside ``[0, N)`` raises IndexError)."""
         now = self.sim.now
         since = 0.0 if self.window is None else max(0.0, now - self.window)
         value = self.trace.timeline.availability_of(row, now, since)
@@ -90,7 +90,9 @@ class OracleAvailability:
     def query_array(self, rows: np.ndarray) -> np.ndarray:
         """Batched :meth:`query` for an integer array of trace rows: one
         vectorized timeline pass for the whole batch (the refresh- and
-        discovery-round hot path).
+        discovery-round hot path; a raw read inside the live edge
+        snapshot's window is one gather).  A row outside ``[0, N)``
+        raises IndexError.
 
         Answers match per-row :meth:`query` calls bit for bit: both read
         the one churn timeline with the same expression, the same

@@ -476,9 +476,11 @@ class AvmemSimulation:
             self.oracle.query_array(np.arange(len(self.node_ids), dtype=np.int64))
         )
         avs = pop.availabilities
+        method = self.settings.overlay_method
         with self.telemetry.span("overlay.build"):
+            keys = pop.hash_keys(self.predicate.hash_fn) if method == "candidates" else None
             src, dst, horizontal = self.predicate.evaluate_all_rows(
-                pop.digests, avs, method=self.settings.overlay_method
+                pop.digests, avs, method=method, keys=keys
             )
             # Trace order is population row order, so the presence
             # snapshot is already row-aligned; building it here lets the

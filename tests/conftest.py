@@ -92,7 +92,7 @@ def install_matches(node, rows, availabilities):
     node.  Returns the number installed."""
     me = node.self_descriptor(fresh=True)
     member, horizontal = node.predicate.evaluate_many(
-        me, node.population.ids_of(rows), availabilities
+        me, node.population, rows, availabilities
     )
     return node.install_member_rows(
         rows[member], availabilities[member], horizontal[member]

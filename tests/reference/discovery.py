@@ -147,14 +147,13 @@ def refresh_step(self: AvmemNode) -> int:
     horizontal = np.zeros(total, dtype=bool)
     live = np.flatnonzero(probed)
     if live.size:
-        live_nodes = [neighbors[i] for i in live]
         availabilities[live] = np.fromiter(
             (self.availability.fetch(row) for row in view.rows[live].tolist()),
             dtype=float,
-            count=len(live_nodes),
+            count=live.size,
         )
         keep[live], horizontal[live] = self.predicate.evaluate_many(
-            me, live_nodes, availabilities[live], digests=view.digests[live]
+            me, self.population, view.rows[live], availabilities[live]
         )
     return self.lists.refresh_round(
         view.slots, availabilities, horizontal, keep, now=self.sim.now

@@ -344,10 +344,10 @@ def test_maintenance_rounds_stay_batched(monkeypatch):
 
 def test_round_fetches_materialize_no_ids(monkeypatch):
     """Counts, not times: through a full-protocol set-up with a 3600 s
-    settle, ``Population.ids_of`` runs exactly once per
-    ``AvmemNode._evaluate_rows`` call — for the ids the predicate hashes.
-    The availability cache is keyed by population row, so a round's
-    fetch materializes no id; a cache that maps its rows back to ids
+    settle, ``Population.ids_of`` never runs.  The availability cache is
+    keyed by population row and the predicate hashes the population's
+    key column, so neither a round's fetch nor its evaluation
+    materializes an id; a cache or predicate that maps rows back to ids
     fails here."""
     calls = {"ids_of": 0, "_evaluate_rows": 0}
 
@@ -366,7 +366,34 @@ def test_round_fetches_materialize_no_ids(monkeypatch):
     hosts, protocols, _ = MAINTENANCE_SHAPE
     build_sim(seed, (hosts, protocols, 3600.0))
     assert calls["_evaluate_rows"] > 10 * hosts  # the rounds did run
-    assert calls["ids_of"] == calls["_evaluate_rows"]
+    assert calls["ids_of"] == 0
+
+
+def test_round_availability_reads_search_once_per_window(monkeypatch):
+    """Counts, not times: through the same settle, the per-node segment
+    search ``ChurnTimeline._last_started`` runs once per edge-to-edge
+    window the rounds read (``_snapshot_sessions``), plus the one-off
+    uptime-before-zero pass and at most one more.  Every raw
+    availability read of a round, scalar or batched, answers from the
+    live snapshot its online gate built; a batched read that searches
+    again fails here."""
+    from repro.churn.timeline import ChurnTimeline
+
+    calls = {"_last_started": 0, "_snapshot_sessions": 0}
+    for name in calls:
+        original = getattr(ChurnTimeline, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ChurnTimeline, name, wrapper)
+    seed, _ = MAINTENANCE_CASES["maintain-flood"]
+    hosts, protocols, _ = MAINTENANCE_SHAPE
+    simulation = build_sim(seed, (hosts, protocols, 3600.0))
+    assert sum(node.discovery_rounds for node in simulation.nodes.values()) > 10 * hosts
+    assert calls["_snapshot_sessions"] >= 1
+    assert calls["_last_started"] <= calls["_snapshot_sessions"] + 2
 
 
 def test_interval_plan_pays_population_passes_per_edge_not_per_launch(monkeypatch):

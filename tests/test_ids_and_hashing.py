@@ -119,7 +119,7 @@ class TestMix64Vectorized:
         h = Mix64PairHash()
         ids = make_node_ids(50)
         x = ids[0]
-        vector = h.value_many(x, digest_array(ids))
+        vector = h.combine(x, h.key_array(digest_array(ids)))
         scalar = np.array([h.value(x, y) for y in ids])
         assert np.allclose(vector, scalar)
 
@@ -131,7 +131,7 @@ class TestMix64Vectorized:
     def test_salted_vectorized_matches_scalar(self):
         h = Mix64PairHash(salt=99)
         ids = make_node_ids(20)
-        vector = h.value_many(ids[0], digest_array(ids))
+        vector = h.combine(ids[0], h.key_array(digest_array(ids)))
         scalar = np.array([h.value(ids[0], y) for y in ids])
         assert np.allclose(vector, scalar)
 
@@ -145,7 +145,9 @@ class TestMix64Vectorized:
 
     def test_digest_hash_vectorized_raises(self):
         with pytest.raises(NotImplementedError):
-            DigestPairHash("sha1").value_many(NodeId("a", 1), np.array([1], dtype=np.uint64))
+            DigestPairHash("sha1").key_array(np.array([1], dtype=np.uint64))
+        with pytest.raises(NotImplementedError):
+            DigestPairHash("sha1").combine(NodeId("a", 1), np.array([1], dtype=np.uint64))
 
     def test_unknown_digest_algorithm_rejected(self):
         with pytest.raises(ValueError):

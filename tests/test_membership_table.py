@@ -103,10 +103,12 @@ def test_bulk_ops_match_scalar_reference(schedule):
     entry for entry, across kinds and churn sequences."""
     scalar = new_table()
     batched = new_table()
+    members = set()  # candidate indices that are neighbors: the reference set
     now = 0.0
     for op, payload in schedule:
         now += 10.0
         if op == "install":
+            members.update(i for i, _, _ in payload)
             nodes = [CANDIDATES[i] for i, _, _ in payload]
             avs = np.array([av for _, av, _ in payload], dtype=float)
             flags = np.array([h for _, _, h in payload], dtype=bool)
@@ -126,6 +128,7 @@ def test_bulk_ops_match_scalar_reference(schedule):
                     scalar.upsert(entry.node, float(av), _kind(bool(flag)), now)
                 else:
                     scalar.remove(entry.node)
+                    members.discard(CANDIDATES.index(entry.node))
             view = batched.neighbor_arrays()
             keep_mask = np.array([d[0] for d in decisions], dtype=bool)
             avs = np.array([d[1] for d in decisions], dtype=float)
@@ -133,13 +136,20 @@ def test_bulk_ops_match_scalar_reference(schedule):
             evicted = batched.refresh_round(view.slots, avs, flags, keep_mask, now)
             assert evicted == int(np.count_nonzero(~keep_mask))
         elif op == "remove":
+            members.discard(payload)
             node = CANDIDATES[payload]
             assert scalar.remove(node) == batched.remove(node)
         else:  # scalar upsert on the batched table too (mixed usage)
             index, av, flag = payload
+            members.add(index)
             node = CANDIDATES[index]
             scalar.upsert(node, av, _kind(flag), now)
             batched.upsert(node, av, _kind(flag), now)
+        # The match index cached by the previous step's lookups was dropped
+        # by whatever mutated the table since.
+        assert batched.contains_digests(digest_array(CANDIDATES)).tolist() == [
+            i in members for i in range(len(CANDIDATES))
+        ]
         assert_tables_identical(scalar, batched)
 
 
@@ -338,6 +348,34 @@ class TestNeighborViewCache:
                 assert (cached is None and rebuilt is None) or cached.tolist() == rebuilt.tolist(), name
             assert list(after.nodes) == table.neighbor_ids(), name
 
+    def test_every_mutator_drops_the_match_index(self):
+        everyone = digest_array(CANDIDATES)
+        mutators = {
+            "upsert": lambda t, v: t.upsert(CANDIDATES[20], 0.5, SliverKind.VERTICAL, 1.0),
+            "upsert-existing": lambda t, v: t.upsert(v.nodes[3], 0.5, SliverKind.VERTICAL, 1.0),
+            "remove": lambda t, v: t.remove(v.nodes[0]),
+            "clear": lambda t, v: t.clear(),
+            "upsert_rows": lambda t, v: t.upsert_rows(
+                np.array([2, 15]), np.array([0.3, 0.4]), np.array([True, False]), now=1.0
+            ),
+            "refresh_round": lambda t, v: t.refresh_round(
+                v.slots, v.availabilities + 0.01, ~v.horizontal,
+                np.arange(v.slots.size) % 3 != 0, now=1.0,
+            ),
+            "compaction": _compact_ten,
+        }
+        for name, mutate in mutators.items():
+            table = self._table()
+            view = table.neighbor_arrays()
+            table.contains_digests(everyone)
+            assert table._match_index is not None, name
+            mutate(table, view)
+            assert table._match_index is None, name
+            members = set(table.neighbor_ids())
+            assert table.contains_digests(everyone).tolist() == [
+                node in members for node in CANDIDATES
+            ], name
+
     def test_compaction_drops_the_view(self):
         # Through the public surface: slots move under a cached view when
         # removals trigger a compaction; the next view names the new slots.
@@ -363,9 +401,20 @@ class TestNeighborViewCache:
     def test_a_miss_that_mutates_nothing_keeps_the_view(self):
         table = self._table()
         view = table.neighbor_arrays()
+        table.contains_digests(digest_array(CANDIDATES))
+        index = table._match_index
         assert not table.remove(CANDIDATES[22])
         assert table.upsert_rows(rows(0, 0), np.empty(0), np.empty(0, dtype=bool), 1.0) == 0
         assert table.neighbor_arrays() is view
+        assert table._match_index is index
+
+
+def _compact_ten(table, view):
+    """Kill ten slots behind the table's back and compact them away."""
+    table._alive[view.slots[:10]] = False
+    table._count -= 10
+    table._maybe_compact()
+    assert table._size == 2
 
 
 class TestCompaction:

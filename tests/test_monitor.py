@@ -52,6 +52,21 @@ class TestOracle:
         with pytest.raises(IndexError):
             oracle.query(len(ids))  # a row past the population
 
+    def test_rows_outside_the_trace_are_refused(self, trace_and_ids):
+        trace, _ = trace_and_ids
+        sim = Simulator()
+        oracle = OracleAvailability(trace, sim)
+        sim.run_until(50.0)
+        for rows in ([4], [-1, 2]):
+            bad = rows[0]
+            with pytest.raises(IndexError, match=rf"row {bad} outside \[0, 4\)"):
+                oracle.query_array(np.array(rows))
+            with pytest.raises(IndexError, match=rf"row {bad} outside \[0, 4\)"):
+                oracle.query(bad)
+        trace.presence_snapshot(50.0)  # inside the live window as well
+        with pytest.raises(IndexError, match=r"row -1 outside \[0, 4\)"):
+            oracle.query_array(np.array([-1]))
+
     def test_noise_bounded_and_deterministic(self, trace_and_ids):
         trace, _ = trace_and_ids
         sim = Simulator()
@@ -134,8 +149,9 @@ class TestOracle:
         assert scalar == oracle.query_array(np.array([row]))[0]
         everyone = oracle.query_array(np.arange(12))
         assert everyone.tolist() == [oracle.query(r) for r in range(12)]
-        trace.presence_snapshot(now)  # raw scalar queries now read its window
+        trace.presence_snapshot(now)  # raw queries now read its window
         assert everyone.tolist() == [oracle.query(r) for r in range(12)]
+        assert oracle.query_array(np.arange(12)).tolist() == everyone.tolist()
 
 
 def view_ids(provider, ids, node):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.availability import AvailabilityPdf
-from repro.core.hashing import DigestPairHash
+from repro.core.hashing import DigestPairHash, make_hash
 from repro.core.ids import NodeId, make_node_ids
+from repro.core.population import Population
 from repro.core.predicates import (
     AvmemPredicate,
     NodeDescriptor,
@@ -128,12 +129,20 @@ class TestEvaluation:
         assert predicate.threshold(0.2, 0.22) == 0.1
 
 
+def evaluate_rows(predicate, x, ids, avs, cushion=0.0):
+    """``evaluate_many`` over every row of a population wrapping ``ids``."""
+    population = Population.from_ids(ids, avs)
+    return predicate.evaluate_many(
+        x, population, np.arange(len(ids)), avs, cushion=cushion
+    )
+
+
 class TestVectorizedEvaluation:
     def test_matches_scalar(self, predicate, rng):
         ids = make_node_ids(150)
         avs = rng.uniform(0.05, 0.95, 150)
         x = NodeDescriptor(ids[0], 0.5)
-        member, horizontal = predicate.evaluate_many(x, ids, avs)
+        member, horizontal = evaluate_rows(predicate, x, ids, avs)
         for i, node in enumerate(ids):
             y = NodeDescriptor(node, float(avs[i]))
             assert member[i] == predicate.evaluate(x, y)
@@ -144,23 +153,24 @@ class TestVectorizedEvaluation:
     def test_self_excluded(self, predicate, rng):
         ids = make_node_ids(10)
         avs = np.full(10, 0.5)
-        member, _ = predicate.evaluate_many(NodeDescriptor(ids[3], 0.5), ids, avs)
+        member, _ = evaluate_rows(predicate, NodeDescriptor(ids[3], 0.5), ids, avs)
         assert not member[3]
 
     def test_cushion_vectorized(self, predicate, rng):
         ids = make_node_ids(200)
         avs = rng.uniform(0.05, 0.95, 200)
         x = NodeDescriptor(ids[0], 0.5)
-        base, _ = predicate.evaluate_many(x, ids, avs)
-        wide, _ = predicate.evaluate_many(x, ids, avs, cushion=0.3)
+        base, _ = evaluate_rows(predicate, x, ids, avs)
+        wide, _ = evaluate_rows(predicate, x, ids, avs, cushion=0.3)
         assert wide.sum() >= base.sum()
         assert (wide | ~base).all()  # base members stay members
 
     def test_shape_mismatch_rejected(self, predicate):
         ids = make_node_ids(5)
+        population = Population.from_ids(ids, np.full(5, 0.5))
         with pytest.raises(ValueError):
             predicate.evaluate_many(
-                NodeDescriptor(ids[0], 0.5), ids, np.array([0.5, 0.5])
+                NodeDescriptor(ids[0], 0.5), population, np.arange(5), np.array([0.5, 0.5])
             )
 
     def test_scalar_hash_fallback(self, pdf, rng):
@@ -168,11 +178,46 @@ class TestVectorizedEvaluation:
         ids = make_node_ids(40)
         avs = rng.uniform(0.1, 0.9, 40)
         x = NodeDescriptor(ids[0], 0.5)
-        member, _ = predicate.evaluate_many(x, ids, avs)
+        member, _ = evaluate_rows(predicate, x, ids, avs)
         for i, node in enumerate(ids):
             assert member[i] == predicate.evaluate(
                 x, NodeDescriptor(node, float(avs[i]))
             )
+
+
+POOL = make_node_ids(40)
+PARITY_PDF = AvailabilityPdf.from_samples(np.linspace(0.05, 0.95, 200))
+
+
+@pytest.mark.parametrize("hash_name", ["affine64", "mix64", "sha1"])
+@given(
+    owner=st.integers(0, len(POOL) - 1),
+    rows=st.lists(st.integers(0, len(POOL) - 1), min_size=0, max_size=30),
+    avs=st.lists(st.floats(0.0, 1.0), min_size=len(POOL), max_size=len(POOL)),
+    owner_av=st.floats(0.0, 1.0),
+    cushion=st.sampled_from([0.0, 0.05, 0.3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_form_matches_scalar_evaluation(hash_name, owner, rows, avs, owner_av, cushion):
+    """The row-form ``evaluate_many`` equals per-candidate
+    ``evaluate``/``evaluate_kind`` for every hash kind, the owner's own
+    row (never a member) and a nonzero cushion included."""
+    predicate = paper_predicate(PARITY_PDF, hash_fn=make_hash(hash_name))
+    population = Population.from_ids(POOL, avs)
+    rows = np.array(rows + [owner], dtype=np.int64)
+    candidate_avs = np.asarray(avs)[rows]
+    x = NodeDescriptor(POOL[owner], owner_av)
+    member, horizontal = predicate.evaluate_many(
+        x, population, rows, candidate_avs, cushion=cushion
+    )
+    assert not member[-1]
+    for i, row in enumerate(rows.tolist()):
+        y = NodeDescriptor(POOL[row], float(candidate_avs[i]))
+        assert member[i] == predicate.evaluate(x, y, cushion=cushion)
+        kind = predicate.evaluate_kind(x, y, cushion=cushion)
+        assert (kind is not None) == member[i]
+        if kind is not None:
+            assert horizontal[i] == (kind is SliverKind.HORIZONTAL)
 
 
 class TestFactories:

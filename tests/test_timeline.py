@@ -156,6 +156,8 @@ class TestQueryParity:
         a node that is never online — equal as floats, not approximately."""
         lists = lists + [[]]  # a never-online node
         timeline, _ = make_pair(lists)
+        # The twin never builds a snapshot, so its raw reads always search.
+        searched, _ = make_pair(lists)
         rows = np.arange(len(lists), dtype=np.int64)
         edges = np.unique(np.concatenate((timeline.starts, timeline.ends)))
         probes = np.concatenate(
@@ -164,18 +166,67 @@ class TestQueryParity:
         for t in probes.tolist():
             snapshot = timeline.snapshot(t)
             assert snapshot.valid_from <= t < snapshot.valid_until
-            expected = timeline.availability_array(rows, t)
+            expected = searched.availability_array(rows, t)
             got = snapshot.availability(rows, t)
             assert got.tolist() == expected.tolist()
             # The one-row forms, read from the window and searched.
             assert [snapshot.availability_of(r, t) for r in rows.tolist()] == expected.tolist()
-            assert [timeline.availability_of(r, t) for r in rows.tolist()] == expected.tolist()
+            assert [searched.availability_of(r, t) for r in rows.tolist()] == expected.tolist()
             assert got[-1] == 0.0
             subset = rows[::2]
             assert snapshot.availability(subset, t).tolist() == expected[::2].tolist()
             # One window, one object: a second request inside it is a hit.
             assert timeline.snapshot(t) is snapshot
             assert timeline.live_snapshot(t) is snapshot
+
+    @given(
+        lists=st.lists(st.lists(interval, max_size=8), min_size=1, max_size=6),
+        times=query_times,
+        picks=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_raw_availability_array_reads_the_live_snapshot_bit_for_bit(
+        self, lists, times, picks
+    ):
+        """A raw batched read inside the live window answers from the
+        snapshot, and equals a snapshot-free twin's segment search as
+        floats: random times, every edge and its float neighbours,
+        ``t <= 0``, a never-online row, unsorted rows with duplicates."""
+        lists = lists + [[]]  # a never-online node
+        timeline, _ = make_pair(lists)
+        searched, _ = make_pair(lists)
+        rows = np.array([pick % len(lists) for pick in picks] + [len(lists) - 1])
+        edges = np.unique(np.concatenate((timeline.starts, timeline.ends)))
+        probes = np.concatenate(
+            (times, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+             [0.0, -np.finfo(float).tiny, -5.0])
+        )
+        for t in probes.tolist():
+            snapshot = timeline.snapshot(t)
+            got = timeline.availability_array(rows, t)
+            assert searched.live_snapshot(t) is None
+            assert got.tolist() == searched.availability_array(rows, t).tolist()
+            assert got[-1] == 0.0
+            if t > 0.0:  # the window's session columns answered it
+                assert snapshot._sessions is not None
+
+    def test_rows_outside_the_timeline_are_refused(self):
+        timeline = ChurnTimeline.from_interval_lists(
+            [[(0.0, 100.0)], [(20.0, 60.0)], [(0.0, HORIZON)]], HORIZON
+        )
+        for row in (-1, 3):
+            with pytest.raises(IndexError, match=rf"row {row} outside \[0, 3\)"):
+                timeline.availability_of(row, 50.0)
+            with pytest.raises(IndexError, match=rf"row {row} outside \[0, 3\)"):
+                timeline.availability_array(np.array([0, row, 2]), 50.0)
+        # Inside a live window too, where a negative index would otherwise
+        # wrap to the last row.
+        timeline.snapshot(50.0)
+        with pytest.raises(IndexError, match=r"row -1 outside \[0, 3\)"):
+            timeline.availability_array(np.array([-1]), 50.0)
+        with pytest.raises(IndexError, match=r"row -1 outside \[0, 3\)"):
+            timeline.availability_of(-1, 50.0)
+        assert timeline.availability_array(np.array([], dtype=np.int64), 50.0).size == 0
 
     @given(lists=interval_lists, times=query_times, anchor=st.floats(0.0, HORIZON, width=32))
     @settings(max_examples=100, deadline=None)
