@@ -20,9 +20,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.config import AvmemConfig
-from repro.sim.metrics import MetricsRegistry
 from repro.simulation import AvmemSimulation, SimulationSettings
 from repro.telemetry import current as current_telemetry
+from repro.util.mathx import summarize
 
 __all__ = [
     "ExperimentScale",
@@ -152,7 +152,7 @@ class ScenarioRunReport:
     workload_seconds: float = 0.0
     notes: List[str] = field(default_factory=list)
     #: per-metric distribution summaries (count/mean/median/p90/min/max)
-    #: from the run's MetricsRegistry — inline so a report JSON carries
+    #: of the run's non-empty samples — inline so a report JSON carries
     #: the distribution shape, not just point estimates
     distributions: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: the columnar per-operation outcomes (not part of :meth:`as_dict`;
@@ -295,24 +295,25 @@ def run_scenario(
     reliability = log.reliability_values(multicasts)
     spam = log.spam_ratio_values(multicasts)
     targets = simulation.trace.timeline.lifetime_availability_array()
-    # The run's sample distributions, registered so the report carries
-    # shape (median/p90/min/max), not just the means — and exported into
+    # The run's sample distributions, summarized so the report carries
+    # shape (median/p90/min/max), not just the means — and recorded in
     # the active telemetry recorder so a --telemetry snapshot holds the
     # same summaries alongside the engine's phase spans.
-    registry = MetricsRegistry()
-    registry.distribution("anycast.hops").extend(hops)
-    registry.distribution("anycast.latency_ms").extend(1000.0 * latencies)
-    registry.distribution("multicast.reliability").extend(
-        reliability[np.isfinite(reliability)]
-    )
-    registry.distribution("multicast.spam_ratio").extend(spam[np.isfinite(spam)])
-    registry.distribution("population.lifetime_availability").extend(targets)
-    registry.export(recorder=telemetry, prefix="scenario.")
-    distributions = {
-        name: registry.distribution(name).summary()
-        for name in registry.distribution_names()
-        if len(registry.distribution(name))
+    samples = {
+        "anycast.hops": hops,
+        "anycast.latency_ms": 1000.0 * latencies,
+        "multicast.reliability": reliability[np.isfinite(reliability)],
+        "multicast.spam_ratio": spam[np.isfinite(spam)],
+        "population.lifetime_availability": targets,
     }
+    distributions = {
+        metric: summarize(values)
+        for metric, values in sorted(samples.items())
+        if len(values)
+    }
+    if telemetry.enabled:
+        for metric, summary in distributions.items():
+            telemetry.distribution(f"scenario.{metric}", summary)
     return ScenarioRunReport(
         scenario=name,
         scale=scale,

@@ -1,4 +1,4 @@
-"""Discrete-event simulation substrate: engine, processes, network, metrics."""
+"""Discrete-event simulation substrate: engine, network, latency."""
 
 from repro.sim.engine import PeriodicTask, ScheduledEvent, SimulationError, Simulator
 from repro.sim.latency import (
@@ -8,7 +8,6 @@ from repro.sim.latency import (
     LogNormalLatency,
     UniformLatency,
 )
-from repro.sim.metrics import Counter, Distribution, MetricsRegistry, TimeSeries
 from repro.sim.network import (
     AlwaysOnline,
     DropReason,
@@ -17,15 +16,12 @@ from repro.sim.network import (
     NetworkStats,
     PresenceOracle,
 )
-from repro.sim.process import Process, spawn
 
 __all__ = [
     "Simulator",
     "ScheduledEvent",
     "PeriodicTask",
     "SimulationError",
-    "Process",
-    "spawn",
     "LatencyModel",
     "UniformLatency",
     "ConstantLatency",
@@ -37,8 +33,4 @@ __all__ = [
     "DropReason",
     "PresenceOracle",
     "AlwaysOnline",
-    "Counter",
-    "Distribution",
-    "TimeSeries",
-    "MetricsRegistry",
 ]

@@ -16,9 +16,8 @@ Design notes
 ------------
 Callbacks (rather than coroutines) are the primitive because the protocol
 logic in :mod:`repro.core.node` and :mod:`repro.ops` is naturally
-event-driven and callbacks keep the hot loop cheap.  A small
-generator-based process layer is provided in :mod:`repro.sim.process` for
-tests and examples that read better as sequential scripts.
+event-driven and callbacks keep the hot loop cheap.  A sequential
+script is a callback that schedules its own next step.
 """
 
 from __future__ import annotations

@@ -264,8 +264,9 @@ class TelemetryRecorder:
         hist.observe_array(values)
 
     def distribution(self, name: str, summary: Dict[str, float]) -> None:
-        """Attach a pre-summarized sample distribution (the
-        :meth:`~repro.sim.metrics.MetricsRegistry.export` bridge)."""
+        """Attach a pre-summarized sample distribution (a
+        :func:`~repro.util.mathx.summarize` result; see
+        :func:`~repro.experiments.harness.run_scenario`)."""
         self._distributions[name] = {k: float(v) for k, v in summary.items()}
 
     def span(self, name: str):

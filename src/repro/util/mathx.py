@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -15,6 +15,7 @@ __all__ = [
     "empirical_cdf",
     "quantile",
     "mean_or_nan",
+    "summarize",
     "log_at_least_one",
 ]
 
@@ -88,6 +89,20 @@ def mean_or_nan(samples: Sequence[float]) -> float:
     return float(np.mean(np.asarray(data, dtype=float)))
 
 
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """count/mean/median/p90/min/max of a non-empty sample."""
+    data = np.asarray(values, dtype=float)
+    median, p90 = np.quantile(data, (0.5, 0.9))
+    return {
+        "count": float(data.size),
+        "mean": float(data.mean()),
+        "median": float(median),
+        "p90": float(p90),
+        "min": float(data.min()),
+        "max": float(data.max()),
+    }
+
+
 def log_at_least_one(value: float) -> float:
     """``max(ln(value), 1.0)`` — the paper's ``log(N*)`` factors are meant as
     neighbor-count scalers, so we floor them at 1 to stay meaningful for
@@ -96,11 +111,3 @@ def log_at_least_one(value: float) -> float:
     if value <= 1.0:
         return 1.0
     return max(1.0, math.log(value))
-
-
-def cdf_report_rows(samples: Sequence[float], levels: Sequence[float] = (0.5, 0.9, 0.99, 1.0)) -> List[Tuple[float, float]]:
-    """Convenience for reports: ``[(level, value_at_level), ...]``."""
-    return [(lvl, quantile(samples, lvl)) for lvl in levels]
-
-
-__all__.append("cdf_report_rows")

@@ -1,4 +1,5 @@
-"""Unit tests for latency models and the metrics registry."""
+"""Unit tests for latency models, sample summaries and the telemetry
+recorder's named counters and histograms."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from repro.sim.latency import (
     LogNormalLatency,
     UniformLatency,
 )
-from repro.sim.metrics import Counter, Distribution, MetricsRegistry, TimeSeries
+from repro.telemetry import TelemetryRecorder
+from repro.util.mathx import empirical_cdf, mean_or_nan, quantile, summarize
 
 
 class TestLatencyModels:
@@ -58,111 +60,68 @@ class TestLatencyModels:
 
 class TestCounter:
     def test_increment(self):
-        counter = Counter()
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().increment(-1)
+        recorder = TelemetryRecorder(enabled=True)
+        recorder.count("sent")
+        recorder.count("sent", 4)
+        assert recorder.snapshot().counters == {"sent": 5}
 
 
 class TestDistribution:
     def test_basic_stats(self):
-        dist = Distribution([1.0, 2.0, 3.0, 4.0])
-        assert dist.count == 4
-        assert dist.mean() == pytest.approx(2.5)
-        assert dist.median() == pytest.approx(2.5)
-        assert dist.min() == 1.0
-        assert dist.max() == 4.0
+        summary = summarize([1.0, 2.0, 3.0, 4.0])
+        assert summary["count"] == 4.0
+        assert summary["mean"] == pytest.approx(2.5)
+        assert summary["median"] == pytest.approx(2.5)
+        assert summary["p90"] == pytest.approx(3.7)
+        assert summary["min"] == 1.0
+        assert summary["max"] == 4.0
 
     def test_empty_stats_are_nan(self):
-        dist = Distribution()
-        assert np.isnan(dist.mean())
-        assert np.isnan(dist.median())
-        assert np.isnan(dist.fraction_below(1.0))
-
-    def test_add_and_extend(self):
-        dist = Distribution()
-        dist.add(1.0)
-        dist.extend([2.0, 3.0])
-        assert dist.samples == (1.0, 2.0, 3.0)
+        assert np.isnan(quantile([], 0.5))
+        assert np.isnan(mean_or_nan([]))
 
     def test_cdf_monotone_ending_at_one(self, rng):
-        dist = Distribution(rng.uniform(0, 1, 100))
-        xs, ps = dist.cdf()
+        xs, ps = empirical_cdf(rng.uniform(0, 1, 100))
         assert np.all(np.diff(xs) > 0)
         assert np.all(np.diff(ps) >= 0)
         assert ps[-1] == pytest.approx(1.0)
 
-    def test_fraction_below(self):
-        dist = Distribution([1.0, 2.0, 3.0, 4.0])
-        assert dist.fraction_below(2.0) == pytest.approx(0.5)
-        assert dist.fraction_below(0.5) == 0.0
-        assert dist.fraction_below(10.0) == 1.0
-
-    def test_histogram_fixed_range(self):
-        dist = Distribution([0.05, 0.15, 0.95])
-        counts, edges = dist.histogram(bins=10)
-        assert counts.sum() == 3
-        assert counts[0] == 1 and counts[1] == 1 and counts[9] == 1
-
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
-            Distribution([1.0]).quantile(1.5)
+            quantile([1.0], 1.5)
 
     def test_summary_keys(self):
-        summary = Distribution([1.0, 2.0]).summary()
+        summary = summarize([1.0, 2.0])
         assert set(summary) == {"count", "mean", "median", "p90", "min", "max"}
-
-
-class TestTimeSeries:
-    def test_ordered_append(self):
-        series = TimeSeries()
-        series.add(0.0, 10.0)
-        series.add(1.0, 11.0)
-        assert series.count == 2
-        assert series.last() == (1.0, 11.0)
-
-    def test_out_of_order_rejected(self):
-        series = TimeSeries()
-        series.add(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.add(4.0, 1.0)
-
-    def test_empty_last_raises(self):
-        with pytest.raises(IndexError):
-            TimeSeries().last()
-
-    def test_as_arrays(self):
-        series = TimeSeries()
-        series.add(0.0, 1.0)
-        series.add(2.0, 3.0)
-        times, values = series.as_arrays()
-        assert list(times) == [0.0, 2.0]
-        assert list(values) == [1.0, 3.0]
 
 
 class TestRegistry:
     def test_memoizes_by_name(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.distribution("d") is registry.distribution("d")
-        assert registry.series("s") is registry.series("s")
+        recorder = TelemetryRecorder(enabled=True)
+        recorder.observe("lat", 1.0)
+        recorder.observe_array("lat", np.array([2.0, 3.0]))
+        histograms = recorder.snapshot().histograms
+        assert list(histograms) == ["lat"]
+        assert histograms["lat"]["count"] == 3
+        assert histograms["lat"]["sum"] == 6.0
 
     def test_snapshot_structure(self):
-        registry = MetricsRegistry()
-        registry.counter("sent").increment(3)
-        registry.distribution("lat").extend([1.0, 2.0])
-        registry.series("pop").add(0.0, 5.0)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"sent": 3}
-        assert snap["distributions"]["lat"]["count"] == 2.0
-        assert snap["series"] == {"pop": 1}
+        recorder = TelemetryRecorder(enabled=True)
+        recorder.count("sent", 3)
+        recorder.observe("pop", 5.0)
+        recorder.distribution("lat", summarize([1.0, 2.0]))
+        snap = recorder.snapshot()
+        assert snap.counters == {"sent": 3}
+        assert snap.distributions["lat"]["count"] == 2.0
+        assert snap.histograms["pop"]["count"] == 1
 
     def test_names_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("b")
-        registry.counter("a")
-        assert registry.counter_names() == ("a", "b")
+        recorder = TelemetryRecorder(enabled=True)
+        for name in ("b", "a"):
+            recorder.count(name)
+            recorder.observe(name, 1.0)
+            recorder.distribution(name, summarize([1.0]))
+        snap = recorder.snapshot()
+        assert list(snap.counters) == ["a", "b"]
+        assert list(snap.histograms) == ["a", "b"]
+        assert list(snap.distributions) == ["a", "b"]

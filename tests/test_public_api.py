@@ -53,6 +53,18 @@ class TestExports:
             "random_overlay_predicate",
         ]
 
+    def test_sim_surface_is_pinned(self):
+        """``repro.sim.__all__`` exactly: the substrate is the engine,
+        the network and the latency models, nothing else."""
+        import repro.sim
+
+        assert sorted(repro.sim.__all__) == [
+            "AlwaysOnline", "ConstantLatency", "DropReason", "Envelope",
+            "LatencyModel", "LogNormalLatency", "Network", "NetworkStats",
+            "PAPER_HOP_LATENCY", "PeriodicTask", "PresenceOracle",
+            "ScheduledEvent", "SimulationError", "Simulator", "UniformLatency",
+        ]
+
     def test_package_imports_without_networkx(self):
         """networkx is a test-only oracle: importing the package, its
         overlay layer and the CLI must not pull it in."""

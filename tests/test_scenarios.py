@@ -31,6 +31,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.sim.engine import Simulator
+from repro.telemetry import TelemetryRecorder, use_recorder
 
 from reference.node_schedule import NodeSchedule
 
@@ -227,7 +228,9 @@ class TestHarnessAndCli:
             build_simulation(scale="small", scenario="nope", setup=False)
 
     def test_run_scenario_reports_metrics(self):
-        report = run_scenario("flash-crowd", scale="small", seed=1)
+        recorder = TelemetryRecorder(enabled=True)
+        with use_recorder(recorder):
+            report = run_scenario("flash-crowd", scale="small", seed=1)
         assert report.scenario == "flash-crowd"
         assert report.hosts == 220
         assert report.online_at_start > 0
@@ -239,6 +242,46 @@ class TestHarnessAndCli:
         # bare NaN token strict parsers reject.
         encoded = json.dumps(payload, allow_nan=False)
         assert json.loads(encoded) == payload
+        # Each distribution is numpy's reduction of the log's samples
+        # (and of the lifetime-availability column), and the telemetry
+        # recorder holds the same summaries under ``scenario.``.
+        log = report.log
+        anycasts = log.anycasts & log.launched
+        multicasts = log.multicasts & log.launched
+        reliability = log.reliability_values(multicasts)
+        spam = log.spam_ratio_values(multicasts)
+        simulation = build_simulation(
+            scale="small", seed=1, scenario="flash-crowd", setup=False
+        )
+        samples = {
+            "anycast.hops": log.hops_delivered(anycasts).astype(float),
+            "anycast.latency_ms": 1000.0 * log.latencies(anycasts),
+            "multicast.reliability": reliability[np.isfinite(reliability)],
+            "multicast.spam_ratio": spam[np.isfinite(spam)],
+            "population.lifetime_availability": (
+                simulation.trace.timeline.lifetime_availability_array()
+            ),
+        }
+        assert sorted(report.distributions) == sorted(samples)
+        for name, values in samples.items():
+            assert values.size
+            median, p90 = np.quantile(values, (0.5, 0.9))
+            assert report.distributions[name] == {
+                "count": float(values.size),
+                "mean": float(values.mean()),
+                "median": float(median),
+                "p90": float(p90),
+                "min": float(values.min()),
+                "max": float(values.max()),
+            }, name
+        assert report.distributions["anycast.hops"]["count"] == report.anycasts_delivered
+        assert report.distributions["population.lifetime_availability"]["mean"] == (
+            report.mean_lifetime_availability
+        )
+        assert recorder.snapshot().distributions == {
+            f"scenario.{name}": summary
+            for name, summary in report.distributions.items()
+        }
 
     def test_report_scrubs_nan_metrics(self):
         from repro.experiments.harness import ScenarioRunReport

@@ -185,27 +185,47 @@ class TestRecorder:
         assert "sim.queue_depth" in snapshot.gauges
         assert "sim.now" in snapshot.gauges
 
-    def test_distribution_bridge(self, recorder):
-        from repro.sim.metrics import MetricsRegistry
+    def test_distribution_bridge(self, recorder, monkeypatch):
+        import dataclasses
 
-        registry = MetricsRegistry()
-        registry.counter("sent").increment(7)
-        registry.distribution("sizes").extend([1.0, 2.0, 3.0])
-        registry.distribution("untouched")  # empty: must be skipped
-        registry.export(recorder)
+        from repro.experiments.harness import run_scenario
+        from repro.scenarios.registry import SCENARIOS, get_scenario
+        from repro.scenarios.spec import WorkloadSpec
+        from repro.telemetry import use_recorder
+
+        # An anycast-only workload: both multicast samples are empty.
+        spec = dataclasses.replace(
+            get_scenario("flash-crowd"), name="anycast-only",
+            workload=WorkloadSpec(multicasts=0),
+        )
+        monkeypatch.setitem(SCENARIOS, spec.name, spec)
+        with use_recorder(recorder):
+            report = run_scenario(spec.name, scale="small", seed=1)
         snapshot = recorder.snapshot()
-        assert snapshot.counters["metrics.sent"] == 7
-        assert snapshot.distributions["metrics.sizes"]["count"] == 3.0
-        assert "metrics.untouched" not in snapshot.distributions
+        assert sorted(snapshot.distributions) == [
+            "scenario.anycast.hops",
+            "scenario.anycast.latency_ms",
+            "scenario.population.lifetime_availability",
+        ]
+        assert snapshot.distributions == {
+            f"scenario.{name}": summary
+            for name, summary in report.distributions.items()
+        }
+        assert snapshot.distributions["scenario.anycast.hops"]["count"] == float(
+            report.anycasts_delivered
+        )
 
     def test_export_noop_when_disabled(self):
-        from repro.sim.metrics import MetricsRegistry
+        from repro.experiments.harness import run_scenario
+        from repro.telemetry import use_recorder
 
         recorder = TelemetryRecorder(enabled=False)
-        registry = MetricsRegistry()
-        registry.counter("sent").increment(1)
-        registry.export(recorder)
-        assert recorder.snapshot().counters == {}
+        with use_recorder(recorder):
+            report = run_scenario("flash-crowd", scale="small", seed=1)
+        assert len(report.distributions) == 5
+        snapshot = recorder.snapshot()
+        assert snapshot.distributions == {}
+        assert snapshot.counters == {} and snapshot.histograms == {}
 
 
 finite_floats = st.floats(

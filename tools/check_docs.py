@@ -17,6 +17,11 @@ Keeps README.md and docs/ honest in CI:
    ``src/repro`` must name a member of that class or of one of its
    ``src`` bases: a method, a class-level name or an attribute its
    methods assign on ``self`` (found with :mod:`ast`, nothing imported).
+4. **Dotted references** — every backticked ``repro.<dotted>`` in the
+   checked markdown files, and every ``:mod:``/``:class:``/``:meth:``/
+   ``:func:``/``:data:``/``:attr:`` target ``repro.<dotted>`` in
+   ``src/repro``, must resolve: the longest importable module prefix
+   is imported and the rest looked up with ``getattr``.
 
 Run from the repository root (CI does)::
 
@@ -26,6 +31,7 @@ Run from the repository root (CI does)::
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import os
 import re
@@ -42,6 +48,8 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^()\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 SYMBOL_RE = re.compile(r"`(\w+)\.(\w+)[`(]")
+DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)")
+ROLE_RE = re.compile(r":(?:mod|class|meth|func|data|attr):`[~.]?(repro(?:\.\w+)+)`")
 
 
 def iter_code_blocks(text: str) -> Iterator[Tuple[str, int, str]]:
@@ -156,6 +164,38 @@ def check_symbols(path: Path, classes) -> List[str]:
     return errors
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module or an attribute chain on one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        name = ".".join(parts[:split])
+        try:
+            obj = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if not (name + ".").startswith(f"{exc.name}."):
+                raise  # a real import failure inside the module
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted(path: Path, pattern: re.Pattern) -> Tuple[int, List[str]]:
+    """``(references seen, errors)`` for ``pattern``'s matches in ``path``."""
+    text = path.read_text(encoding="utf-8")
+    matches = list(pattern.finditer(text))
+    errors = [
+        f"{path.relative_to(REPO_ROOT)}:{text.count(chr(10), 0, m.start()) + 1}: "
+        f"`{m.group(1)}` does not resolve"
+        for m in matches
+        if not resolves(m.group(1))
+    ]
+    return len(matches), errors
+
+
 def run_code_blocks(path: Path) -> List[str]:
     errors: List[str] = []
     for language, line, code in iter_code_blocks(path.read_text(encoding="utf-8")):
@@ -179,11 +219,19 @@ def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures: List[str] = []
     classes = source_classes()
+    references = 0
     for path in CHECKED_FILES:
         print(f"checking {path.relative_to(REPO_ROOT)}")
         failures.extend(check_links(path))
         failures.extend(check_symbols(path, classes))
+        seen, errors = check_dotted(path, DOTTED_RE)
+        references += seen
+        failures.extend(errors)
         failures.extend(run_code_blocks(path))
+    for module in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        seen, errors = check_dotted(module, ROLE_RE)
+        references += seen
+        failures.extend(errors)
     if failures:
         print("\nFAILURES:")
         for failure in failures:
@@ -191,7 +239,8 @@ def main() -> int:
         return 1
     print(
         f"\nOK: {len(CHECKED_FILES)} files, all links resolve, all class members "
-        "named exist, all python blocks ran"
+        f"named exist, all {references} dotted references resolve, all python "
+        "blocks ran"
     )
     return 0
 
