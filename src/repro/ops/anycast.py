@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -57,20 +57,34 @@ class ForwardingPolicy(abc.ABC):
         target: TargetSpec,
         ttl_remaining: int,
         rng: np.random.Generator,
-        exclude_digests: np.ndarray,
+        exclude_digests: Sequence[int],
         digests: np.ndarray,
     ) -> List[NodeId]:
         """Candidate next-hops, best first; excluded nodes are omitted.
 
         ``nodes``/``availabilities``/``digests`` are parallel slices of a
         :class:`~repro.core.membership.NeighborView` in listing order,
-        with exclusion expressed as a ``uint64`` digest array.  The rng
-        consumption is part of the contract: one shuffle of the in-range
-        candidates, one ``rng.random(k)`` tie-break vector over the ``k``
-        out-of-range ones, in listing order (the entry-by-entry oracle
-        in ``tests/reference/anycast_order.py`` pins list and stream
+        with exclusion expressed as a sequence of ``digest64`` values (a
+        list of ints or a ``uint64`` array).  The rng consumption is part
+        of the contract: one shuffle of the in-range candidates, one
+        ``rng.random(k)`` tie-break vector over the ``k`` out-of-range
+        ones, in listing order (the entry-by-entry oracle in
+        ``tests/reference/anycast_order.py`` pins list and stream
         position).
         """
+
+
+def _keep_mask(digests: np.ndarray, exclude_digests: Sequence[int]) -> np.ndarray:
+    """``~np.isin(digests, exclude_digests)``, one compare per excluded
+    digest: an anycast path holds at most ``ttl + 1`` entries, and a
+    handful of compares over a ~20-wide neighbor column costs far less
+    than ``np.isin``'s fixed overhead."""
+    if not len(exclude_digests):
+        return np.ones(digests.shape, dtype=bool)
+    keep = digests != exclude_digests[0]
+    for digest in exclude_digests[1:]:
+        keep &= digests != digest
+    return keep
 
 
 def _greedy_order(
@@ -79,7 +93,7 @@ def _greedy_order(
     digests: np.ndarray,
     target: TargetSpec,
     rng: np.random.Generator,
-    exclude_digests: np.ndarray,
+    exclude_digests: Sequence[int],
 ) -> tuple:
     """In-range candidates first (shuffled), then by distance to the
     range with a random tie-break; returns ``(ordered, first_delta)``.
@@ -89,19 +103,19 @@ def _greedy_order(
     annealing temperature input.  The outside sort is a stable lexsort
     on (distance, tiebreak).
     """
-    if exclude_digests.size:
-        keep = ~np.isin(digests, exclude_digests)
+    if len(exclude_digests):
+        keep = _keep_mask(digests, exclude_digests)
         nodes = nodes[keep]
         availabilities = availabilities[keep]
     distances = target.distance_array(availabilities)
     in_sel = distances == 0.0
-    in_range = list(nodes[in_sel])
+    in_range = nodes[in_sel].tolist()
     rng.shuffle(in_range)
     out_idx = np.flatnonzero(~in_sel)
     tiebreak = rng.random(out_idx.size)
     out_dist = distances[out_idx]
     order = np.lexsort((tiebreak, out_dist))
-    ordered = in_range + list(nodes[out_idx[order]])
+    ordered = in_range + nodes[out_idx[order]].tolist()
     if in_range or not order.size:
         first_delta = 0.0
     else:

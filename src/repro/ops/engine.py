@@ -297,11 +297,7 @@ class OperationEngine:
         elif record.selector == SliverSelector.VS_ONLY:
             sel = ~view.horizontal
             nodes, avail, digests = nodes[sel], avail[sel], digests[sel]
-        exclude = np.fromiter(
-            (hop.digest64 for hop in message.path),
-            dtype=np.uint64,
-            count=len(message.path),
-        )
+        exclude = [hop.digest64 for hop in message.path]
         return policy.order_candidates(
             nodes, avail, message.target, message.ttl, self.rng, exclude, digests
         )
@@ -444,16 +440,19 @@ class OperationEngine:
             mask &= view.horizontal
         elif record.selector == SliverSelector.VS_ONLY:
             mask &= ~view.horizontal
-        return list(view.nodes[np.flatnonzero(mask)])
+        return view.nodes[mask].tolist()
 
     def _flood_from(
         self, node: AvmemNode, record: MulticastRecord, message: MulticastMessage
     ) -> None:
         forwarded = message.forwarded(node.id)
+        # Compared by digest64, as evaluate_many's self-exclusion is:
+        # NodeId's dataclass __eq__ builds two tuples per comparison.
+        sender = message.sender.digest64
         targets = [
             neighbor
             for neighbor in self._in_range_neighbors(node, record)
-            if neighbor != message.sender
+            if neighbor.digest64 != sender
         ]
         if targets:
             self._dispatch_mcast_cohort(node.id, targets, forwarded, record)

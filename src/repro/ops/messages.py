@@ -1,12 +1,17 @@
 """Wire messages for the management operations (Section 3.2).
 
 Payloads are small frozen dataclasses dispatched by type through
-:meth:`repro.core.node.AvmemNode.register_handler`.
+:meth:`repro.core.node.AvmemNode.register_handler`.  A forwarded copy
+(:meth:`AnycastMessage.hop`, :meth:`MulticastMessage.forwarded`) is
+built by a positional constructor call rather than
+``dataclasses.replace``, which re-reads every field by name on each
+hop; the property tests in ``tests/test_ops_units.py`` hold both to the
+``replace`` result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.ids import NodeId
@@ -43,13 +48,16 @@ class AnycastMessage:
         avoidable by excluding path members); ``retry`` optionally
         updates the remaining retry budget.
         """
-        return replace(
-            self,
-            ttl=self.ttl - 1,
-            sender=sender,
-            attempt=attempt,
-            retry=self.retry if retry is None else retry,
-            path=self.path + (next_hop,),
+        return AnycastMessage(
+            self.op_id,
+            self.target,
+            self.ttl - 1,
+            self.retry if retry is None else retry,
+            attempt,
+            self.origin,
+            sender,
+            self.path + (next_hop,),
+            self.multicast_payload,
         )
 
     @property
@@ -79,4 +87,6 @@ class MulticastMessage:
     hop_count: int = 0
 
     def forwarded(self, sender: NodeId) -> "MulticastMessage":
-        return replace(self, sender=sender, hop_count=self.hop_count + 1)
+        return MulticastMessage(
+            self.op_id, self.target, self.root, sender, self.mode, self.hop_count + 1
+        )

@@ -26,7 +26,7 @@ plain messages plus simulator timeouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, Hashable, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -66,9 +66,13 @@ class AlwaysOnline:
         return True
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """A message in flight (or delivered)."""
+class Envelope(NamedTuple):
+    """A message in flight (or delivered).
+
+    An immutable named tuple: every on-wire message builds one, and a
+    positional tuple costs about a third of a frozen dataclass's
+    ``__init__``.
+    """
 
     src: NodeKey
     dst: NodeKey
@@ -182,9 +186,7 @@ class Network:
             return False
         self.stats.sent += 1
         delay = self.latency.sample(self.rng)
-        deliver_at = now + delay
-        envelope = Envelope(src=src, dst=dst, payload=payload, sent_at=now, delivered_at=deliver_at)
-        self.sim.schedule(delay, self._deliver, envelope)
+        self.sim.schedule(delay, self._deliver, Envelope(src, dst, payload, now, now + delay))
         return True
 
     def send_batch(self, src: NodeKey, dsts: Sequence[NodeKey], payload: Any) -> int:
@@ -211,10 +213,7 @@ class Network:
         self.sim.schedule_at_many(
             times,
             self._deliver,
-            [
-                (Envelope(src=src, dst=dst, payload=payload, sent_at=now, delivered_at=at),)
-                for dst, at in zip(dsts, times)
-            ],
+            [(Envelope(src, dst, payload, now, at),) for dst, at in zip(dsts, times)],
         )
         return n
 

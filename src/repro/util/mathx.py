@@ -72,12 +72,16 @@ def empirical_cdf(samples: Iterable[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def quantile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolated quantile; NaN for empty input."""
+    """Linear-interpolated quantile; NaN for empty input.
+
+    The level is checked first, so a bad ``q`` raises whether or not the
+    sample happens to be empty.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile level must be in [0, 1], got {q}")
     data = np.asarray(list(samples), dtype=float)
     if data.size == 0:
         return float("nan")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile level must be in [0, 1], got {q}")
     return float(np.quantile(data, q))
 
 

@@ -90,6 +90,13 @@ class TestDistribution:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    def test_quantile_level_checked_on_empty_sample(self):
+        for q in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                quantile([], q)
+        assert np.isnan(quantile([], 0.5))
+        assert np.isnan(quantile([], 0.0)) and np.isnan(quantile([], 1.0))
+
     def test_summary_keys(self):
         summary = summarize([1.0, 2.0])
         assert set(summary) == {"count", "mean", "median", "p90", "min", "max"}

@@ -6,7 +6,7 @@ import pytest
 from repro.churn.trace import ChurnTrace
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency
-from repro.sim.network import AlwaysOnline, DropReason, Network
+from repro.sim.network import AlwaysOnline, DropReason, Envelope, Network
 
 
 class ScriptedPresence:
@@ -54,6 +54,44 @@ class TestAttachment:
         net.attach("a", lambda env: None)
         net.attach("b", lambda env: None)
         assert net.node_count == 2
+
+
+class TestEnvelope:
+    """Envelopes are immutable named tuples with the field order of the
+    frozen dataclass they replaced."""
+
+    FIELDS = ("src", "dst", "payload", "sent_at", "delivered_at")
+
+    def test_field_order(self):
+        assert Envelope._fields == self.FIELDS
+        env = Envelope("a", "b", "x", 1.0, 1.5)
+        assert env == Envelope(src="a", dst="b", payload="x", sent_at=1.0, delivered_at=1.5)
+        assert (env.src, env.dst, env.payload, env.sent_at, env.delivered_at) == tuple(env)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_fields_cannot_be_assigned(self, name):
+        env = Envelope("a", "b", "x", 1.0, 1.5)
+        with pytest.raises(AttributeError):
+            setattr(env, name, None)
+        assert tuple(env) == ("a", "b", "x", 1.0, 1.5)
+
+    def test_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            Envelope("a", "b", "x", 1.0, 1.5).extra = 1
+
+    def test_send_and_send_batch_build_envelopes(self, sim, net):
+        inbox = []
+        net.attach("a", lambda env: None)
+        for node in ("b", "c"):
+            net.attach(node, inbox.append)
+        net.send("a", "b", "one")
+        net.send_batch("a", ["b", "c"], "two")
+        sim.run()
+        assert all(type(env) is Envelope for env in inbox)
+        assert sorted((env.dst, env.payload) for env in inbox) == [
+            ("b", "one"), ("b", "two"), ("c", "two"),
+        ]
+        assert all(env.delivered_at == pytest.approx(env.sent_at + 0.05) for env in inbox)
 
 
 class TestLatency:

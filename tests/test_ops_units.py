@@ -1,7 +1,11 @@
 """Unit tests for operation specs, messages, and forwarding policies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.ids import make_node_ids
 from repro.core.membership import MemberEntry
@@ -11,9 +15,10 @@ from repro.ops.anycast import (
     AnnealingPolicy,
     GreedyPolicy,
     RetriedGreedyPolicy,
+    _keep_mask,
     make_policy,
 )
-from repro.ops.messages import AnycastMessage
+from repro.ops.messages import AnycastMessage, MulticastMessage
 from repro.ops.results import AnycastRecord, AnycastStatus, MulticastRecord
 from repro.ops.spec import PAPER_RANGES, PAPER_THRESHOLDS, InitiatorBand, TargetSpec
 
@@ -101,6 +106,105 @@ class TestAnycastMessage:
         )
         hopped = message.hop(ids[0], ids[1], attempt=2, retry=3)
         assert hopped.retry == 3
+
+
+_IDS = make_node_ids(8)
+_node_ids = st.sampled_from(_IDS)
+_targets = st.one_of(
+    st.builds(TargetSpec.threshold, st.floats(0.0, 0.99)),
+    st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0)).map(lambda r: TargetSpec.range(*r)),
+)
+_anycast_messages = st.builds(
+    AnycastMessage,
+    op_id=st.integers(0, 10**6),
+    target=_targets,
+    ttl=st.integers(-2, 12),
+    retry=st.integers(0, 10),
+    attempt=st.integers(0, 10**6),
+    origin=_node_ids,
+    sender=_node_ids,
+    path=st.lists(_node_ids, min_size=1, max_size=6).map(tuple),
+    multicast_payload=st.booleans(),
+)
+_multicast_messages = st.builds(
+    MulticastMessage,
+    op_id=st.integers(0, 10**6),
+    target=_targets,
+    root=_node_ids,
+    sender=_node_ids,
+    mode=st.sampled_from(["flood", "gossip"]),
+    hop_count=st.integers(0, 50),
+)
+
+
+def _as_fields(message):
+    return {f.name: getattr(message, f.name) for f in dataclasses.fields(message)}
+
+
+class TestForwardedCopiesMatchReplace:
+    """``hop``/``forwarded`` build their copy positionally; field for
+    field it must be the ``dataclasses.replace`` result it stands for."""
+
+    @given(_anycast_messages, _node_ids, _node_ids, st.integers(0, 10**6),
+           st.one_of(st.none(), st.integers(0, 10)))
+    def test_hop(self, message, sender, next_hop, attempt, retry):
+        want = dataclasses.replace(
+            message,
+            ttl=message.ttl - 1,
+            sender=sender,
+            attempt=attempt,
+            retry=message.retry if retry is None else retry,
+            path=message.path + (next_hop,),
+        )
+        if retry is None:
+            got = message.hop(sender, next_hop, attempt)
+        else:
+            got = message.hop(sender, next_hop, attempt, retry=retry)
+        assert type(got) is AnycastMessage
+        assert _as_fields(got) == _as_fields(want)
+
+    @given(_multicast_messages, _node_ids)
+    def test_forwarded(self, message, sender):
+        want = dataclasses.replace(message, sender=sender, hop_count=message.hop_count + 1)
+        got = message.forwarded(sender)
+        assert type(got) is MulticastMessage
+        assert _as_fields(got) == _as_fields(want)
+
+
+_digests = st.integers(0, 2**64 - 1)
+
+
+class TestPathExclusionMask:
+    """One compare per path digest gives ``~np.isin``'s mask."""
+
+    @given(
+        st.lists(_digests, max_size=24, unique=True),
+        st.lists(st.one_of(_digests, st.integers(2**63, 2**64 - 1)), max_size=10),
+        st.data(),
+    )
+    def test_matches_isin(self, view, absent, data):
+        digests = np.array(view, dtype=np.uint64)
+        members = data.draw(st.lists(st.sampled_from(view), max_size=10)) if view else []
+        path = data.draw(st.permutations(members + absent))
+        want = ~np.isin(digests, np.array(path, dtype=np.uint64))
+        for form in (path, np.array(path, dtype=np.uint64)):
+            got = _keep_mask(digests, form)
+            assert got.dtype == bool and got.shape == digests.shape
+            assert np.array_equal(got, want)
+
+    def test_edge_cases(self):
+        high = [2**63, 2**64 - 1, 2**63 + 12345]
+        digests = np.array([5, *high, 7], dtype=np.uint64)
+        cases = (
+            [],  # empty path
+            [7, 7, 5, 7],  # duplicates
+            [9, 11, 2**63 + 1],  # nothing on the path is in the view
+            [2**64 - 1, 2**63, 2**64 - 1],  # high-bit digests, repeated
+        )
+        for path in cases:
+            want = ~np.isin(digests, np.array(path, dtype=np.uint64))
+            assert np.array_equal(_keep_mask(digests, path), want), path
+        assert _keep_mask(np.zeros(0, dtype=np.uint64), [1, 2]).shape == (0,)
 
 
 def _entries(availabilities):

@@ -66,6 +66,29 @@ def test_higher_is_better_flips_the_direction():
     assert row["within_bound"] and row["wins"] == 12 and row["gain"]
 
 
+def test_interval_of_recorded_ratios():
+    """The concurrent near A/A pairs' interval straddles 1.0 inside the
+    10 % bound; the sequential pairs' median ratio is inside the bound,
+    but their interval reaches the 1.202 outlier."""
+    assert paired.bootstrap_interval([1.0] * 3, CONCURRENT) == pytest.approx((0.991, 1.019))
+    low, high = paired.bootstrap_interval([1.0] * 3, SEQUENTIAL)
+    assert paired.median_ratio([1.0] * 3, SEQUENTIAL) == pytest.approx(1.030)
+    assert low == pytest.approx(1.027) and high == pytest.approx(1.202) and high > 1.1
+    row = paired.compare_metric([1.0] * 3, CONCURRENT, "lower", 0.1)
+    assert row["interval"] == paired.bootstrap_interval([1.0] * 3, CONCURRENT)
+
+
+def test_interval_is_seeded_and_brackets_a_clear_gain():
+    base = [4.26, 4.30, 4.24, 4.34, 4.25, 4.27, 4.29, 4.31, 4.26, 4.28]
+    change = [2.90, 2.95, 2.80, 2.89, 2.92, 2.85, 2.88, 2.93, 2.91, 2.86]
+    low, high = paired.bootstrap_interval(base, change)
+    assert (low, high) == paired.bootstrap_interval(base, change)
+    assert low < paired.median_ratio(base, change) < high < 1.0
+    # Every resampled ratio lies between the extreme medians' ratios.
+    assert min(change) / max(base) <= low and high <= max(change) / min(base)
+    assert paired.bootstrap_interval([7.0], [3.5]) == (0.5, 0.5)
+
+
 def test_claims_must_name_a_run_workload_and_a_declared_metric():
     metrics = ["setup_s", "plan_s"]
     assert paired.parse_claims(["paper-maintain:setup_s"], ["paper-maintain"], metrics) == {
@@ -120,4 +143,5 @@ def test_render_marks_bounds_and_claims():
         "plan_s": {**worse, "unit": "s", "claimed": False},
     })
     assert "gain holds" in table and "WORSE THAN BOUND" in table
+    assert "95% interval" in table.splitlines()[1] and "[1.300, 1.300]" in table
     assert table.splitlines()[0] == "paper-maintain seed 0:"

@@ -15,12 +15,13 @@ unchanged, run from its own tree:
 * the **change** is the working tree.
 
 Per end-to-end metric of ``BENCHMARK.json`` it prints both medians and
-quartiles, the pairs the change won, the median ratio, and whether the
-ratio is within the metric's bound in its better direction; a claimed
-gain (``--claim workload:metric``, a declared metric of a workload being
-run) is checked too: over at least ten pairs the change must win at
-least nine in ten and its median must beat the base's by more than the
-base's interquartile range.  Each pair's log digests, ``Network.stats``
+quartiles, the pairs the change won, the median ratio with a 95 %
+percentile bootstrap interval (pairs resampled together, fixed seed),
+and whether the ratio is within the metric's bound in its better
+direction; a claimed gain (``--claim workload:metric``, a declared
+metric of a workload being run) is checked too: over at least ten
+pairs the change must win at least nine in ten and its median must beat
+the base's by more than the base's interquartile range.  Each pair's log digests, ``Network.stats``
 and failures must be identical.
 
 ``--aa`` runs the change tree against itself: its spread is the box's
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -54,6 +56,9 @@ IDENTITY_KEYS = ("digests", "net", "failures")
 #: a claimed gain: the share of pairs the change must win, out of at least
 CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
+#: the median-ratio interval's resamples and resampling seed
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 2007
 
 
 # ----------------------------------------------------------------------
@@ -68,13 +73,39 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
+def median_ratio(base: Sequence[float], change: Sequence[float]) -> float:
+    """The change median over the base median (1.0 for 0/0, inf for x/0)."""
+    b_med, c_med = statistics.median(base), statistics.median(change)
+    return c_med / b_med if b_med else (1.0 if c_med == b_med else float("inf"))
+
+
+def bootstrap_interval(base: Sequence[float], change: Sequence[float]) -> Tuple[float, float]:
+    """95 % percentile bootstrap interval of :func:`median_ratio`.
+
+    Pairs are resampled together (a pair shares the box's state while
+    both sides run), :data:`BOOTSTRAP_RESAMPLES` times from the fixed
+    :data:`BOOTSTRAP_SEED`, so one set of recorded runs always gives the
+    same interval: the first and last 40-quantiles (2.5 % and 97.5 %) of
+    the resampled ratios.
+    """
+    n = len(base)
+    draw = random.Random(BOOTSTRAP_SEED).choices
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        picks = draw(range(n), k=n)
+        ratios.append(median_ratio([base[i] for i in picks], [change[i] for i in picks]))
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def compare_metric(
     base: Sequence[float], change: Sequence[float], better: str, bound: float
 ) -> dict:
     """Summarize one metric over parallel lists of paired runs.
 
     ``better`` is ``"lower"`` or ``"higher"``.  ``ratio`` is the change
-    median over the base median; ``within_bound`` says the ratio is no
+    median over the base median and ``interval`` its
+    :func:`bootstrap_interval`; ``within_bound`` says the ratio is no
     worse than ``bound`` in the metric's worse direction; ``gain`` says
     that over at least :data:`CLAIM_MIN_PAIRS` pairs the change won at
     least :data:`CLAIM_WIN_SHARE` of them and its median beats the
@@ -88,7 +119,7 @@ def compare_metric(
     b_q1, b_med, b_q3 = quartiles(base)
     c_q1, c_med, c_q3 = quartiles(change)
     wins = sum(1 for b, c in zip(base, change) if sign * (b - c) > 0)
-    ratio = c_med / b_med if b_med else (1.0 if c_med == b_med else float("inf"))
+    ratio = median_ratio(base, change)
     worse_by = sign * (ratio - 1.0)
     return {
         "base": (b_q1, b_med, b_q3),
@@ -96,6 +127,7 @@ def compare_metric(
         "wins": wins,
         "pairs": len(base),
         "ratio": ratio,
+        "interval": bootstrap_interval(base, change),
         "within_bound": worse_by <= bound,
         "gain": len(base) >= CLAIM_MIN_PAIRS
         and wins >= CLAIM_WIN_SHARE * len(base)
@@ -131,7 +163,7 @@ def render(title: str, rows: Dict[str, dict]) -> str:
     lines = [
         f"{title}:",
         f"  {'metric':<18} {'unit':>5} {'base q1/med/q3':>29} "
-        f"{'change q1/med/q3':>29} {'won':>6} {'ratio':>7}  verdict",
+        f"{'change q1/med/q3':>29} {'won':>6} {'ratio':>7} {'95% interval':>16}  verdict",
     ]
     for name, row in rows.items():
         base = "/".join(f"{v:.4g}" for v in row["base"])
@@ -139,9 +171,10 @@ def render(title: str, rows: Dict[str, dict]) -> str:
         verdict = "ok" if row["within_bound"] else "WORSE THAN BOUND"
         if row["claimed"]:
             verdict += ", gain " + ("holds" if row["gain"] else "NOT SHOWN")
+        interval = "[{:.3f}, {:.3f}]".format(*row["interval"])
         lines.append(
             f"  {name:<18} {row['unit']:>5} {base:>29} {change:>29} "
-            f"{row['wins']:>2}/{row['pairs']:<3} {row['ratio']:>7.3f}  {verdict}"
+            f"{row['wins']:>2}/{row['pairs']:<3} {row['ratio']:>7.3f} {interval:>16}  {verdict}"
         )
     return "\n".join(lines)
 
