@@ -477,6 +477,18 @@ class ChurnTimeline:
         pos = self._last_started_of(node, time)
         return bool(pos >= self.offsets[node] and time < self.ends[pos])
 
+    def presence_of(self, row: int, time: float) -> bool:
+        """Presence of one row (in ``[0, n_nodes)``) at ``time``: one
+        index into the live edge-to-edge snapshot when its window holds
+        ``time``, :meth:`is_online_of`'s one-row segment search
+        otherwise — the same answer either way.  Never builds a snapshot
+        (that is left to the callers that pay O(N) anyway); the per
+        message presence read of a trace-backed network."""
+        snapshot = self._snapshot  # live_snapshot(time), inlined
+        if snapshot is not None and snapshot.valid_from <= time < snapshot.valid_until:
+            return bool(snapshot.online[row])
+        return self.is_online_of(row, time)
+
     def online_mask(self, time: float) -> np.ndarray:
         """Boolean presence of *every* node at ``time`` (index-aligned).
 

@@ -107,6 +107,13 @@ class ChurnTrace:
     def __contains__(self, node: NodeKey) -> bool:
         return node in self._index
 
+    @property
+    def rows(self) -> Mapping[NodeKey, int]:
+        """The key → timeline row mapping (read-only): the one lookup a
+        trace-backed :class:`~repro.sim.network.Network` pays per
+        message before it reads presence by row."""
+        return self._index
+
     def index_of(self, node: NodeKey) -> int:
         """The timeline row of ``node`` (raises KeyError if unknown)."""
         return self._index[node]
@@ -125,18 +132,13 @@ class ChurnTrace:
     # PresenceOracle protocol
     # ------------------------------------------------------------------
     def is_online(self, node: NodeKey, time: float) -> bool:
-        """Presence of one node (an unknown key is offline).  Reads the
-        timeline's live edge-to-edge snapshot when its window holds
-        ``time`` (one index, no search) and runs a one-row segment search
-        otherwise; it never builds a snapshot — that is left to the
-        callers that pay O(N) anyway."""
+        """Presence of one node (an unknown key is offline): its row's
+        :meth:`~repro.churn.timeline.ChurnTimeline.presence_of`, which
+        reads the live edge-to-edge snapshot and never builds one."""
         row = self._index.get(node)
         if row is None:
             return False
-        snapshot = self.timeline.live_snapshot(time)
-        if snapshot is not None:
-            return bool(snapshot.online[row])
-        return self.timeline.is_online_of(row, time)
+        return self.timeline.presence_of(row, time)
 
     def presence_snapshot(self, time: float) -> np.ndarray:
         """Row-space presence of every node at ``time`` (aligned to

@@ -62,6 +62,8 @@ class AvailabilityPdf:
         self.n_star = check_positive(n_star, "n_star")
         self._bins = fractions.size
         self._width = 1.0 / self._bins
+        # p(a) per bin, read by the array path of density().
+        self._density = self._fractions / self._width
         # Cumulative mass at bin edges enables O(1) interval integrals.
         self._cum = np.concatenate([[0.0], np.cumsum(self._fractions)])
 
@@ -124,8 +126,18 @@ class AvailabilityPdf:
     def density(self, a: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """``p(a)`` — piecewise-constant density (integrates to 1)."""
         if isinstance(a, np.ndarray):
-            idx = np.clip((a / self._width).astype(int), 0, self._bins - 1)
-            return self._fractions[idx] / self._width
+            # The bin clamp of _bin_index, done in place on the integer
+            # index array (np.clip's Python wrapper costs more than the
+            # two ufuncs); the per-bin table holds fractions / width, so
+            # every float equals the per-element division.
+            idx = (a / self._width).astype(int)
+            last = self._bins - 1
+            if idx.ndim:
+                np.minimum(idx, last, out=idx)
+                np.maximum(idx, 0, out=idx)
+            else:
+                idx = min(max(int(idx), 0), last)
+            return self._density[idx]
         check_fraction_interval(a, a, "availability")
         return float(self._fractions[self._bin_index(a)] / self._width)
 

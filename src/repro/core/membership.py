@@ -179,10 +179,11 @@ class MembershipTable:
     # ------------------------------------------------------------------
     def _materialize_missing_ids(self, slots: np.ndarray) -> None:
         """Fill in identity objects for row-installed slots that have
-        never been touched by a scalar accessor."""
-        for slot in slots:
-            if self._ids[slot] is None:
-                self._ids[slot] = self.population.id_of(int(self._rows[slot]))
+        never been touched by a scalar accessor: one masked gather of
+        the population's own id objects."""
+        missing = slots[np.equal(self._ids[slots], None)]
+        if missing.size:
+            self._ids[missing] = self.population.ids_of(self._rows[missing])
 
     def _ensure_index(self) -> Dict[NodeId, int]:
         if self._slot_of is None:

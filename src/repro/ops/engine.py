@@ -11,9 +11,10 @@ record per operation, and implements:
 * two-stage multicast — anycast into the range, then flooding or gossip
   dissemination within it.
 
-Ground truth (who was *really* in range and online) comes from a truth
-callable so spam and reliability metrics are measured against reality,
-while all protocol decisions use the nodes' cached beliefs.
+Ground truth (who was *really* in range and online) comes from truth
+callables addressed by population row, so spam and reliability metrics
+are measured against reality, while all protocol decisions use the
+nodes' cached beliefs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.util.randomness import fallback_rng
 
 __all__ = ["OperationEngine"]
 
-TruthFn = Callable[[NodeId], float]
+TruthFn = Callable[[int], float]
 TruthEligibleFn = Callable[[TargetSpec], Set[NodeId]]
 
 
@@ -80,17 +81,19 @@ class OperationEngine:
         network: Network,
         nodes: Dict[NodeId, AvmemNode],
         config: AvmemConfig,
-        truth_availability: TruthFn,
         rng: Optional[np.random.Generator] = None,
         verify_inbound: bool = False,
         *,
+        truth_by_row: TruthFn,
         truth_eligible: TruthEligibleFn,
     ):
         self.sim = sim
         self.network = network
         self.nodes = nodes
         self.config = config
-        self.truth_availability = truth_availability
+        #: a node's true availability right now, by population row
+        #: (the simulation reads its churn timeline at ``sim.now``)
+        self.truth_by_row = truth_by_row
         #: the eligibility snapshot — "which online nodes are truly in
         #: this target right now", answered in one row-space pass (the
         #: simulation answers straight from its churn timeline)
@@ -104,7 +107,7 @@ class OperationEngine:
         self._next_op = 0
         self._next_attempt = 0
         self._pending: Dict[int, _PendingAttempt] = {}  # attempt -> state
-        self._mcast_seen: Dict[int, Set[NodeId]] = {}  # op -> nodes that processed
+        self._mcast_seen: Dict[int, Set[int]] = {}  # op -> rows that processed
         self._gossip: Dict[Tuple[int, NodeId], _GossipState] = {}
         for node in nodes.values():
             node.register_handler(AnycastMessage, self._handle_anycast)
@@ -317,7 +320,7 @@ class OperationEngine:
             record.status = AnycastStatus.DELIVERED
             record.delivered_at = self.sim.now
             record.delivery_node = node.id
-            record.delivery_node_true_availability = self.truth_availability(node.id)
+            record.delivery_node_true_availability = self.truth_by_row(node.row)
             record.hops = message.hops_taken
         if message.multicast_payload:
             mcast = self.multicasts.get(message.op_id)
@@ -385,7 +388,7 @@ class OperationEngine:
     # ------------------------------------------------------------------
     def _start_stage2(self, record: MulticastRecord, root: NodeId) -> None:
         seen = self._mcast_seen.setdefault(record.op_id, set())
-        if root in seen:
+        if self.nodes[root].row in seen:
             return
         message = MulticastMessage(
             op_id=record.op_id,
@@ -410,11 +413,12 @@ class OperationEngine:
     def _accept_multicast(self, node: AvmemNode, message: MulticastMessage) -> None:
         record = self.multicasts[message.op_id]
         seen = self._mcast_seen[message.op_id]
-        if node.id in seen:
+        row = node.row
+        if row in seen:
             record.duplicate_receptions += 1
             return
-        seen.add(node.id)
-        true_av = self.truth_availability(node.id)
+        seen.add(row)
+        true_av = self.truth_by_row(row)
         if record.target.contains(true_av):
             record.deliveries[node.id] = self.sim.now
         else:

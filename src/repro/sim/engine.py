@@ -5,7 +5,9 @@ module is our from-scratch Python equivalent.  It provides:
 
 * :class:`Simulator` — a binary-heap event loop with deterministic
   tie-breaking (events at equal times fire in scheduling order).
-* :class:`ScheduledEvent` — a cancellable handle for a scheduled callback.
+* :class:`ScheduledEvent` — a cancellable handle for a scheduled callback
+  (events enqueued by :meth:`Simulator.schedule_at_many` or the network
+  get none: one message is one bare heap entry).
 * :class:`PeriodicTask` — a fixed-period repeating callback with optional
   start jitter, used for the paper's protocol periods (discovery every
   minute, refresh every 20 minutes, gossip every second).
@@ -81,6 +83,10 @@ class ScheduledEvent:
         return f"ScheduledEvent(t={self.time:.6f}, {name}, {state})"
 
 
+#: one heap entry: (time, seq, callback, args, handle or None)
+_Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...], Optional[ScheduledEvent]]
+
+
 class Simulator:
     """Heap-based discrete-event loop.
 
@@ -95,9 +101,12 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        # Heap of (time, seq, event): seq is unique, so two entries never
-        # tie on (time, seq) and the event itself is never compared.
-        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
+        # Heap of (time, seq, callback, args, handle): seq is unique, so
+        # two entries never tie on (time, seq) and nothing after it is
+        # ever compared.  ``handle`` is the entry's ScheduledEvent, or
+        # None for an entry nobody can cancel (see _enqueue), which then
+        # costs no handle object.
+        self._queue: List[_Entry] = []
         self._counter = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -135,12 +144,16 @@ class Simulator:
 
     def pending_times(self) -> List[float]:
         """Fire times of the events that will still fire, ascending."""
-        return sorted(time for time, _, event in self._queue if not event._cancelled)
+        return sorted(
+            entry[0]
+            for entry in self._queue
+            if entry[4] is None or not entry[4]._cancelled
+        )
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2]._cancelled:
+        while queue and queue[0][4] is not None and queue[0][4]._cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
@@ -149,36 +162,52 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule with negative delay {delay!r}")
+        # Written as not-(x >= bound) throughout: a NaN fails every
+        # compare, so it is refused instead of entering the heap, where
+        # it would break the heap order for every other event.
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule with negative or NaN delay {delay!r}")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time!r} before current time t={self._now!r}"
             )
         if not callable(callback):
             raise TypeError(f"callback must be callable, got {callback!r}")
         event = ScheduledEvent(float(time), callback, args)
-        heapq.heappush(self._queue, (event.time, next(self._counter), event))
+        heapq.heappush(self._queue, (event.time, next(self._counter), callback, args, event))
         return event
+
+    def _enqueue(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """Push ``callback(*args)`` at ``time`` as a bare heap entry: no
+        :class:`ScheduledEvent`, so it cannot be cancelled.  The one
+        push path for events nobody cancels — :meth:`schedule_at_many`,
+        the network's deliveries, the simulation's rejoin refreshes;
+        ``time`` must be a float and ``args`` a tuple."""
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule event at t={time!r} before current time t={self._now!r}"
+            )
+        heapq.heappush(self._queue, (time, next(self._counter), callback, args, None))
 
     def schedule_at_many(
         self,
         times: Sequence[float],
         callback: Callable[..., Any],
         args_seq: Sequence[Tuple[Any, ...]],
-    ) -> List[ScheduledEvent]:
+    ) -> None:
         """Schedule ``callback(*args_seq[k])`` at ``times[k]`` for every k.
 
         The cohort form of :meth:`schedule_at`, used by
         ``Network.send_batch`` for a cohort's ``_deliver`` events:
-        validation runs once for the whole cohort and heap entries are
-        pushed directly, so enqueueing it costs one Python call plus one
-        push per event instead of one full ``schedule_at`` round trip
-        each.  Events fire in time order with the same deterministic
+        validation runs once for the whole cohort and each event is one
+        bare heap entry (no :class:`ScheduledEvent`, so none of them can
+        be cancelled and nothing is returned).  ``times`` must hold
+        floats and ``args_seq`` tuples; they are pushed as given.
+        Events fire in time order with the same deterministic
         tie-breaking (scheduling order) as individually scheduled ones.
         """
         if len(times) != len(args_seq):
@@ -192,20 +221,15 @@ class Simulator:
         # entry cannot leave a partially-enqueued batch behind (the
         # per-event schedule_at is atomic; this call must be too).
         for time in times:
-            if time < now:
+            if not time >= now:
                 raise SimulationError(
                     f"cannot schedule event at t={time!r} before current time t={now!r}"
                 )
-        counter = self._counter
-        queue = self._queue
-        events: List[ScheduledEvent] = []
+        enqueue = self._enqueue
         for time, args in zip(times, args_seq):
-            event = ScheduledEvent(float(time), callback, tuple(args))
-            heapq.heappush(queue, (event.time, next(counter), event))
-            events.append(event)
+            enqueue(time, callback, args)
         if self._telemetry.enabled:
-            self._telemetry.observe("sim.schedule_cohort_size", len(events))
-        return events
+            self._telemetry.observe("sim.schedule_cohort_size", len(times))
 
     # ------------------------------------------------------------------
     # Execution
@@ -231,7 +255,7 @@ class Simulator:
         then still be queued, so the clock stays at the last fired event
         (advancing it would make the next run fire them in the past).
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot run until t={time!r}, already at t={self._now!r}"
             )
@@ -258,16 +282,17 @@ class Simulator:
         self._running, self._stop_requested = True, False
         try:
             while queue and executed != limit and not self._stop_requested:
-                time, _, event = queue[0]
-                if event._cancelled:
+                time, _, callback, args, handle = queue[0]
+                if handle is not None and handle._cancelled:
                     pop(queue)
                     continue
                 if time > deadline:
                     break
                 pop(queue)
                 self._now = time
-                event._fired = True
-                event.callback(*event.args)
+                if handle is not None:
+                    handle._fired = True
+                callback(*args)
                 executed += 1
                 self._events_processed += 1
                 # The whole per-event cost of telemetry while disabled is
@@ -304,9 +329,9 @@ class PeriodicTask:
         jitter: float = 0.0,
         rng=None,
     ):
-        if period <= 0:
+        if not period > 0:
             raise SimulationError(f"period must be positive, got {period!r}")
-        if jitter < 0:
+        if not jitter >= 0:
             raise SimulationError(f"jitter must be non-negative, got {jitter!r}")
         if jitter > 0 and rng is None:
             raise SimulationError("jitter requires an rng")

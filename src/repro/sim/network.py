@@ -18,6 +18,13 @@ left to the receiver to count: with a continuous latency model no two
 arrivals share an instant, so grouping deliveries by arrival time merges
 nothing (docs/architecture.md, "The message plane").
 
+One message costs one bare heap entry (no cancellable handle) and, when
+the oracle is a :class:`~repro.churn.trace.ChurnTrace`, one key → row
+lookup at arrival: presence is the timeline's
+:meth:`~repro.churn.timeline.ChurnTimeline.presence_of` for that row and
+the handler sits at that row of a list filled by :meth:`Network.attach`.
+Any other oracle is asked by key.
+
 The network layer is deliberately dumb: no acknowledgements, no retries.
 Those are protocol behaviours and live in :mod:`repro.ops`, built from
 plain messages plus simulator timeouts.
@@ -26,10 +33,13 @@ plain messages plus simulator timeouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, NamedTuple, Optional, Protocol, Sequence
+from typing import (
+    Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Protocol, Sequence, Union,
+)
 
 import numpy as np
 
+from repro.churn.trace import ChurnTrace
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.telemetry import current as current_telemetry
@@ -47,7 +57,8 @@ class PresenceOracle(Protocol):
     Implemented by :class:`repro.churn.trace.ChurnTrace` and by the
     always-on oracle used in unit tests.  The network asks about the
     sender at send time and about the destination when its message
-    arrives, always at the simulator's current instant.  The nodes'
+    arrives (a trace by the destination's row, see the module
+    docstring), always at the simulator's current instant.  The nodes'
     protocol rounds ask by row instead, through
     ``presence_snapshot(time) -> bool array`` over the oracle's own node
     order (see :meth:`Network.online_rows`).  A churn trace answers both
@@ -151,24 +162,57 @@ class Network:
         # Captured once (see Simulator): a network built under
         # telemetry.use_recorder() records into that session's recorder.
         self._telemetry = current_telemetry()
-        self._handlers: Dict[NodeKey, Handler] = {}
+        if isinstance(self.presence, ChurnTrace):
+            # Trace-backed: a message's destination key is translated to
+            # its trace row once, at delivery, and both presence and the
+            # handler are read by that row.
+            self._row_of = self.presence.rows.get
+            self._online_row = self.presence.timeline.presence_of
+            self._handlers: Union[List[Optional[Handler]], Dict[NodeKey, Handler]] = [
+                None
+            ] * self.presence.node_count
+            self._deliver = self._deliver_by_row
+        else:
+            # Any other oracle answers by key only.
+            self._handlers = {}
+            self._deliver = self._deliver_by_key
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def attach(self, node: NodeKey, handler: Handler) -> None:
-        """Register the message handler for ``node`` (one per node)."""
-        if node in self._handlers:
+        """Register the message handler for ``node`` (one per node).  A
+        trace-backed network finds the node's row here, once, and
+        refuses a node its trace does not cover (``KeyError``)."""
+        handlers = self._handlers
+        if isinstance(handlers, dict):
+            if node in handlers:
+                raise ValueError(f"node {node!r} already attached")
+            handlers[node] = handler
+            return
+        row = self._row_of(node)
+        if row is None:
+            raise KeyError(f"node {node!r} is not in the presence trace")
+        if handlers[row] is not None:
             raise ValueError(f"node {node!r} already attached")
-        self._handlers[node] = handler
+        handlers[row] = handler
 
     def detach(self, node: NodeKey) -> None:
         """Remove a node's handler; in-flight messages to it will be dropped."""
-        self._handlers.pop(node, None)
+        handlers = self._handlers
+        if isinstance(handlers, dict):
+            handlers.pop(node, None)
+            return
+        row = self._row_of(node)
+        if row is not None:
+            handlers[row] = None
 
     @property
     def node_count(self) -> int:
-        return len(self._handlers)
+        handlers = self._handlers
+        if isinstance(handlers, dict):
+            return len(handlers)
+        return len(handlers) - handlers.count(None)
 
     # ------------------------------------------------------------------
     # Sending
@@ -185,8 +229,8 @@ class Network:
             self._record_drop(DropReason.SRC_OFFLINE)
             return False
         self.stats.sent += 1
-        delay = self.latency.sample(self.rng)
-        self.sim.schedule(delay, self._deliver, Envelope(src, dst, payload, now, now + delay))
+        at = now + self.latency.sample(self.rng)
+        self.sim._enqueue(at, self._deliver, (Envelope(src, dst, payload, now, at),))
         return True
 
     def send_batch(self, src: NodeKey, dsts: Sequence[NodeKey], payload: Any) -> int:
@@ -239,8 +283,24 @@ class Network:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, envelope: Envelope) -> None:
-        if not self.presence.is_online(envelope.dst, self.sim.now):
+    # ``_deliver`` is one of these two, picked by the oracle's kind.
+    # Both check presence at the arrival instant (an event fires at its
+    # envelope's ``delivered_at``) before the handler, so an offline or
+    # unknown destination is DST_OFFLINE and a detached one NO_HANDLER.
+    def _deliver_by_row(self, envelope: Envelope) -> None:
+        row = self._row_of(envelope.dst)
+        if row is None or not self._online_row(row, envelope.delivered_at):
+            self._record_drop(DropReason.DST_OFFLINE)
+            return
+        handler = self._handlers[row]
+        if handler is None:
+            self._record_drop(DropReason.NO_HANDLER)
+            return
+        self.stats.delivered += 1
+        handler(envelope)
+
+    def _deliver_by_key(self, envelope: Envelope) -> None:
+        if not self.presence.is_online(envelope.dst, envelope.delivered_at):
             self._record_drop(DropReason.DST_OFFLINE)
             return
         handler = self._handlers.get(envelope.dst)

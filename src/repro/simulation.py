@@ -316,9 +316,9 @@ class AvmemSimulation:
             self.network,
             self.nodes,
             s.config,
-            truth_availability=self.true_availability,
             rng=self._router.get("ops"),
             verify_inbound=s.verify_inbound,
+            truth_by_row=self.true_availability_of_row,
             truth_eligible=self.truth_eligible_ids,
         )
 
@@ -346,6 +346,11 @@ class AvmemSimulation:
     def true_availability(self, node: NodeId) -> float:
         """Exact raw availability of ``node`` as of the current sim time."""
         return self.trace.availability(node, self.sim.now)
+
+    def true_availability_of_row(self, row: int) -> float:
+        """:meth:`true_availability` of the node at population (= trace)
+        row ``row`` — the same float, without the key translation."""
+        return self.trace.timeline.availability_of(row, self.sim.now)
 
     def _online_truth_rows(self, keep_fn) -> np.ndarray:
         """Population rows of the online nodes whose *true* availability
@@ -442,14 +447,17 @@ class AvmemSimulation:
         hours-stale entries until the next periodic refresh.  The trace
         is known ahead of time, so we schedule one refresh shortly after
         each online-session start (a small jitter models restart work).
+        Nothing cancels these, so each is a bare heap entry rather than
+        a ``ScheduledEvent`` (about 107 000 of them at N = 5000).
         """
         now = self.sim.now
+        enqueue = self.sim._enqueue
         for node_id, node in self.nodes.items():
             starts, __ = self.trace.sessions(node_id)
             for start in starts.tolist():
                 if start > now:
                     jitter = float(node.rng.uniform(1.0, 15.0))
-                    self.sim.schedule_at(start + jitter, node.refresh_step)
+                    enqueue(start + jitter, node.refresh_step, ())
 
     def _direct_bootstrap(self) -> None:
         """Materialize the overlay from the consistent predicate.

@@ -109,7 +109,7 @@ def bootstrap_all(nodes, service):
 
 def row_engine(sim, network, nodes, config, population, service, rng=None, **options):
     """An :class:`OperationEngine` whose ground truth is ``service``:
-    scalar truth by id, and multicast eligibility as one row-space
+    scalar truth by row, and multicast eligibility as one row-space
     snapshot (online rows whose availability is in the target)."""
     everyone = np.arange(len(population))
 
@@ -119,8 +119,7 @@ def row_engine(sim, network, nodes, config, population, service, rng=None, **opt
 
     return OperationEngine(
         sim, network, nodes, config,
-        truth_availability=lambda node: service.query(population.row_of(node)), rng=rng,
-        truth_eligible=truth_eligible, **options,
+        rng=rng, truth_by_row=service.query, truth_eligible=truth_eligible, **options,
     )
 
 

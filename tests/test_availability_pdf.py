@@ -93,6 +93,50 @@ class TestDensityAndMass:
         assert np.allclose(vector, scalar)
 
 
+def density_by_clip(pdf, a):
+    """The array path of ``density`` as it was written with ``np.clip``
+    and a per-call division — the float-for-float reference."""
+    width = 1.0 / pdf.bins
+    idx = np.clip((a / width).astype(int), 0, pdf.bins - 1)
+    return pdf.bin_fractions[idx] / width
+
+
+class TestDensityArrayPath:
+    @given(
+        samples=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        bins=st.integers(1, 40),
+        values=st.lists(
+            st.one_of(
+                st.floats(-2.0, 3.0),
+                st.integers(-3, 43).map(lambda k: k / 40),  # bin edges for 40 bins
+                st.integers(0, 20).map(lambda k: k / 20),  # ... and for 20
+                st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1.0, 1e300, -1e300]),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_floats_as_the_clip_expression(self, samples, bins, values):
+        pdf = AvailabilityPdf.from_samples(samples, bins=bins)
+        a = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # NaN/inf -> int casts warn in both
+            got = pdf.density(a)
+            want = density_by_clip(pdf, a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            for value in values[:3]:  # 0-d arrays take the scalar clamp
+                zero_d = pdf.density(np.array(value))
+                assert np.float64(zero_d).tobytes() == np.float64(
+                    density_by_clip(pdf, np.array(value))
+                ).tobytes()
+
+    def test_input_left_untouched(self):
+        pdf = AvailabilityPdf.uniform(n_star=10.0, bins=10)
+        a = np.array([-0.5, 0.25, 1.5])
+        pdf.density(a)
+        assert a.tolist() == [-0.5, 0.25, 1.5]
+
+
 class TestPaperQuantities:
     def test_expected_online_in(self):
         pdf = AvailabilityPdf.uniform(n_star=100.0)

@@ -11,6 +11,8 @@ reference).  What the records must *be* is held by
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.churn.trace import ChurnTrace
 from repro.core.ids import make_node_ids
+from repro.ops.plan import OperationItem, OperationPlan
 from repro.ops.results import AnycastStatus
 from repro.ops.spec import TargetSpec
+from repro.sim import engine as sim_engine
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, LogNormalLatency, UniformLatency
 from repro.sim.network import DropReason, Network
@@ -378,7 +382,7 @@ class TestDispatchRecordParity:
                 node
                 for node in engine.nodes
                 if simulation.network.is_online(node)
-                and target.contains(engine.truth_availability(node))
+                and target.contains(simulation.true_availability(node))
             }
             assert engine._eligible_nodes(target) == scalar
 
@@ -562,3 +566,52 @@ class TestStatusRaceUnderVectorDispatch:
         sim.run_until(5.0)
         assert record.status == AnycastStatus.DELIVERED
         assert record.delivered_at == pytest.approx(1.2)
+
+
+# ----------------------------------------------------------------------
+# Per-message fixed cost: one bare heap entry and one row lookup
+# ----------------------------------------------------------------------
+class TestDeliveryPathCounts:
+    def test_flood_plan_delivers_by_row_without_handles(self, monkeypatch):
+        """A seeded N = 300 flood plan: no ``_deliver`` event asks
+        ``ChurnTrace.is_online`` (delivery reads presence by row), and
+        ``schedule_at_many`` builds no ``ScheduledEvent``."""
+        simulation = build_sim(23, (300, "refresh-only", 600.0))
+        is_online = ChurnTrace.is_online
+        asked = {"deliver": 0, "other": 0}
+
+        def counting_is_online(trace, node, time):
+            caller = sys._getframe(1).f_code.co_name
+            asked["deliver" if caller.startswith("_deliver") else "other"] += 1
+            return is_online(trace, node, time)
+
+        handles = {"cohort": 0, "other": 0}
+
+        class CountingEvent(sim_engine.ScheduledEvent):
+            def __init__(self, *args):
+                caller = sys._getframe(1).f_code.co_name
+                handles["cohort" if caller == "schedule_at_many" else "other"] += 1
+                super().__init__(*args)
+
+        cohorts = [0]
+        schedule_at_many = Simulator.schedule_at_many
+
+        def counting_schedule_at_many(sim, *args):
+            cohorts[0] += 1
+            return schedule_at_many(sim, *args)
+
+        monkeypatch.setattr(ChurnTrace, "is_online", counting_is_online)
+        monkeypatch.setattr(sim_engine, "ScheduledEvent", CountingEvent)
+        monkeypatch.setattr(Simulator, "schedule_at_many", counting_schedule_at_many)
+        stats = simulation.network.stats
+        sent = stats.sent
+        floods = OperationItem(
+            kind="multicast", target=TargetSpec.range(0.2, 1.0), count=6,
+            band="high", mode="flood", policy="retry-greedy", timing=TIMINGS["interval"],
+        )
+        simulation.ops.execute(OperationPlan(items=(floods,), settle=40.0))
+        assert stats.sent - sent > 1000 and cohorts[0] > 100
+        assert asked["deliver"] == 0
+        assert asked["other"] > 0  # the wrapper is live: sender checks still ask it
+        assert handles["cohort"] == 0
+        assert handles["other"] > 0  # the wrapper is live: timers still get handles

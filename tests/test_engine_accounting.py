@@ -9,6 +9,15 @@ from repro.ops.spec import TargetSpec
 from conftest import launch
 
 
+def first_reception_rows(simulation, record):
+    """Population rows of a multicast's first receptions (deliveries
+    plus spam), each looked up independently of the engine's nodes."""
+    first = set(record.deliveries) | {node for node, _ in record.spam}
+    rows = {simulation.population.row_of(node) for node in first}
+    assert len(rows) == len(first)
+    return rows
+
+
 class TestAnycastAccounting:
     def test_data_messages_bounded_by_network_sends(self, small_simulation):
         s = small_simulation
@@ -91,13 +100,13 @@ class TestDuplicateSuppressionAccounting:
         assert receptions - 1 <= record.data_messages
 
     def test_seen_set_is_exactly_first_receptions(self, small_simulation):
-        """``_mcast_seen`` (where duplicates are told from first receptions) grows
-        by exactly the first receptions — deliveries plus spam — and
-        duplicates never enter it."""
+        """``_mcast_seen`` (where duplicates are told from first receptions,
+        by population row) grows by exactly the rows of the first
+        receptions — deliveries plus spam — and duplicates never enter it."""
         s = small_simulation
         (record,) = launch(s, "multicast", (0.5, 0.9), band="high", mode="flood")
         seen = s.engine._mcast_seen[record.op_id]
-        assert seen == set(record.deliveries) | {node for node, _ in record.spam}
+        assert seen == first_reception_rows(s, record)
 
     def test_gossip_duplicates_balance_too(self, small_simulation):
         (record,) = launch(
@@ -108,4 +117,4 @@ class TestDuplicateSuppressionAccounting:
         )
         assert receptions - 1 <= record.data_messages
         seen = small_simulation.engine._mcast_seen[record.op_id]
-        assert seen == set(record.deliveries) | {node for node, _ in record.spam}
+        assert seen == first_reception_rows(small_simulation, record)

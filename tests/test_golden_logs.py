@@ -158,15 +158,18 @@ def run_plan(
     next draw)."""
     simulation = build_sim(seed, shape)
     setup_events = simulation.sim.events_processed
-    handlers = simulation.network._handlers
+    handlers = simulation.network._handlers  # trace-backed: one per row
     handoffs = [0]
-    for node, original in list(handlers.items()):
+    for row, original in enumerate(handlers):
+        if original is None:
+            continue
+
         def counting(envelope, _original=original):
             if isinstance(envelope.payload, MulticastMessage):
                 handoffs[0] += 1
             _original(envelope)
 
-        handlers[node] = counting
+        handlers[row] = counting
     execution = simulation.ops.execute(plan)
     endpoints = []
     for record in execution.records:

@@ -316,6 +316,33 @@ class TestNeighborViewCache:
         assert full.slots is bare.slots and full.availabilities is bare.availabilities
         assert table.neighbor_arrays(with_nodes=False).nodes is None
 
+    def test_view_ids_are_the_populations_own_objects(self, monkeypatch):
+        """The nodes column is one masked gather of the population's id
+        objects (no per-slot ``id_of``), for a population built from ids
+        and for a synthetic one, around ids a scalar access materialized."""
+        table = self._table()
+        calls = []
+        id_of = Population.id_of
+        monkeypatch.setattr(
+            Population, "id_of", lambda pop, row: calls.append(row) or id_of(pop, row)
+        )
+        table.upsert(CANDIDATES[20], 0.5, SliverKind.VERTICAL, 1.0)  # builds the index
+        view = table.neighbor_arrays()
+        assert calls == []
+        assert all(node is POOL[row] for node, row in zip(view.nodes, view.rows.tolist()))
+
+        synthetic = Population.synthetic(np.linspace(0.1, 0.9, 16))
+        owner = synthetic.id_of(0)
+        table = MembershipTable(owner, synthetic)
+        table.upsert(synthetic.id_of(5), 0.5, SliverKind.VERTICAL, 1.0)
+        table.upsert_rows(np.arange(1, 12), np.linspace(0.1, 0.9, 11), np.arange(11) % 2 == 0, 2.0)
+        view = table.neighbor_arrays()
+        assert sorted(view.rows.tolist()) == list(range(1, 12))
+        assert all(
+            node is synthetic.id_of(row) for node, row in zip(view.nodes, view.rows.tolist())
+        )
+        assert [entry.node for entry in table.entries()] == list(view.nodes)
+
     def test_view_arrays_are_read_only(self):
         view = self._table().neighbor_arrays()
         for column in view:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.churn.trace import ChurnTrace
 from repro.sim.engine import Simulator
@@ -204,3 +206,101 @@ class TestStats:
         net = Network(sim)
         assert isinstance(net.presence, AlwaysOnline)
         assert net.is_online("anyone")
+
+
+class KeyedPresence:
+    """A generic oracle wrapping a trace: the network reads it by key."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def is_online(self, node, time):
+        return self.trace.is_online(node, time)
+
+
+class TestTraceBackedNetwork:
+    """With a :class:`ChurnTrace` oracle the network translates a
+    destination to its trace row once per message and reads presence
+    and the handler by that row; every answer and drop reason is the
+    key path's."""
+
+    @staticmethod
+    def trace():
+        # a: always on; b: on until 1.0; c: on from 2.0; d: never on.
+        return ChurnTrace.from_intervals(
+            {"a": [(0.0, 100.0)], "b": [(0.0, 1.0)], "c": [(2.0, 100.0)], "d": []},
+            horizon=100.0,
+        )
+
+    def test_drop_reason_order(self, sim):
+        net = Network(sim, latency=ConstantLatency(0.05), presence=self.trace())
+        inbox = []
+        for key in "abcd":
+            net.attach(key, inbox.append)
+        net.detach("c")  # offline and detached: presence is asked first
+        net.detach("a")  # online and detached
+        assert net.node_count == 2
+        assert net.send("b", "c", "x")
+        assert net.send("b", "d", "x")
+        assert net.send("b", "nobody", "x")  # an unknown key is offline
+        assert net.send("b", "a", "x")
+        assert not net.send("d", "b", "x")  # offline sender
+        assert not net.send("ghost", "b", "x")  # unknown sender
+        assert net.send_batch("d", ["a", "b"], "x") == 0
+        sim.run()
+        assert inbox == []
+        assert net.stats.dropped == {
+            DropReason.DST_OFFLINE: 3,
+            DropReason.NO_HANDLER: 1,
+            DropReason.SRC_OFFLINE: 4,
+        }
+
+    def test_attach_resolves_the_row_once(self, sim):
+        net = Network(sim, presence=self.trace())
+        net.attach("c", lambda env: None)
+        with pytest.raises(ValueError):
+            net.attach("c", lambda env: None)
+        with pytest.raises(KeyError):
+            net.attach("nobody", lambda env: None)
+        net.detach("nobody")  # a no-op, like detaching twice
+        net.detach("c")
+        net.detach("c")
+        assert net.node_count == 0
+        net.attach("c", lambda env: None)
+        assert net.node_count == 1
+
+    @given(
+        sends=st.lists(
+            st.tuples(
+                st.floats(0.0, 4.0, width=32),
+                st.sampled_from(["a", "b", "c", "d", "nobody"]),
+                st.booleans(),
+            ),
+            max_size=20,
+        ),
+        snapshot_at=st.sampled_from([None, 0.5, 1.5, 3.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_path_matches_key_path(self, sends, snapshot_at):
+        """The same sends, through the row path and through a generic
+        oracle's key path, deliver the same envelopes in the same order
+        with the same stats — with and without a live snapshot."""
+        outcomes = []
+        for presence in (self.trace(), KeyedPresence(self.trace())):
+            sim = Simulator()
+            net = Network(sim, latency=ConstantLatency(0.3), presence=presence)
+            inbox = []
+            for key in "abcd":
+                net.attach(key, lambda env, k=key: inbox.append((k, env)))
+            if snapshot_at is not None:
+                (presence.trace if isinstance(presence, KeyedPresence) else presence
+                 ).timeline.snapshot(snapshot_at)
+            for at, dst, batch in sorted(sends, key=lambda s: s[0]):
+                sim.run_until(max(sim.now, at))
+                if batch:
+                    net.send_batch("a", [dst, "b"], "x")
+                else:
+                    net.send("a", dst, "x")
+            sim.run()
+            outcomes.append((inbox, net.stats.snapshot()))
+        assert outcomes[0] == outcomes[1]

@@ -228,9 +228,9 @@ class TestMulticast:
         sim, _, nodes, engine, ids = build_system(avs, rng=rng)
         # Manually corrupt truth: pretend ids[3] availability fell to 0.5,
         # while every node's *cached* entry still says 0.88.
-        engine.truth_availability = (
-            lambda n: 0.5 if n == ids[3] else nodes[n].availability._service.query(nodes[n].row)
-        )
+        corrupted = nodes[ids[3]].row
+        service = nodes[ids[0]].availability._service
+        engine.truth_by_row = lambda row: 0.5 if row == corrupted else service.query(row)
         record = engine.multicast(ids[0], TargetSpec.range(0.85, 0.95), mode="flood")
         sim.run_until(sim.now + 20.0)
         assert any(node == ids[3] for node, _ in record.spam)

@@ -120,4 +120,4 @@ def test_multicast_invariants(params):
         assert record.reliability() == pytest.approx(expected)
     # 4. Eligible nodes were online and truly in range at start.
     for node in record.eligible:
-        assert target.contains(engine.truth_availability(node))
+        assert target.contains(engine.truth_by_row(engine.nodes[node].row))

@@ -330,3 +330,97 @@ class TestPeriodicTask:
         firsts = sim.pending_times()
         assert len(set(firsts)) > 1
         assert all(60.0 <= t <= 140.0 for t in firsts)
+
+
+NAN = float("nan")
+
+
+class TestNaNTimesRefused:
+    """A NaN time fails every compare, so before the bounds were written
+    as not-(x >= bound) it entered the heap and broke its order (an
+    event at 0.5 s fired after one at 1.0 s).  Every call form refuses
+    it and leaves the queue and the clock as they were."""
+
+    @pytest.fixture
+    def queued(self, sim):
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_at_many([2.0], lambda: None, [()])
+        return sim
+
+    @staticmethod
+    def assert_unchanged(sim):
+        assert sim.queue_depth == 2
+        assert sim.pending_times() == [1.0, 2.0]
+        assert sim.now == 0.0
+
+    def test_schedule(self, queued):
+        with pytest.raises(SimulationError):
+            queued.schedule(NAN, lambda: None)
+        self.assert_unchanged(queued)
+
+    def test_schedule_at(self, queued):
+        with pytest.raises(SimulationError):
+            queued.schedule_at(NAN, lambda: None)
+        self.assert_unchanged(queued)
+
+    def test_schedule_at_many(self, queued):
+        with pytest.raises(SimulationError):
+            queued.schedule_at_many([0.5, NAN, 3.0], lambda: None, [(), (), ()])
+        self.assert_unchanged(queued)
+
+    def test_periodic_task_period(self, queued):
+        with pytest.raises(SimulationError):
+            PeriodicTask(queued, NAN, lambda: None)
+        self.assert_unchanged(queued)
+
+    def test_periodic_task_jitter(self, queued, rng):
+        with pytest.raises(SimulationError):
+            PeriodicTask(queued, 1.0, lambda: None, jitter=NAN, rng=rng)
+        self.assert_unchanged(queued)
+
+    def test_run_until(self, queued):
+        with pytest.raises(SimulationError):
+            queued.run_until(NAN)
+        self.assert_unchanged(queued)
+        assert queued.events_processed == 0
+
+
+class TestBareEntries:
+    """``schedule_at_many`` (and the network) push bare heap entries: no
+    :class:`ScheduledEvent`, nothing returned, and they fire, peek and
+    count like handled events around them."""
+
+    def test_schedule_at_many_builds_no_handle(self, sim, monkeypatch):
+        from repro.sim import engine
+
+        built = []
+
+        class CountingEvent(engine.ScheduledEvent):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "ScheduledEvent", CountingEvent)
+        assert sim.schedule_at_many([1.0, 2.0], lambda: None, [(), ()]) is None
+        assert built == []
+        sim.schedule(3.0, lambda: None)
+        assert len(built) == 1
+
+    def test_mixed_with_cancelled_handles(self, sim):
+        order = []
+        sim.schedule(1.0, order.append, "cancelled").cancel()
+        sim.schedule_at_many([1.0, 2.0], order.append, [("a",), ("c",)])
+        handle = sim.schedule(1.5, order.append, "b")
+        assert sim.pending_times() == [1.0, 1.5, 2.0]
+        assert sim.pending_count == 3 and sim.queue_depth == 4
+        assert sim.peek_time() == 1.0 and sim.queue_depth == 3
+        sim.run()
+        assert order == ["a", "b", "c"]
+        assert handle.fired and not handle.pending and not handle.cancelled
+        assert sim.peek_time() is None and sim.events_processed == 3
+
+    def test_cancelled_head_popped_by_peek(self, sim):
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule_at_many([2.0], lambda: None, [()])
+        assert sim.peek_time() == 2.0
+        assert sim.queue_depth == 1

@@ -241,6 +241,42 @@ class TestQueryParity:
             assert trace.is_online(len(schedules), t) is False  # unknown key
         assert timeline.snapshot(anchor) is window
 
+    @given(
+        lists=interval_lists,
+        anchor=st.floats(0.0, HORIZON, width=32),
+        probes=st.lists(
+            st.tuples(st.integers(0, 6), st.floats(-10.0, HORIZON + 10.0, width=32)),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_presence_equals_trace_is_online(self, lists, anchor, probes):
+        """``presence_of(row, t)`` — what a trace-backed network reads per
+        message — equals ``ChurnTrace.is_online`` and the reference
+        schedule at random (node, time) pairs, inside and outside the
+        live window and with no window at all; an unknown key is
+        offline; and the read never builds or replaces a snapshot."""
+        timeline, schedules = make_pair(lists)
+        keys = [f"n{i}" for i in range(len(lists))]
+        trace = ChurnTrace(timeline, keys)
+
+        def check():
+            for pick, t in probes:
+                row = pick % len(lists)
+                expected = bool(schedules[row].is_online(t))
+                assert timeline.presence_of(row, t) is expected
+                assert trace.is_online(keys[row], t) is expected
+                assert trace.is_online(f"unknown{pick}", t) is False
+
+        check()
+        assert timeline.live_snapshot(anchor) is None  # nothing was built
+        window = timeline.snapshot(anchor)
+        bounds = [b for b in (window.valid_from, window.valid_until) if np.isfinite(b)]
+        probes = probes + [(pick, t) for pick in range(len(lists)) for t in bounds]
+        check()
+        assert timeline.snapshot(anchor) is window
+
     def test_snapshot_availability_counts_uptime_before_time_zero(self):
         # A session that began before t = 0 (tolerated, see TestStructure):
         # availability over [0, t] subtracts the uptime before 0, exactly
