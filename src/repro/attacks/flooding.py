@@ -67,10 +67,12 @@ def _band_of(availability: float, width: float = 0.1) -> float:
     return round(index * width, 10)
 
 
-def _banded(sender_rates: Dict[NodeId, float], truth: TruthFn, cushion: float) -> BandedRates:
+def _banded(
+    sender_rates: Dict[NodeId, float], truth: Dict[NodeId, float], cushion: float
+) -> BandedRates:
     by_band: Dict[float, List[float]] = {}
     for sender, rate in sender_rates.items():
-        by_band.setdefault(_band_of(truth(sender)), []).append(rate)
+        by_band.setdefault(_band_of(truth[sender]), []).append(rate)
     return BandedRates(
         cushion=cushion,
         band_rates={band: float(np.mean(rates)) for band, rates in by_band.items()},
@@ -85,6 +87,49 @@ def _ground_truth_member(
     return predicate.evaluate(
         NodeDescriptor(x, truth(x)), NodeDescriptor(y, truth(y))
     )
+
+
+class _GroundTruth:
+    """Exact availabilities and presence of every node in ``nodes``, read
+    once per experiment, and ``M(x, ·)`` over all of them in one batched
+    predicate call per sender — the same floats as a scalar
+    :meth:`~repro.core.predicates.AvmemPredicate.evaluate` per pair."""
+
+    def __init__(
+        self,
+        nodes: Dict[NodeId, AvmemNode],
+        predicate: AvmemPredicate,
+        truth: TruthFn,
+        online_only: bool,
+    ):
+        self.ids = list(nodes)
+        self.index = {node: i for i, node in enumerate(self.ids)}
+        self.predicate = predicate
+        members = list(nodes.values())
+        self.population = members[0].population if members else None
+        if any(node.population is not self.population for node in members):
+            raise ValueError("the nodes must share one population")
+        self.rows = np.array([node.row for node in members], dtype=np.int64)
+        self.availabilities = np.array([truth(node) for node in self.ids], dtype=float)
+        self.truth = dict(zip(self.ids, self.availabilities.tolist()))
+        self.present = np.array(
+            [not online_only or node.online for node in members], dtype=bool
+        )
+
+    def others(self, sender: NodeId, members: bool) -> List[NodeId]:
+        """The present nodes other than ``sender`` that are (or, with
+        ``members=False``, are not) its out-neighbors by ground truth, in
+        ``nodes`` order; none when ``sender`` itself is absent."""
+        index = self.index[sender]
+        if not self.present[index]:
+            return []
+        x = NodeDescriptor(sender, self.truth[sender])
+        member, _ = self.predicate.evaluate_many(
+            x, self.population, self.rows, self.availabilities
+        )
+        keep = self.present & (member if members else ~member)
+        keep[index] = False
+        return [self.ids[i] for i in np.flatnonzero(keep).tolist()]
 
 
 def flooding_attack_experiment(
@@ -108,20 +153,11 @@ def flooding_attack_experiment(
         the O(attackers × targets) experiment tractable.
     """
     rng = rng if rng is not None else fallback_rng()
-    population = list(nodes)
-    attackers = list(attackers) if attackers is not None else population
+    ground = _GroundTruth(nodes, predicate, truth, online_only)
+    attackers = list(attackers) if attackers is not None else ground.ids
     rates: Dict[NodeId, float] = {}
     for attacker in attackers:
-        node = nodes[attacker]
-        if online_only and not node.online:
-            continue
-        non_neighbors = [
-            y
-            for y in population
-            if y != attacker
-            and (not online_only or nodes[y].online)
-            and not _ground_truth_member(predicate, truth, attacker, y)
-        ]
+        non_neighbors = ground.others(attacker, members=False)
         if max_targets is not None and len(non_neighbors) > max_targets:
             picked = rng.choice(len(non_neighbors), size=max_targets, replace=False)
             non_neighbors = [non_neighbors[i] for i in picked]
@@ -133,7 +169,7 @@ def flooding_attack_experiment(
             if nodes[y].verifier.accepts(attacker, cushion=cushion)
         )
         rates[attacker] = accepted / len(non_neighbors)
-    return _banded(rates, truth, cushion)
+    return _banded(rates, ground.truth, cushion)
 
 
 def legitimate_rejection_experiment(
@@ -150,20 +186,11 @@ def legitimate_rejection_experiment(
     (``M(x, y) = 1`` right now), check whether ``y``'s verifier would
     reject a message from ``x``.
     """
-    population = list(nodes)
-    senders = list(senders) if senders is not None else population
+    ground = _GroundTruth(nodes, predicate, truth, online_only)
+    senders = list(senders) if senders is not None else ground.ids
     rates: Dict[NodeId, float] = {}
     for sender in senders:
-        node = nodes[sender]
-        if online_only and not node.online:
-            continue
-        neighbors = [
-            y
-            for y in population
-            if y != sender
-            and (not online_only or nodes[y].online)
-            and _ground_truth_member(predicate, truth, sender, y)
-        ]
+        neighbors = ground.others(sender, members=True)
         if not neighbors:
             continue
         rejected = sum(
@@ -172,4 +199,4 @@ def legitimate_rejection_experiment(
             if not nodes[y].verifier.accepts(sender, cushion=cushion)
         )
         rates[sender] = rejected / len(neighbors)
-    return _banded(rates, truth, cushion)
+    return _banded(rates, ground.truth, cushion)

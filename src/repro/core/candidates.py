@@ -318,7 +318,7 @@ def evaluate_all_candidates(
                 elif index.v_kind == "dst":
                     v_t = index.v_values[dst]
                 else:
-                    v_t = vertical.pair_threshold_values(avs[src], avs[dst], pdf)
+                    v_t = vertical.thresholds(avs[src], avs[dst], pdf)
                 thresholds = np.where(h_mask, h_t, v_t)
                 if cushion:
                     thresholds = np.minimum(1.0, thresholds + cushion)

@@ -144,26 +144,23 @@ class MembershipTable:
     """
 
     _INITIAL_CAPACITY = 8
+    # The columns: shared zero-length arrays until the first growth
+    # allocates them (a bulk install sizes them once for its batch).
+    _ids = np.empty(0, dtype=object)
+    _digests = np.zeros(0, dtype=np.uint64)
+    _avail = _added = _checked = np.zeros(0, dtype=float)
+    _horiz = _alive = np.zeros(0, dtype=bool)
+    _seq = _rows = np.zeros(0, dtype=np.int64)
 
     def __init__(self, owner: NodeId, population: Population):
         self.owner = owner
         #: identities are materialized from it lazily, only when scalar
         #: accessors or the nodes column of :meth:`neighbor_arrays` need them
         self.population = population
-        capacity = self._INITIAL_CAPACITY
-        self._capacity = capacity
+        self._capacity = 0
         self._size = 0  # high-water slot mark (live + dead slots)
         self._count = 0  # live entries
         self._seq_counter = 0
-        self._ids = np.empty(capacity, dtype=object)
-        self._digests = np.zeros(capacity, dtype=np.uint64)
-        self._avail = np.zeros(capacity, dtype=float)
-        self._horiz = np.zeros(capacity, dtype=bool)
-        self._added = np.zeros(capacity, dtype=float)
-        self._checked = np.zeros(capacity, dtype=float)
-        self._seq = np.zeros(capacity, dtype=np.int64)
-        self._alive = np.zeros(capacity, dtype=bool)
-        self._rows = np.full(capacity, -1, dtype=np.int64)
         # Lazy caches: None marks "rebuild on next scalar access".
         self._slot_of: Optional[Dict[NodeId, int]] = {}
         self._materialized: Dict[NodeId, MemberEntry] = {}
@@ -195,7 +192,7 @@ class MembershipTable:
     def _grow_to(self, needed: int) -> None:
         if needed <= self._capacity:
             return
-        capacity = self._capacity
+        capacity = self._capacity or self._INITIAL_CAPACITY
         while capacity < needed:
             capacity *= 2
         for name in ("_digests", "_avail", "_horiz", "_added", "_checked", "_seq", "_alive"):

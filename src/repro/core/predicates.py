@@ -38,7 +38,6 @@ from repro.core.slivers import (
     LogarithmicVertical,
     RandomUniformRule,
     VerticalSliverRule,
-    has_matrix_threshold,
 )
 from repro.util.validation import check_positive, check_probability, check_unit_interval
 
@@ -137,6 +136,19 @@ class AvmemPredicate:
     # ------------------------------------------------------------------
     # Vectorized evaluation (direct overlay construction)
     # ------------------------------------------------------------------
+    def _banded_thresholds(self, av_x, av_y: np.ndarray, horizontal: np.ndarray) -> np.ndarray:
+        """``f`` at the pairs ``(av_x, av_y)`` (``av_x`` one source or an
+        array shaped like ``av_y``), each rule's kernel evaluated only on
+        the pairs on its own side of the ε band (``horizontal``) — so a
+        rule that is undefined across the band, e.g. a distance-decaying
+        :class:`~repro.core.slivers.FunctionRule`, is never asked."""
+        thresholds = np.empty(horizontal.shape, dtype=float)
+        for rule, mask in ((self.horizontal, horizontal), (self.vertical, ~horizontal)):
+            if mask.any():
+                xs = av_x[mask] if isinstance(av_x, np.ndarray) else av_x
+                thresholds[mask] = rule.thresholds(xs, av_y[mask], self.pdf)
+        return thresholds
+
     def evaluate_many(
         self,
         x: NodeDescriptor,
@@ -162,16 +174,7 @@ class AvmemPredicate:
                 f"{rows.size} candidates but {availabilities.size} availabilities"
             )
         horizontal_mask = np.abs(availabilities - x.availability) < self.epsilon
-        thresholds = np.empty(availabilities.size, dtype=float)
-        if horizontal_mask.any():
-            thresholds[horizontal_mask] = self.horizontal.threshold_many(
-                x.availability, availabilities[horizontal_mask], self.pdf
-            )
-        vertical_mask = ~horizontal_mask
-        if vertical_mask.any():
-            thresholds[vertical_mask] = self.vertical.threshold_many(
-                x.availability, availabilities[vertical_mask], self.pdf
-            )
+        thresholds = self._banded_thresholds(x.availability, availabilities, horizontal_mask)
         if cushion:
             thresholds = np.minimum(1.0, thresholds + cushion)
         if self.hash_fn.supports_vectorized:
@@ -297,14 +300,6 @@ class AvmemPredicate:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = digests.shape[0]
         use_matrix_hash = self.hash_fn.supports_matrix
-        # Rules with closed-form matrix thresholds are total functions and
-        # can be evaluated over the full grid; rules that only define the
-        # scalar/row forms (application FunctionRules) may be partial —
-        # e.g. a distance-decaying vertical rule is undefined in-band —
-        # so they get the masked row evaluation evaluate_many performs.
-        use_matrix_thresholds = has_matrix_threshold(
-            self.horizontal
-        ) and has_matrix_threshold(self.vertical)
         src_chunks = []
         dst_chunks = []
         horizontal_chunks = []
@@ -312,25 +307,11 @@ class AvmemPredicate:
             stop = min(start + block_rows, n)
             av_block = availabilities[start:stop]
             h_mask = np.abs(av_block[:, None] - availabilities[None, :]) < self.epsilon
-            if use_matrix_thresholds:
-                thresholds = np.where(
-                    h_mask,
-                    self.horizontal.threshold_matrix(av_block, availabilities, self.pdf),
-                    self.vertical.threshold_matrix(av_block, availabilities, self.pdf),
-                )
-            else:
-                thresholds = np.empty(h_mask.shape, dtype=float)
-                for r in range(stop - start):
-                    row_h = h_mask[r]
-                    if row_h.any():
-                        thresholds[r, row_h] = self.horizontal.threshold_many(
-                            float(av_block[r]), availabilities[row_h], self.pdf
-                        )
-                    row_v = ~row_h
-                    if row_v.any():
-                        thresholds[r, row_v] = self.vertical.threshold_many(
-                            float(av_block[r]), availabilities[row_v], self.pdf
-                        )
+            thresholds = self._banded_thresholds(
+                np.broadcast_to(av_block[:, None], h_mask.shape),
+                np.broadcast_to(availabilities, h_mask.shape),
+                h_mask,
+            )
             if cushion:
                 thresholds = np.minimum(1.0, thresholds + cushion)
             if use_matrix_hash:

@@ -30,12 +30,15 @@ neighbor count into the corresponding probability (docs/architecture.md,
 **RandomUniformRule** (``f = p`` everywhere) yields the consistent
 random overlay the paper compares against in Fig 10 ("a random overlay
 graph similar to those created by … SCAMP, CYCLON, T-MAN").
+
+Each rule writes its formula once, as the broadcasting kernel
+:meth:`_Rule.thresholds`: the scalar form and every batched caller
+evaluate it, so builder and verifier compare the same floats.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Union
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from repro.util.validation import check_positive, check_probability
 __all__ = [
     "VerticalSliverRule",
     "HorizontalSliverRule",
-    "has_matrix_threshold",
     "has_candidate_bound",
     "ConstantVertical",
     "LogarithmicVertical",
@@ -57,14 +59,34 @@ __all__ = [
     "FunctionRule",
 ]
 
-#: Densities below this are treated as "no nodes here": the 1/p(av(y))
-#: factor is capped (threshold becomes 1.0), mirroring the min(·, 1.0)
-#: in the paper's formulas.
+#: Densities at or below this mean "no nodes here": the 1/p(av(y)) factor
+#: is capped (threshold 1.0), mirroring the paper's min(·, 1.0).
 _DENSITY_FLOOR = 1e-12
 
 
+def _capped(values, degenerate) -> np.ndarray:
+    """``min(values, 1)`` with the ``degenerate`` entries set to 1, in
+    place (a 0-d result is made a writable array first)."""
+    values = np.asarray(values)
+    values[degenerate] = 1.0
+    return np.minimum(values, 1.0, out=values)
+
+
+def _coverage(c1: float, densities, pdf: AvailabilityPdf):
+    """I.B's uncapped ``c1·log(N*) / (N*·p(av(y)))`` at ``densities``."""
+    with np.errstate(divide="ignore"):
+        return c1 * log_at_least_one(pdf.n_star) / (pdf.n_star * densities)
+
+
+def _share(count: float, pool: float, count_name: str, pool_name: str) -> float:
+    """The probability giving an expected ``count`` hits out of ``pool``."""
+    check_positive(count, count_name)
+    check_positive(pool, pool_name)
+    return min(1.0, count / pool)
+
+
 class _Rule(abc.ABC):
-    """Shared base: scalar threshold plus an optionally-vectorized form."""
+    """Shared base: one broadcasting kernel, the scalar form derived."""
 
     #: How the candidate-generation stage (:mod:`repro.core.candidates`)
     #: can upper-bound this rule's threshold over a *bucket* of
@@ -82,8 +104,19 @@ class _Rule(abc.ABC):
     CANDIDATE_BOUND = None
 
     @abc.abstractmethod
+    def thresholds(self, av_x, av_y, pdf: AvailabilityPdf):
+        """``f(av(x), av(y))`` in [0, 1], elementwise over the broadcast
+        of ``av_x`` and ``av_y`` (floats or arrays of any shape).
+
+        The result broadcasts to that shape: a rule that reads one
+        operand may return that operand's shape, a constant rule a
+        scalar.  Callers hand each rule only the pairs on its own side
+        of the ε band, so a rule need not be defined on the other side.
+        """
+
     def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        """The ``f(av(x), av(y))`` value in [0, 1]."""
+        """The scalar ``f(av(x), av(y))``: the kernel at one pair."""
+        return float(self.thresholds(av_x, av_y, pdf))
 
     def candidate_values(self, avs: np.ndarray, pdf: AvailabilityPdf) -> np.ndarray:
         """Per-node values backing the declared :attr:`CANDIDATE_BOUND`
@@ -92,43 +125,6 @@ class _Rule(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not participate in candidate generation"
         )
-
-    def threshold_many(
-        self, av_x: float, av_ys: np.ndarray, pdf: AvailabilityPdf
-    ) -> np.ndarray:
-        """Vectorized thresholds for many candidate neighbors (default:
-        loop; subclasses override with closed-form array math)."""
-        return np.array([self.threshold(av_x, float(a), pdf) for a in av_ys])
-
-    def threshold_matrix(
-        self, av_xs: np.ndarray, av_ys: np.ndarray, pdf: AvailabilityPdf
-    ) -> np.ndarray:
-        """Fully-batched thresholds for a block of sources against all
-        candidates at once.
-
-        Must return an array broadcastable to ``(len(av_xs), len(av_ys))``
-        — rules that depend on only one operand may return a column
-        (``(B, 1)``), a row (``(1, N)``), or a scalar array.  The default
-        stacks :meth:`threshold_many` per source row; the concrete rules
-        override it with closed-form broadcasts for the block-tiled
-        overlay construction in ``AvmemPredicate.evaluate_all``.
-        """
-        return np.vstack(
-            [self.threshold_many(float(ax), av_ys, pdf) for ax in av_xs]
-        )
-
-
-def has_matrix_threshold(rule: "_Rule") -> bool:
-    """Whether ``rule`` provides a closed-form :meth:`_Rule.threshold_matrix`.
-
-    Rules that only define the scalar/row forms (e.g. application
-    :class:`FunctionRule` callables) may be partial functions — a
-    distance-decaying vertical rule is never evaluated in-band by the
-    scalar path — so the batched overlay construction must not evaluate
-    them over the full N×N grid; it falls back to masked row evaluation
-    instead.
-    """
-    return type(rule).threshold_matrix is not _Rule.threshold_matrix
 
 
 def has_candidate_bound(rule: "_Rule") -> bool:
@@ -145,36 +141,35 @@ class HorizontalSliverRule(_Rule):
     """Marker base class for horizontal sub-predicates."""
 
 
+class _ConstantRule(_Rule):
+    """``f(·,·) = p``: the kernel of I.A, II.A and the random rule."""
+
+    CANDIDATE_BOUND = "const"
+    _WHAT = "probability"
+
+    def __init__(self, probability: float):
+        self.probability = check_probability(probability, self._WHAT)
+
+    def thresholds(self, av_x, av_y, pdf: AvailabilityPdf):
+        return self.probability
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(p={self.probability:.4g})"
+
+
 # ----------------------------------------------------------------------
 # Vertical sub-predicates
 # ----------------------------------------------------------------------
-class ConstantVertical(VerticalSliverRule):
+class ConstantVertical(_ConstantRule, VerticalSliverRule):
     """[I.A] availability-independent acceptance probability."""
 
-    CANDIDATE_BOUND = "const"
-
-    def __init__(self, probability: float):
-        self.probability = check_probability(probability, "vertical probability")
+    _WHAT = "vertical probability"
 
     @classmethod
     def from_target_count(cls, d1: float, n_star: float) -> "ConstantVertical":
         """Probability yielding an expected ``d1`` vertical neighbors out of
         ``N*`` candidates (the paper's ``d1 = O(log N*)`` reading)."""
-        check_positive(d1, "d1")
-        check_positive(n_star, "n_star")
-        return cls(min(1.0, d1 / n_star))
-
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        return self.probability
-
-    def threshold_many(self, av_x, av_ys, pdf):
-        return np.full(len(av_ys), self.probability)
-
-    def threshold_matrix(self, av_xs, av_ys, pdf):
-        return np.array(self.probability)
-
-    def __repr__(self) -> str:
-        return f"ConstantVertical(p={self.probability:.4g})"
+        return cls(_share(d1, n_star, "d1", "n_star"))
 
 
 class LogarithmicVertical(VerticalSliverRule):
@@ -185,31 +180,13 @@ class LogarithmicVertical(VerticalSliverRule):
     def __init__(self, c1: float = 3.0):
         self.c1 = check_positive(c1, "c1")
 
+    def thresholds(self, av_x, av_y, pdf: AvailabilityPdf):
+        densities = pdf.density(np.asarray(av_y, dtype=float))
+        return _capped(_coverage(self.c1, densities, pdf), densities <= _DENSITY_FLOOR)
+
     def candidate_values(self, avs, pdf):
-        # Exact per-destination thresholds: the candidate stage bounds a
-        # bucket by their max and re-filters hits against these same
-        # floats, so the computation must match threshold_matrix — which
-        # broadcasts exactly this threshold_many row.
-        return self.threshold_many(0.0, np.asarray(avs, dtype=float), pdf)
-
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        density = pdf.density(av_y)
-        if density <= _DENSITY_FLOOR:
-            return 1.0
-        value = self.c1 * log_at_least_one(pdf.n_star) / (pdf.n_star * density)
-        return min(value, 1.0)
-
-    def threshold_many(self, av_x, av_ys, pdf):
-        densities = np.asarray(pdf.density(np.asarray(av_ys, dtype=float)))
-        numerator = self.c1 * log_at_least_one(pdf.n_star)
-        with np.errstate(divide="ignore"):
-            values = numerator / (pdf.n_star * densities)
-        values[densities <= _DENSITY_FLOOR] = 1.0
-        return np.minimum(values, 1.0)
-
-    def threshold_matrix(self, av_xs, av_ys, pdf):
-        # Depends only on av(y): one row vector broadcast over sources.
-        return self.threshold_many(0.0, np.asarray(av_ys, dtype=float), pdf)[None, :]
+        # Exact per-destination thresholds (bucket bounds and re-filter).
+        return self.thresholds(0.0, avs, pdf)
 
     def __repr__(self) -> str:
         return f"LogarithmicVertical(c1={self.c1})"
@@ -224,64 +201,21 @@ class LogarithmicDecreasingVertical(VerticalSliverRule):
     def __init__(self, c1: float = 3.0):
         self.c1 = check_positive(c1, "c1")
 
-    def candidate_values(self, avs, pdf):
-        # Uncapped base values (the numerator over N*·density, before the
-        # distance division): degenerate densities map to +inf so any
-        # bucket containing them bounds to 1.0.
-        avs = np.asarray(avs, dtype=float)
-        densities = np.asarray(pdf.density(avs))
+    def thresholds(self, av_x, av_y, pdf: AvailabilityPdf):
+        av_y = np.asarray(av_y, dtype=float)
+        densities = pdf.density(av_y)
+        distances = np.abs(av_y - av_x)
         numerator = self.c1 * log_at_least_one(pdf.n_star)
-        with np.errstate(divide="ignore"):
-            values = numerator / (pdf.n_star * densities)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = numerator / (pdf.n_star * densities * distances)
+        return _capped(values, (densities <= _DENSITY_FLOOR) | (distances <= 0.0))
+
+    def candidate_values(self, avs, pdf):
+        # Uncapped base values; +inf at degenerate densities bounds to 1.0.
+        densities = pdf.density(np.asarray(avs, dtype=float))
+        values = _coverage(self.c1, densities, pdf)
         values[densities <= _DENSITY_FLOOR] = np.inf
         return values
-
-    def pair_threshold_values(self, av_xs, av_ys, pdf):
-        """Elementwise thresholds for paired ``(av_x, av_y)`` arrays,
-        float-identical to the corresponding :meth:`threshold_matrix`
-        entries (same expression, elementwise) — used by the candidate
-        stage's exact hit filter."""
-        av_xs = np.asarray(av_xs, dtype=float)
-        av_ys = np.asarray(av_ys, dtype=float)
-        densities = np.asarray(pdf.density(av_ys))
-        distances = np.abs(av_ys - av_xs)
-        numerator = self.c1 * log_at_least_one(pdf.n_star)
-        degenerate = (densities <= _DENSITY_FLOOR) | (distances <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = numerator / (pdf.n_star * densities * distances)
-        values[degenerate] = 1.0
-        return np.minimum(values, 1.0)
-
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        density = pdf.density(av_y)
-        distance = abs(av_y - av_x)
-        if density <= _DENSITY_FLOOR or distance <= 0.0:
-            return 1.0
-        value = self.c1 * log_at_least_one(pdf.n_star) / (pdf.n_star * density * distance)
-        return min(value, 1.0)
-
-    def threshold_many(self, av_x, av_ys, pdf):
-        av_ys = np.asarray(av_ys, dtype=float)
-        densities = np.asarray(pdf.density(av_ys))
-        distances = np.abs(av_ys - av_x)
-        numerator = self.c1 * log_at_least_one(pdf.n_star)
-        degenerate = (densities <= _DENSITY_FLOOR) | (distances <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = numerator / (pdf.n_star * densities * distances)
-        values[degenerate] = 1.0
-        return np.minimum(values, 1.0)
-
-    def threshold_matrix(self, av_xs, av_ys, pdf):
-        av_xs = np.asarray(av_xs, dtype=float)
-        av_ys = np.asarray(av_ys, dtype=float)
-        densities = np.asarray(pdf.density(av_ys))[None, :]
-        distances = np.abs(av_ys[None, :] - av_xs[:, None])
-        numerator = self.c1 * log_at_least_one(pdf.n_star)
-        degenerate = (densities <= _DENSITY_FLOOR) | (distances <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = numerator / (pdf.n_star * densities * distances)
-        values[degenerate] = 1.0
-        return np.minimum(values, 1.0)
 
     def __repr__(self) -> str:
         return f"LogarithmicDecreasingVertical(c1={self.c1})"
@@ -290,48 +224,26 @@ class LogarithmicDecreasingVertical(VerticalSliverRule):
 # ----------------------------------------------------------------------
 # Horizontal sub-predicates
 # ----------------------------------------------------------------------
-class ConstantHorizontal(HorizontalSliverRule):
+class ConstantHorizontal(_ConstantRule, HorizontalSliverRule):
     """[II.A] fixed acceptance probability within the ±ε band."""
 
-    CANDIDATE_BOUND = "const"
-
-    def __init__(self, probability: float):
-        self.probability = check_probability(probability, "horizontal probability")
+    _WHAT = "horizontal probability"
 
     @classmethod
-    def from_target_count(
-        cls, d2: float, n_star_av: float
-    ) -> "ConstantHorizontal":
+    def from_target_count(cls, d2: float, n_star_av: float) -> "ConstantHorizontal":
         """Probability yielding an expected ``d2`` horizontal neighbors out
         of the ``N*_av(x)`` candidates in the band."""
-        check_positive(d2, "d2")
-        check_positive(n_star_av, "n_star_av")
-        return cls(min(1.0, d2 / n_star_av))
-
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        return self.probability
-
-    def threshold_many(self, av_x, av_ys, pdf):
-        return np.full(len(av_ys), self.probability)
-
-    def threshold_matrix(self, av_xs, av_ys, pdf):
-        return np.array(self.probability)
-
-    def __repr__(self) -> str:
-        return f"ConstantHorizontal(p={self.probability:.4g})"
+        return cls(_share(d2, n_star_av, "d2", "n_star_av"))
 
 
 class LogarithmicConstantHorizontal(HorizontalSliverRule):
     """[II.B] ``min(c2·log(N*_av(x)) / N*min_av(x), 1)``.
 
-    The threshold depends only on ``av(x)`` (plus the global ε baked into
-    the surrounding predicate's band test).  It is evaluated on a 1e-3
-    availability grid — ``av(x)`` rounded to the nearest grid point, far
-    below bin resolution for a piecewise-linear function — which keeps
-    it a pure function of ``av(x)`` (every party computes the same
-    value, whatever it evaluated before) while giving the discovery loop
-    near-perfect cache reuse and the batched forms at most 1001 scalar
-    evaluations per PDF.
+    The threshold depends only on ``av(x)`` (plus the global ε).  It is
+    read from a 1e-3 availability grid — ``av(x)`` rounded half-to-even,
+    far below bin resolution — whose 1001 values are filled lazily and
+    belong to the PDF object they were filled for: a different PDF
+    starts a fresh grid, so the value is a pure function of both.
     """
 
     CANDIDATE_BOUND = "src"
@@ -339,50 +251,49 @@ class LogarithmicConstantHorizontal(HorizontalSliverRule):
     def __init__(self, c2: float = 1.0, epsilon: float = 0.1):
         self.c2 = check_positive(c2, "c2")
         self.epsilon = check_positive(epsilon, "epsilon")
-        self._cache: dict = {}
+        self._grid_pdf = self._grid = None
 
-    def candidate_values(self, avs, pdf):
-        # Per-*source* thresholds, float-identical to per-source
-        # ``threshold`` calls: np.rint and round() both round the same
-        # product half-to-even, so both land on the same grid point.
-        grid = np.rint(np.asarray(avs, dtype=float) * 1000.0)
-        points, inverse = np.unique(grid, return_inverse=True)
-        values = np.array(
-            [self.threshold(point / 1000.0, 0.0, pdf) for point in points.tolist()]
-        )
-        return values[inverse]
+    def _at(self, point: int, pdf: AvailabilityPdf) -> float:
+        at = point / 1000.0
+        n_min = pdf.n_star_min_av(at, self.epsilon)
+        if n_min <= 0.0:
+            return 1.0
+        return min(self.c2 * log_at_least_one(pdf.n_star_av(at, self.epsilon)) / n_min, 1.0)
 
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        point = round(av_x * 1000.0)
-        key = (id(pdf), point)
-        cached = self._cache.get(key)
-        if cached is None:
-            at = point / 1000.0
-            n_av = pdf.n_star_av(at, self.epsilon)
-            n_min = pdf.n_star_min_av(at, self.epsilon)
-            if n_min <= 0.0:
-                cached = 1.0
-            else:
-                cached = min(self.c2 * log_at_least_one(n_av) / n_min, 1.0)
-            if len(self._cache) > 65536:
-                self._cache.clear()
-            self._cache[key] = cached
-        return cached
+    def thresholds(self, av_x, av_y, pdf: AvailabilityPdf):
+        if pdf is not self._grid_pdf:
+            self._grid_pdf = pdf
+            self._grid = np.full(1001, np.nan)
+        grid = self._grid
+        if not isinstance(av_x, np.ndarray):
+            point = round(av_x * 1000.0)
+            if not 0 <= point <= 1000:
+                raise ValueError(f"availability {av_x!r} is outside [0, 1]")
+            value = grid[point]
+            if value != value:
+                value = grid[point] = self._at(point, pdf)
+            return value
+        # np.rint rounds half-to-even like round() above.
+        points = np.rint(av_x * 1000.0).astype(np.intp)
+        if points.size and not (points.min() >= 0 and points.max() <= 1000):
+            raise ValueError("availabilities outside [0, 1]")
+        values = grid[points]
+        missing = np.isnan(values)
+        if missing.any():
+            for point in np.unique(points[missing]).tolist():
+                grid[point] = self._at(point, pdf)
+            values = grid[points]
+        return values
 
-    def threshold_many(self, av_x, av_ys, pdf):
-        return np.full(len(av_ys), self.threshold(av_x, 0.0, pdf))
-
-    def threshold_matrix(self, av_xs, av_ys, pdf):
-        # Depends only on av(x): one column vector broadcast over
-        # candidates.
-        return self.candidate_values(av_xs, pdf)[:, None]
+    def candidate_values(self, avs, pdf):  # per-*source* thresholds
+        return self.thresholds(np.asarray(avs, dtype=float), 0.0, pdf)
 
     def __repr__(self) -> str:
         return f"LogarithmicConstantHorizontal(c2={self.c2}, epsilon={self.epsilon})"
 
 
 # ----------------------------------------------------------------------
-# Application-specified rules
+# Application-specified rules and the random baseline
 # ----------------------------------------------------------------------
 class FunctionRule(VerticalSliverRule, HorizontalSliverRule):
     """An application-specified sub-predicate (Section 1.3's headline:
@@ -392,7 +303,7 @@ class FunctionRule(VerticalSliverRule, HorizontalSliverRule):
     rule; the returned value is clamped into [0, 1].  The callable must
     be deterministic — it becomes part of the *consistent* predicate, so
     every node (and every verifier) has to compute the same threshold
-    from the same inputs.
+    from the same inputs.  The kernel calls it once per pair, on floats.
 
     >>> prefer_stable = FunctionRule(lambda ax, ay, pdf: ay**2, name="av^2")
     """
@@ -403,45 +314,27 @@ class FunctionRule(VerticalSliverRule, HorizontalSliverRule):
         self._fn = fn
         self.name = str(name)
 
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        value = float(self._fn(av_x, av_y, pdf))
-        if value != value:  # NaN from the application callable
+    def thresholds(self, av_x, av_y, pdf: AvailabilityPdf):
+        xs, ys = np.broadcast_arrays(np.asarray(av_x, dtype=float), np.asarray(av_y, dtype=float))
+        pairs = zip(xs.ravel().tolist(), ys.ravel().tolist())
+        values = np.array([float(self._fn(x, y, pdf)) for x, y in pairs]).reshape(xs.shape)
+        if np.isnan(values).any():  # NaN from the application callable
             raise ValueError(f"custom rule {self.name!r} returned NaN")
-        return min(1.0, max(0.0, value))
+        return np.minimum(np.maximum(values, 0.0), 1.0)
 
     def __repr__(self) -> str:
         return f"FunctionRule({self.name!r})"
 
 
-# ----------------------------------------------------------------------
-# Random baseline
-# ----------------------------------------------------------------------
-class RandomUniformRule(VerticalSliverRule, HorizontalSliverRule):
+class RandomUniformRule(_ConstantRule, VerticalSliverRule, HorizontalSliverRule):
     """``f(·,·) = p`` — the consistent random overlay (SCAMP/CYCLON-like
     degree profile, but verifiable).  Usable as either sliver rule; using
     it for both gives the Fig 10 baseline graph."""
 
-    CANDIDATE_BOUND = "const"
-
-    def __init__(self, probability: float):
-        self.probability = check_probability(probability, "random probability")
+    _WHAT = "random probability"
 
     @classmethod
     def matching_expected_degree(cls, degree: float, n_star: float) -> "RandomUniformRule":
         """The ``p`` giving an expected ``degree`` neighbors among ``N*``
         candidates — used to degree-match the baseline to AVMEM."""
-        check_positive(degree, "degree")
-        check_positive(n_star, "n_star")
-        return cls(min(1.0, degree / n_star))
-
-    def threshold(self, av_x: float, av_y: float, pdf: AvailabilityPdf) -> float:
-        return self.probability
-
-    def threshold_many(self, av_x, av_ys, pdf):
-        return np.full(len(av_ys), self.probability)
-
-    def threshold_matrix(self, av_xs, av_ys, pdf):
-        return np.array(self.probability)
-
-    def __repr__(self) -> str:
-        return f"RandomUniformRule(p={self.probability:.4g})"
+        return cls(_share(degree, n_star, "degree", "n_star"))

@@ -41,7 +41,7 @@ def expected_vertical_size(predicate: AvmemPredicate, av_x: float) -> float:
     mask = np.abs(grid - av_x) >= predicate.epsilon
     if not mask.any():
         return 0.0
-    thresholds = predicate.vertical.threshold_many(av_x, grid[mask], pdf)
+    thresholds = predicate.vertical.thresholds(av_x, grid[mask], pdf)
     density = np.asarray(pdf.density(grid[mask]))
     return float(np.sum(thresholds * pdf.n_star * density) * da)
 
@@ -53,7 +53,7 @@ def expected_horizontal_size(predicate: AvmemPredicate, av_x: float) -> float:
     mask = np.abs(grid - av_x) < predicate.epsilon
     if not mask.any():
         return 0.0
-    thresholds = predicate.horizontal.threshold_many(av_x, grid[mask], pdf)
+    thresholds = predicate.horizontal.thresholds(av_x, grid[mask], pdf)
     density = np.asarray(pdf.density(grid[mask]))
     return float(np.sum(thresholds * pdf.n_star * density) * da)
 
@@ -84,7 +84,7 @@ def theorem1_band_counts(
         if not (hi <= av_x - predicate.epsilon or lo >= av_x + predicate.epsilon):
             continue
         mask = (grid >= lo) & (grid < hi)
-        thresholds = predicate.vertical.threshold_many(av_x, grid[mask], pdf)
+        thresholds = predicate.vertical.thresholds(av_x, grid[mask], pdf)
         density = np.asarray(pdf.density(grid[mask]))
         out[(float(lo), float(hi))] = float(
             np.sum(thresholds * pdf.n_star * density) * da

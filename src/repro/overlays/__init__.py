@@ -15,7 +15,6 @@ from repro.overlays.random_overlay import (
     mean_avmem_degree,
 )
 from repro.overlays.ring_dht import AvailabilityRing, RingLookupResult
-from repro.overlays.scamp import ScampMembership
 
 __all__ = [
     "OverlayGraph",
@@ -27,7 +26,6 @@ __all__ = [
     "mean_out_degree",
     "CyclonView",
     "CyclonEntry",
-    "ScampMembership",
     "AvailabilityRing",
     "RingLookupResult",
     "degree_matched_random_predicate",

@@ -5,10 +5,13 @@ import pytest
 
 from repro.attacks.flooding import (
     BandedRates,
+    _ground_truth_member,
+    _GroundTruth,
     flooding_attack_experiment,
     legitimate_rejection_experiment,
 )
 from repro.attacks.selfish import spray_attack
+from repro.core.predicates import AvmemPredicate
 
 
 class TestBandedRates:
@@ -81,6 +84,48 @@ class TestAttackExperiments:
             cushion=0.0, attackers=attackers, max_targets=30,
         )
         assert set(rates.sender_rates) <= set(attackers)
+
+    def test_batched_targets_equal_scalar_ground_truth(self, small_simulation):
+        """The Figs 5-6 targets read from one batched predicate call per
+        sender are exactly the per-pair scalar ``evaluate`` targets."""
+        s = small_simulation
+        ground = _GroundTruth(s.nodes, s.predicate, s.true_availability, online_only=True)
+        checked = 0
+        for sender in list(s.nodes)[::3]:
+            for members in (True, False):
+                scalar = [
+                    y
+                    for y in s.nodes
+                    if y != sender
+                    and s.nodes[sender].online
+                    and s.nodes[y].online
+                    and _ground_truth_member(s.predicate, s.true_availability, sender, y)
+                    == members
+                ]
+                assert ground.others(sender, members) == scalar
+                checked += len(scalar)
+        assert checked > 1000
+
+    def test_experiments_make_no_scalar_ground_truth_calls(
+        self, small_simulation, monkeypatch
+    ):
+        """Ground truth is one batched call per sender: neither
+        experiment evaluates the predicate pair by pair."""
+        s = small_simulation
+        calls = []
+        scalar = AvmemPredicate.evaluate
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return scalar(self, *args, **kwargs)
+
+        monkeypatch.setattr(AvmemPredicate, "evaluate", counting)
+        flooding_attack_experiment(
+            s.nodes, s.predicate, s.true_availability,
+            max_targets=20, rng=np.random.default_rng(0),
+        )
+        legitimate_rejection_experiment(s.nodes, s.predicate, s.true_availability)
+        assert calls == []
 
 
 class TestSprayAttack:

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.availability import AvailabilityPdf
 from repro.core.ids import make_node_ids
 from repro.core.predicates import AvmemPredicate, NodeDescriptor
 from repro.core.slivers import FunctionRule
 from repro.overlays.graphs import build_overlay, sliver_sizes
+
+
+_PDF = AvailabilityPdf.uniform(n_star=300.0)
 
 
 @pytest.fixture
@@ -67,9 +72,28 @@ class TestFunctionRule:
             y = NodeDescriptor(node, 0.8)
             assert p1.evaluate(x, y) == p2.evaluate(x, y)
 
-    def test_vectorized_fallback_matches_scalar(self, pdf, rng):
-        rule = FunctionRule(lambda ax, ay, p: ay * 0.3)
-        av_ys = rng.uniform(0, 1, 25)
-        vector = rule.threshold_many(0.5, av_ys, pdf)
-        scalar = np.array([rule.threshold(0.5, float(a), pdf) for a in av_ys])
-        assert np.allclose(vector, scalar)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_vectorized_fallback_matches_scalar(self, xs, ys):
+        """The kernel calls the application callable once per pair and
+        clamps it: one pair, a source against rows, a block and paired
+        arrays all give the clamped callable's floats exactly."""
+        fn = lambda ax, ay, p: (ay - ax) * 3.0  # noqa: E731 - spans [-3, 3]
+        rule = FunctionRule(fn)
+        expected = np.array(
+            [[min(1.0, max(0.0, fn(x, y, _PDF))) for y in ys] for x in xs]
+        )
+        av_x = np.array(xs)
+        av_y = np.array(ys)
+        scalar = np.array([[rule.threshold(x, y, _PDF) for y in ys] for x in xs])
+        rows = np.array([rule.thresholds(x, av_y, _PDF) for x in xs])
+        block = rule.thresholds(av_x[:, None], av_y[None, :], _PDF)
+        paired = rule.thresholds(
+            np.repeat(av_x, av_y.size), np.tile(av_y, av_x.size), _PDF
+        ).reshape(expected.shape)
+        for form in (scalar, rows, block, paired):
+            assert form.shape == expected.shape
+            assert form.tobytes() == expected.tobytes()

@@ -479,3 +479,42 @@ class TestCompaction:
             e.kind is SliverKind.HORIZONTAL for e in table.entries()
         ]
         assert list(view.digests) == [n.digest64 for n in view.nodes]
+
+
+class TestColumnAllocation:
+    """The columns are allocated at a table's first growth, so the bulk
+    install of a direct bootstrap sizes each of them once."""
+
+    def test_first_growth_allocates_at_doubling_capacity(self):
+        table = new_table()
+        assert table._capacity == 0
+        table.upsert_rows(rows(0, 20), np.linspace(0.1, 0.9, 20), np.ones(20, dtype=bool), 0.0)
+        assert table._capacity == 32  # 8 doubled until the batch fits
+        assert all(
+            getattr(table, name).size == 32
+            for name in ("_ids", "_digests", "_avail", "_horiz", "_added",
+                         "_checked", "_seq", "_alive", "_rows")
+        )
+        table.upsert(CANDIDATES[21], 0.5, SliverKind.VERTICAL, 1.0)
+        assert table._capacity == 32 and table.total_count == 21
+
+    def test_direct_bootstrap_copies_no_column(self, monkeypatch):
+        from repro.simulation import AvmemSimulation, SimulationSettings
+
+        grown_from = []
+        grow = MembershipTable._grow_to
+
+        def counting(self, needed):
+            if needed > self._capacity:
+                grown_from.append(self._capacity)
+            grow(self, needed)
+
+        monkeypatch.setattr(MembershipTable, "_grow_to", counting)
+        simulation = AvmemSimulation(
+            SimulationSettings(hosts=300, epochs=24, seed=5, protocols="off")
+        )
+        simulation.setup(warmup=14400.0, settle=0.0)
+        installed = sum(node.lists.total_count > 0 for node in simulation.nodes.values())
+        assert installed > 100
+        assert len(grown_from) == installed
+        assert set(grown_from) == {0}

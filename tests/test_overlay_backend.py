@@ -111,11 +111,11 @@ class TestEdgeSetParity:
         assert overlay_edges(overlay) == reference_edges(descriptors, predicate)
 
     def test_partial_custom_rule_parity(self):
-        """Application rules without a closed-form matrix override may be
-        partial functions (a distance-decaying vertical rule divides by
-        |av(x) − av(y)|, which is only ever evaluated out-of-band by the
-        scalar path); the batched path must use the same masked
-        evaluation instead of the full N×N grid."""
+        """Application rules may be partial functions (a
+        distance-decaying vertical rule divides by |av(x) − av(y)|, which
+        is only ever evaluated out-of-band by the scalar path); the
+        batched sweep hands each rule only the pairs on its own side of
+        the band, never the full N×N grid."""
         from repro.core.predicates import AvmemPredicate
         from repro.core.slivers import FunctionRule, LogarithmicConstantHorizontal
 

@@ -25,7 +25,6 @@ from repro.overlays.random_overlay import (
     degree_matched_random_predicate,
     mean_avmem_degree,
 )
-from repro.overlays.scamp import ScampMembership
 from repro.sim.engine import Simulator
 
 
@@ -225,50 +224,3 @@ class TestCyclon:
         sim.run_until(35.0)
         assert cyclon.exchange_count > 0
         cyclon.stop()
-
-
-class TestScamp:
-    def test_join_all_views_grow_logarithmically(self, rng):
-        scamp = ScampMembership(c=1, rng=rng)
-        ids = make_node_ids(300)
-        scamp.join_all(ids)
-        sizes = np.array(scamp.view_sizes())
-        # Mean view size ~ (c+1) log N ~ 11 for N=300; generous bounds.
-        assert 2.0 <= sizes.mean() <= 30.0
-        assert sizes.max() < 80
-
-    def test_membership_connected(self, rng):
-        scamp = ScampMembership(c=1, rng=rng)
-        ids = make_node_ids(150)
-        scamp.join_all(ids)
-        reachable = scamp.reachable_from(ids[0])
-        assert len(reachable) >= 0.95 * 150
-
-    def test_double_join_rejected(self, rng):
-        scamp = ScampMembership(rng=rng)
-        ids = make_node_ids(3)
-        scamp.join(ids[0])
-        with pytest.raises(ValueError):
-            scamp.join(ids[0], ids[0])
-
-    def test_second_node_needs_contact(self, rng):
-        scamp = ScampMembership(rng=rng)
-        ids = make_node_ids(3)
-        scamp.join(ids[0])
-        with pytest.raises(ValueError):
-            scamp.join(ids[1], contact=None)
-
-    def test_unknown_contact_rejected(self, rng):
-        scamp = ScampMembership(rng=rng)
-        ids = make_node_ids(3)
-        scamp.join(ids[0])
-        with pytest.raises(KeyError):
-            scamp.join(ids[1], contact=ids[2])
-
-    def test_in_degree_positive_for_everyone(self, rng):
-        """Every subscription lands somewhere: no orphan nodes."""
-        scamp = ScampMembership(c=2, rng=rng)
-        ids = make_node_ids(100)
-        scamp.join_all(ids)
-        orphans = sum(1 for node in ids[1:] if scamp.in_degree(node) == 0)
-        assert orphans <= 2

@@ -24,6 +24,61 @@ from repro.core.slivers import (
     LogarithmicVertical,
     RandomUniformRule,
 )
+from repro.util.mathx import log_at_least_one
+
+
+#: PDFs for the kernel parity test: fitted, uniform, and one with an
+#: empty bin (its density is 0, so I.B and I.C cap at 1 there).
+_KERNEL_PDFS = (
+    AvailabilityPdf.from_samples(np.random.default_rng(11).beta(0.7, 0.9, 2000)),
+    AvailabilityPdf.uniform(n_star=500.0),
+    AvailabilityPdf(np.r_[np.ones(5), 0.0, np.ones(14)], n_star=800.0),
+)
+#: Bin edges of the 20-bin PDFs and their float neighbors, II.B grid
+#: half-way points, and arbitrary availabilities.
+_EDGES = [k / 20.0 for k in range(21)]
+_KERNEL_AVAILABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(
+        _EDGES
+        + [float(np.nextafter(e, 2.0)) for e in _EDGES[:-1]]
+        + [float(np.nextafter(e, -1.0)) for e in _EDGES[1:]]
+        + [0.0005, 0.0025, 0.0625, 0.4995, 0.5005, 0.9995]
+    ),
+)
+
+
+def _kernel_rules():
+    return (
+        ConstantVertical(0.05),
+        LogarithmicVertical(),
+        LogarithmicDecreasingVertical(c1=2.0),
+        ConstantHorizontal(0.2),
+        LogarithmicConstantHorizontal(),
+        LogarithmicConstantHorizontal(c2=1.5, epsilon=0.15),
+        RandomUniformRule(0.3),
+    )
+
+
+def _reference(rule, av_x, av_y, pdf):
+    """The shipped rules' formulas in plain floats: the oracle the
+    broadcasting kernels are held to."""
+    if isinstance(rule, (ConstantVertical, ConstantHorizontal, RandomUniformRule)):
+        return rule.probability
+    if isinstance(rule, LogarithmicConstantHorizontal):
+        at = round(av_x * 1000.0) / 1000.0
+        n_min = pdf.n_star_min_av(at, rule.epsilon)
+        if n_min <= 0.0:
+            return 1.0
+        return min(rule.c2 * log_at_least_one(pdf.n_star_av(at, rule.epsilon)) / n_min, 1.0)
+    density = pdf.density(av_y)
+    distance = abs(av_y - av_x) if isinstance(rule, LogarithmicDecreasingVertical) else 1.0
+    if density <= 1e-12 or distance <= 0.0:
+        return 1.0
+    numerator = rule.c1 * log_at_least_one(pdf.n_star)
+    if isinstance(rule, LogarithmicVertical):
+        return min(numerator / (pdf.n_star * density), 1.0)
+    return min(numerator / (pdf.n_star * density * distance), 1.0)
 
 
 @pytest.fixture
@@ -315,25 +370,67 @@ class TestSliverRuleUnits:
         rule = LogarithmicConstantHorizontal(c2=1.0, epsilon=0.1)
         batched = rule.candidate_values(avs, pdf)
         assert batched.tolist() == [rule.threshold(float(a), 0.0, pdf) for a in avs]
-        assert rule.threshold_matrix(avs, avs[:3], pdf)[:, 0].tolist() == batched.tolist()
+        block = rule.thresholds(avs[:, None], avs[None, :3], pdf)
+        assert np.broadcast_to(block, (avs.size, 3))[:, 0].tolist() == batched.tolist()
         fresh = LogarithmicConstantHorizontal(c2=1.0, epsilon=0.1)
         backwards = [fresh.threshold(float(a), 0.0, pdf) for a in avs[::-1]][::-1]
         assert backwards == batched.tolist()
         assert rule.threshold(0.50049, 0.0, pdf) == rule.threshold(0.5, 0.0, pdf)
 
-    def test_vectorized_rules_match_scalar(self, pdf, rng):
-        av_ys = rng.uniform(0.0, 1.0, 60)
-        for rule in (
-            LogarithmicVertical(),
-            LogarithmicDecreasingVertical(),
-            LogarithmicConstantHorizontal(),
-            ConstantVertical(0.05),
-            ConstantHorizontal(0.2),
-            RandomUniformRule(0.3),
-        ):
-            vector = rule.threshold_many(0.5, av_ys, pdf)
-            scalar = np.array([rule.threshold(0.5, float(a), pdf) for a in av_ys])
-            assert np.allclose(vector, scalar), type(rule).__name__
+    def test_horizontal_grid_belongs_to_its_pdf(self):
+        """One II.B rule reused over PDFs that are freed in turn (so a
+        new PDF may take a freed one's ``id``) answers for each PDF, as
+        a fresh rule does."""
+        rng = np.random.default_rng(3)
+        rule = LogarithmicConstantHorizontal()
+        stale = 0
+        for _ in range(200):
+            pdf = AvailabilityPdf.from_samples(
+                rng.uniform(0.0, 1.0, 50), n_star=float(rng.integers(20, 2000))
+            )
+            expected = LogarithmicConstantHorizontal().threshold(0.5, 0.0, pdf)
+            stale += rule.threshold(0.5, 0.0, pdf) != expected
+            del pdf
+        assert stale == 0
+
+    @pytest.mark.parametrize("av_x", [-0.01, 1.01])
+    def test_horizontal_rule_refuses_availabilities_off_the_grid(self, pdf, av_x):
+        rule = LogarithmicConstantHorizontal()
+        with pytest.raises(ValueError, match="outside"):
+            rule.threshold(av_x, 0.5, pdf)
+        with pytest.raises(ValueError, match="outside"):
+            rule.thresholds(np.array([0.5, av_x]), 0.5, pdf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pdf_index=st.integers(0, len(_KERNEL_PDFS) - 1),
+        xs=st.lists(_KERNEL_AVAILABILITIES, min_size=1, max_size=6),
+        ys=st.lists(_KERNEL_AVAILABILITIES, min_size=1, max_size=10),
+    )
+    def test_vectorized_rules_match_scalar(self, pdf_index, xs, ys):
+        """Every rule's kernel gives the same floats in each shape its
+        callers use — one pair, a source against rows, a block
+        (``[:, None]`` against ``[None, :]``) and paired arrays — and they
+        equal the paper's formulas written in plain floats, at bin edges
+        and in an empty bin too."""
+        pdf = _KERNEL_PDFS[pdf_index]
+        for rule in _kernel_rules():
+            expected = np.array([[_reference(rule, x, y, pdf) for y in ys] for x in xs])
+            scalar = np.array([[rule.threshold(x, y, pdf) for y in ys] for x in xs])
+            av_x = np.array(xs)
+            av_y = np.array(ys)
+            shape = expected.shape
+            rows = np.array(
+                [np.broadcast_to(rule.thresholds(x, av_y, pdf), av_y.shape) for x in xs]
+            )
+            block = np.broadcast_to(rule.thresholds(av_x[:, None], av_y[None, :], pdf), shape)
+            paired = np.broadcast_to(
+                rule.thresholds(np.repeat(av_x, av_y.size), np.tile(av_y, av_x.size), pdf),
+                (expected.size,),
+            ).reshape(shape)
+            for form in (scalar, rows, block, paired):
+                assert form.dtype == np.float64
+                assert form.tobytes() == expected.tobytes(), repr(rule)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,20 @@ class TestExports:
             "ScheduledEvent", "SimulationError", "Simulator", "UniformLatency",
         ]
 
+    def test_overlays_surface_is_pinned(self):
+        """``repro.overlays.__all__`` exactly: the CSR graph backend, the
+        random baseline, and the CYCLON and ring-DHT baselines that the
+        ablation benchmarks use."""
+        import repro.overlays
+
+        assert sorted(repro.overlays.__all__) == [
+            "AvailabilityRing", "CyclonEntry", "CyclonView", "OverlayGraph",
+            "RingLookupResult", "band_connectivity", "band_subgraph",
+            "build_overlay", "degree_matched_random_predicate",
+            "incoming_counts_by_kind", "mean_avmem_degree", "mean_out_degree",
+            "sliver_sizes",
+        ]
+
     def test_package_imports_without_networkx(self):
         """networkx is a test-only oracle: importing the package, its
         overlay layer and the CLI must not pull it in."""
